@@ -33,10 +33,6 @@ def from_units(x: int) -> Money:
     return x * MICRO
 
 
-class MarketError(Exception):
-    pass
-
-
 @dataclass(frozen=True, order=True)
 class EntityId:
     """A mediator or advertiser handle, e.g. m0 / a3."""

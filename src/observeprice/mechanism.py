@@ -4,10 +4,12 @@ Entities (mediators and advertisers) arrive one by one in uniformly random
 order. The mechanism observes a Binomial(n, r) prefix without trading, prices
 all later trades off one canonical pair of the observed sub-market, and then
 serves each arriving entity greedily: every trade charges the advertiser the
-threshold slot value and pays the mediator the threshold user cost, and after
-every arrival each mediator's assigned users have their cumulative payment
-raised to the mediator's currently cheapest unassigned assignable cost (or to
-the threshold cost once none remain).
+threshold slot value and pays the mediator the threshold user cost. At each
+trade the mediator's assigned users have their cumulative payment raised to
+the mediator's cheapest still unassigned assignable cost (or to the threshold
+cost once none remain). That amount moves only when the mediator trades, so
+raising it there keeps every target current, and each arrival's event records
+only the raises it made.
 
 All money flows are exact integers. The threshold location involves a cube
 root, so location and sign decisions are made with a float fast path that is
@@ -216,12 +218,17 @@ class Trade(NamedTuple):
 
 @dataclass(frozen=True)
 class ArrivalEvent:
-    """Everything that happened while serving one post-observation arrival."""
+    """Everything that happened while serving one post-observation arrival.
+
+    Targets are raised at each trade, and the event records only those
+    raises: ``pay_steps`` holds each (user, new cumulative target) in the
+    order made. Folding the steps of every event up to this one gives the
+    full pay vector after it; a user with no step is owed 0.
+    """
 
     arrival: EntityId
     trades: tuple[Trade, ...]
     pay_steps: tuple[tuple[UserRef, Money], ...]  # chronological raises of cumulative pay targets
-    targets: tuple[tuple[UserRef, Money], ...]  # full cumulative pay vector after the event
     unassigned_assignable_users: int
     unassigned_assignable_slots: int
 
@@ -303,6 +310,9 @@ class MechanismState:
         # Per-advertiser assignable slots, lowest index first.
         self._slots: dict[EntityId, list[SlotRef]] = {}
         self._spos: dict[EntityId, int] = {}
+        # Assignable users and slots that have arrived and are not yet traded.
+        self._idle_users = 0
+        self._idle_slots = 0
         self._set_mediators: list[EntityId] = []  # sigma, mediators in arrival order
         self._set_advertisers: list[EntityId] = []
         self._mptr = 0
@@ -315,9 +325,6 @@ class MechanismState:
         self.events: list[ArrivalEvent] = []
 
     # -- pools ---------------------------------------------------------------
-
-    def _mediator_pool(self, m: EntityId) -> list[UserRef]:
-        return self._queue[m][self._qpos[m] :]
 
     def _next_user(self, m: EntityId) -> Optional[UserRef]:
         q, i = self._queue[m], self._qpos[m]
@@ -343,12 +350,6 @@ class MechanismState:
             self._mptr += 1
         return None
 
-    def unassigned_assignable_users(self) -> int:
-        return sum(len(q) - self._qpos[m] for m, q in self._queue.items())
-
-    def unassigned_assignable_slots(self) -> int:
-        return sum(len(s) - self._spos[a] for a, s in self._slots.items())
-
     # -- payment rule ----------------------------------------------------------
 
     def _target_amount(self, m: EntityId) -> Money:
@@ -361,11 +362,8 @@ class MechanismState:
     def _raise_targets(self, m: EntityId, steps: list[tuple[UserRef, Money]]) -> None:
         if self.variant == "skip_user_payment_updates":
             return
-        assigned = self.assigned_by_mediator.get(m)
-        if not assigned:
-            return
         amount = self._target_amount(m)
-        for u in assigned:
+        for u in self.assigned_by_mediator[m]:
             old = self.targets[u]
             if amount != old:
                 if amount < old:
@@ -381,6 +379,8 @@ class MechanismState:
         assert user is not None and slot is not None
         self._qpos[m] += 1
         self._spos[a] += 1
+        self._idle_users -= 1
+        self._idle_slots -= 1
         charge = self.thresholds.charge
         payment = charge if self.variant == "pay_slot_value" else self.thresholds.payment
         self.charges[a] = self.charges.get(a, 0) + charge
@@ -407,6 +407,7 @@ class MechanismState:
             users.sort(key=lambda u: self.view.user_keys[u])
             self._queue[entity] = users
             self._qpos[entity] = 0
+            self._idle_users += len(users)
             self._set_mediators.append(entity)
             while self._next_user(entity) is not None:
                 a = self._earliest_advertiser_with_slots()
@@ -417,6 +418,7 @@ class MechanismState:
             slots = [b for b in self.view.slots_by_advertiser[entity] if self.thresholds.slot_assignable(self.view.slot_keys[b])]
             self._slots[entity] = slots
             self._spos[entity] = 0
+            self._idle_slots += len(slots)
             self._set_advertisers.append(entity)
             while self._next_slot(entity) is not None:
                 m = self._earliest_mediator_with_users()
@@ -424,18 +426,12 @@ class MechanismState:
                     break
                 self._execute(m, entity, trades, steps)
 
-        # Step 4d: after the arrival's trades, refresh every arrived mediator.
-        if self.variant != "skip_user_payment_updates":
-            for m in self._set_mediators:
-                self._raise_targets(m, steps)
-
         event = ArrivalEvent(
             arrival=entity,
             trades=tuple(trades),
             pay_steps=tuple(steps),
-            targets=tuple(sorted(self.targets.items())),
-            unassigned_assignable_users=self.unassigned_assignable_users(),
-            unassigned_assignable_slots=self.unassigned_assignable_slots(),
+            unassigned_assignable_users=self._idle_users,
+            unassigned_assignable_slots=self._idle_slots,
         )
         self.events.append(event)
         return event

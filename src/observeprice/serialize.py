@@ -17,26 +17,16 @@ from typing import Any
 
 from .market import (
     AdvertiserSpec,
-    Assignment,
     EntityId,
     Instance,
     MediatorSpec,
     Money,
     ReportProfile,
-    SlotRef,
     TieKey,
-    UserRef,
 )
-from .mechanism import (
-    ArrivalEvent,
-    MechanismConfig,
-    MechanismOutcome,
-    Thresholds,
-    Trade,
-    run_mechanism,
-)
+from .mechanism import MechanismConfig, MechanismOutcome, Thresholds, run_mechanism
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class ParseError(Exception):
@@ -74,18 +64,27 @@ def fraction_to_text(fr: Fraction) -> str:
 
 
 def fraction_from_text(text: str, path: str = "fraction") -> Fraction:
+    if not isinstance(text, str):  # a JSON float would become a binary fraction
+        raise ParseError(f"{path}: {text!r} is not a fraction")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{path}: {text!r} is not a fraction") from exc
 
 
-def _need(doc: dict, key: str, path: str) -> Any:
+_KIND_NAMES = {dict: "an object", list: "a list", int: "an integer"}
+
+
+def _need(doc: dict, key: str, path: str, kind: type | None = None) -> Any:
+    """``doc[key]``, which must be present and, if ``kind`` is given, of that JSON type."""
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected an object")
     if key not in doc:
         raise ParseError(f"{path}.{key}: required")
-    return doc[key]
+    value = doc[key]
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
+        raise ParseError(f"{path}.{key}: expected {_KIND_NAMES[kind]}, got {value!r:.40}")
+    return value
 
 
 def _header(doc: dict, kind: str, path: str) -> None:
@@ -102,22 +101,6 @@ def _entity_from_text(text: Any, path: str) -> EntityId:
         return EntityId.parse(text)
     except (ValueError, TypeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-
-
-def _user_from_text(text: str, path: str) -> UserRef:
-    try:
-        ent, idx = text.split(":")
-        return UserRef(EntityId.parse(ent), int(idx))
-    except (ValueError, AttributeError) as exc:
-        raise ParseError(f"{path}: {text!r} is not a user reference") from exc
-
-
-def _slot_from_text(text: str, path: str) -> SlotRef:
-    try:
-        ent, idx = text.split(":")
-        return SlotRef(EntityId.parse(ent), int(idx))
-    except (ValueError, AttributeError) as exc:
-        raise ParseError(f"{path}: {text!r} is not a slot reference") from exc
 
 
 def _loads(text: str) -> dict:
@@ -156,30 +139,28 @@ def instance_to_doc(instance: Instance) -> dict:
 def instance_from_doc(doc: dict, path: str = "instance") -> Instance:
     _header(doc, "instance", path)
     mediators = []
-    for i, m in enumerate(_need(doc, "mediators", path)):
+    for i, m in enumerate(_need(doc, "mediators", path, list)):
         mp = f"{path}.mediators[{i}]"
         ident = _entity_from_text(_need(m, "id", mp), f"{mp}.id")
         costs = tuple(
-            money_from_text(c, f"{mp}.user_costs[{j}]") for j, c in enumerate(_need(m, "user_costs", mp))
+            money_from_text(c, f"{mp}.user_costs[{j}]") for j, c in enumerate(_need(m, "user_costs", mp, list))
         )
         try:
             mediators.append(MediatorSpec(ident, costs))
         except ValueError as exc:
             raise ParseError(f"{mp}: {exc}") from exc
     advertisers = []
-    for i, a in enumerate(_need(doc, "advertisers", path)):
+    for i, a in enumerate(_need(doc, "advertisers", path, list)):
         ap = f"{path}.advertisers[{i}]"
         ident = _entity_from_text(_need(a, "id", ap), f"{ap}.id")
-        cap = _need(a, "capacity", ap)
-        if not isinstance(cap, int):
-            raise ParseError(f"{ap}.capacity: expected an integer")
+        cap = _need(a, "capacity", ap, int)
         value = money_from_text(_need(a, "value", ap), f"{ap}.value")
         try:
             advertisers.append(AdvertiserSpec(ident, cap, value))
         except ValueError as exc:
             raise ParseError(f"{ap}: {exc}") from exc
     tie_order = tuple(
-        _entity_from_text(e, f"{path}.tie_order[{i}]") for i, e in enumerate(_need(doc, "tie_order", path))
+        _entity_from_text(e, f"{path}.tie_order[{i}]") for i, e in enumerate(_need(doc, "tie_order", path, list))
     )
     try:
         return Instance(tuple(mediators), tuple(advertisers), tie_order)
@@ -215,18 +196,18 @@ def reports_to_doc(reports: ReportProfile) -> dict:
 def reports_from_doc(doc: dict, path: str = "reports") -> ReportProfile:
     _header(doc, "reports", path)
     mediator_costs = {}
-    for key, costs in _need(doc, "mediator_costs", path).items():
+    costs_doc = _need(doc, "mediator_costs", path, dict)
+    for key in costs_doc:
         ent = _entity_from_text(key, f"{path}.mediator_costs")
+        costs = _need(costs_doc, key, f"{path}.mediator_costs", list)
         mediator_costs[ent] = tuple(
             money_from_text(c, f"{path}.mediator_costs[{key}][{j}]") for j, c in enumerate(costs)
         )
     advertiser_slots = {}
-    for key, slot in _need(doc, "advertiser_slots", path).items():
+    for key, slot in _need(doc, "advertiser_slots", path, dict).items():
         ent = _entity_from_text(key, f"{path}.advertiser_slots")
         ap = f"{path}.advertiser_slots[{key}]"
-        cap = _need(slot, "capacity", ap)
-        if not isinstance(cap, int):
-            raise ParseError(f"{ap}.capacity: expected an integer")
+        cap = _need(slot, "capacity", ap, int)
         advertiser_slots[ent] = (cap, money_from_text(_need(slot, "value", ap), f"{ap}.value"))
     try:
         return ReportProfile(mediator_costs, advertiser_slots)
@@ -251,11 +232,7 @@ def _key_to_doc(key: TieKey) -> dict:
 
 def _key_from_doc(doc: dict, path: str) -> TieKey:
     amount = money_from_text(_need(doc, "amount", path), f"{path}.amount")
-    rank = _need(doc, "entity_rank", path)
-    within = _need(doc, "within_index", path)
-    if not isinstance(rank, int) or not isinstance(within, int):
-        raise ParseError(f"{path}: entity_rank and within_index must be integers")
-    return TieKey(amount, rank, within)
+    return TieKey(amount, _need(doc, "entity_rank", path, int), _need(doc, "within_index", path, int))
 
 
 def config_to_doc(config: MechanismConfig) -> dict:
@@ -280,9 +257,7 @@ def config_from_doc(doc: dict, path: str = "config") -> MechanismConfig:
     alpha = fraction_from_text(_need(doc, "alpha", path), f"{path}.alpha")
     r_text = _need(doc, "r", path)
     r = None if r_text is None else fraction_from_text(r_text, f"{path}.r")
-    seed = _need(doc, "seed", path)
-    if not isinstance(seed, int):
-        raise ParseError(f"{path}.seed: expected an integer")
+    seed = _need(doc, "seed", path, int)
     variant = _need(doc, "variant", path)
     override_doc = _need(doc, "threshold_override", path)
     override = None
@@ -291,11 +266,11 @@ def config_from_doc(doc: dict, path: str = "config") -> MechanismConfig:
             _key_from_doc(_need(override_doc, "user_key", f"{path}.threshold_override"), f"{path}.threshold_override.user_key"),
             _key_from_doc(_need(override_doc, "slot_key", f"{path}.threshold_override"), f"{path}.threshold_override.slot_key"),
         )
-    forced_order_doc = _need(doc, "forced_arrival_order", path)
     forced_order = None
-    if forced_order_doc is not None:
+    if _need(doc, "forced_arrival_order", path) is not None:
         forced_order = tuple(
-            _entity_from_text(e, f"{path}.forced_arrival_order[{i}]") for i, e in enumerate(forced_order_doc)
+            _entity_from_text(e, f"{path}.forced_arrival_order[{i}]")
+            for i, e in enumerate(_need(doc, "forced_arrival_order", path, list))
         )
     forced_count = _need(doc, "forced_observation_count", path)
     if forced_count is not None and not isinstance(forced_count, int):
@@ -325,18 +300,6 @@ def _thresholds_to_doc(t: Thresholds) -> dict:
     }
 
 
-def _thresholds_from_doc(doc: dict, path: str) -> Thresholds:
-    user_key_doc = _need(doc, "user_key", path)
-    slot_key_doc = _need(doc, "slot_key", path)
-    return Thresholds(
-        None if user_key_doc is None else _key_from_doc(user_key_doc, f"{path}.user_key"),
-        None if slot_key_doc is None else _key_from_doc(slot_key_doc, f"{path}.slot_key"),
-        _need(doc, "location", path),
-        _need(doc, "observed_size", path),
-        _need(doc, "injected", path),
-    )
-
-
 def outcome_to_doc(outcome: MechanismOutcome) -> dict:
     return {
         "alpha": fraction_to_text(outcome.alpha),
@@ -364,7 +327,6 @@ def outcome_to_doc(outcome: MechanismOutcome) -> dict:
                     for t in e.trades
                 ],
                 "pay_steps": [[str(u), money_to_text(x)] for u, x in e.pay_steps],
-                "targets": [[str(u), money_to_text(x)] for u, x in e.targets],
                 "unassigned_assignable_users": e.unassigned_assignable_users,
                 "unassigned_assignable_slots": e.unassigned_assignable_slots,
             }
@@ -376,75 +338,6 @@ def outcome_to_doc(outcome: MechanismOutcome) -> dict:
         "final_targets": {str(u): money_to_text(x) for u, x in sorted(outcome.final_targets.items())},
         "gft": money_to_text(outcome.gft),
     }
-
-
-def outcome_from_doc(doc: dict, path: str = "outcome") -> MechanismOutcome:
-    events = []
-    for i, e in enumerate(_need(doc, "events", path)):
-        ep = f"{path}.events[{i}]"
-        trades = tuple(
-            Trade(
-                _user_from_text(_need(t, "user", ep), f"{ep}.user"),
-                _slot_from_text(_need(t, "slot", ep), f"{ep}.slot"),
-                money_from_text(_need(t, "charge", ep), f"{ep}.charge"),
-                money_from_text(_need(t, "payment", ep), f"{ep}.payment"),
-            )
-            for t in _need(e, "trades", ep)
-        )
-        events.append(
-            ArrivalEvent(
-                arrival=_entity_from_text(_need(e, "arrival", ep), f"{ep}.arrival"),
-                trades=trades,
-                pay_steps=tuple(
-                    (_user_from_text(u, f"{ep}.pay_steps"), money_from_text(x, f"{ep}.pay_steps"))
-                    for u, x in _need(e, "pay_steps", ep)
-                ),
-                targets=tuple(
-                    (_user_from_text(u, f"{ep}.targets"), money_from_text(x, f"{ep}.targets"))
-                    for u, x in _need(e, "targets", ep)
-                ),
-                unassigned_assignable_users=_need(e, "unassigned_assignable_users", ep),
-                unassigned_assignable_slots=_need(e, "unassigned_assignable_slots", ep),
-            )
-        )
-    return MechanismOutcome(
-        alpha=fraction_from_text(_need(doc, "alpha", path), f"{path}.alpha"),
-        r=fraction_from_text(_need(doc, "r", path), f"{path}.r"),
-        seed=_need(doc, "seed", path),
-        variant=_need(doc, "variant", path),
-        injected_thresholds=_need(doc, "injected_thresholds", path),
-        forced_arrival=_need(doc, "forced_arrival", path),
-        forced_observation=_need(doc, "forced_observation", path),
-        arrival_order=tuple(_entity_from_text(e, f"{path}.arrival_order") for e in _need(doc, "arrival_order", path)),
-        observation_count=_need(doc, "observation_count", path),
-        observed_mediators=tuple(
-            _entity_from_text(e, f"{path}.observed_mediators") for e in _need(doc, "observed_mediators", path)
-        ),
-        observed_advertisers=tuple(
-            _entity_from_text(e, f"{path}.observed_advertisers") for e in _need(doc, "observed_advertisers", path)
-        ),
-        thresholds=_thresholds_from_doc(_need(doc, "thresholds", path), f"{path}.thresholds"),
-        events=tuple(events),
-        assignment=Assignment(
-            tuple(
-                (_user_from_text(u, f"{path}.assignment"), _slot_from_text(b, f"{path}.assignment"))
-                for u, b in _need(doc, "assignment", path)
-            )
-        ),
-        charges={
-            _entity_from_text(a, f"{path}.charges"): money_from_text(x, f"{path}.charges[{a}]")
-            for a, x in _need(doc, "charges", path).items()
-        },
-        receipts={
-            _entity_from_text(m, f"{path}.receipts"): money_from_text(x, f"{path}.receipts[{m}]")
-            for m, x in _need(doc, "receipts", path).items()
-        },
-        final_targets={
-            _user_from_text(u, f"{path}.final_targets"): money_from_text(x, f"{path}.final_targets[{u}]")
-            for u, x in _need(doc, "final_targets", path).items()
-        },
-        gft=money_from_text(_need(doc, "gft", path), f"{path}.gft"),
-    )
 
 
 # -- run report ----------------------------------------------------------------

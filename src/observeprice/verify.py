@@ -44,10 +44,13 @@ def _user_trajectory(outcome: MechanismOutcome, instance: Instance, user: UserRe
     true_cost = instance.mediator(user.mediator).user_costs[user.user_index]
     series = [0]
     assigned = False
+    paid = 0
     for event in outcome.events:
         if any(t.user == user for t in event.trades):
             assigned = True
-        paid = dict(event.targets).get(user, 0)
+        for u, target in event.pay_steps:
+            if u == user:
+                paid = target
         series.append(paid - (true_cost if assigned else 0))
     return UtilityTrajectory(user, tuple(series))
 
@@ -134,25 +137,34 @@ def check_continuous_ir(trajectory: UtilityTrajectory) -> CheckResult:
 
 
 def check_budget_balance(outcome: MechanismOutcome) -> CheckResult:
-    """No deficit overall, per trade, and per mediator at every snapshot."""
+    """No deficit overall, per trade, and per mediator after every event.
+
+    A mediator's running debt is the sum of its users' pay targets, folded
+    from the pay steps. A deficit can only start at an event that changes the
+    mediator's debt or receipts, so each event compares only the mediators in
+    its trades and pay steps.
+    """
     fails = []
     total_charges = sum(outcome.charges.values())
     total_receipts = sum(outcome.receipts.values())
     if total_charges < total_receipts:
         fails.append(f"total charges {total_charges} < total mediator receipts {total_receipts}")
     receipts_so_far: dict[EntityId, Money] = {}
+    paid: dict[UserRef, Money] = {}
+    owed: dict[EntityId, Money] = {}
     for i, event in enumerate(outcome.events):
         for t in event.trades:
             if t.charge < t.payment:
                 fails.append(f"event {i}: trade charges {t.charge} but pays {t.payment}")
             receipts_so_far[t.user.mediator] = receipts_so_far.get(t.user.mediator, 0) + t.payment
-        owed: dict[EntityId, Money] = {}
-        for user, target in event.targets:
-            owed[user.mediator] = owed.get(user.mediator, 0) + target
-        for m, owed_total in owed.items():
-            if owed_total > receipts_so_far.get(m, 0):
+        for user, target in event.pay_steps:
+            owed[user.mediator] = owed.get(user.mediator, 0) + target - paid.get(user, 0)
+            paid[user] = target
+        touched = {t.user.mediator for t in event.trades} | {user.mediator for user, _ in event.pay_steps}
+        for m in sorted(touched):
+            if owed.get(m, 0) > receipts_so_far.get(m, 0):
                 fails.append(
-                    f"event {i}: mediator {m} owes users {owed_total} but has only received {receipts_so_far.get(m, 0)}"
+                    f"event {i}: mediator {m} owes users {owed.get(m, 0)} but has only received {receipts_so_far.get(m, 0)}"
                 )
     return CheckResult(not fails, tuple(fails))
 
@@ -181,15 +193,16 @@ def check_online_legality(outcome: MechanismOutcome) -> CheckResult:
 
 
 def check_pay_targets_monotone(outcome: MechanismOutcome) -> CheckResult:
-    """Cumulative user pay targets never decrease across events."""
+    """Cumulative user pay targets never decrease: no pay step is below that
+    user's running target."""
     fails = []
-    prev: dict[UserRef, Money] = {}
+    running: dict[UserRef, Money] = {}
     for i, event in enumerate(outcome.events):
-        now = dict(event.targets)
-        for user, old in prev.items():
-            if now.get(user, 0) < old:
-                fails.append(f"event {i}: pay target of {user} drops {old} -> {now.get(user, 0)}")
-        prev = now
+        for user, target in event.pay_steps:
+            old = running.get(user, 0)
+            if target < old:
+                fails.append(f"event {i}: pay target of {user} drops {old} -> {target}")
+            running[user] = target
     return CheckResult(not fails, tuple(fails))
 
 

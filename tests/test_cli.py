@@ -6,7 +6,7 @@ import json
 import pytest
 
 from observeprice.cli import main
-from observeprice.serialize import instance_to_text, money_from_text, money_to_text
+from observeprice.serialize import SCHEMA_VERSION, instance_to_text, money_from_text, money_to_text
 from conftest import ORGANIC_ALPHA, organic_instance
 
 
@@ -81,24 +81,80 @@ def test_replay_flags_tampered_report(tmp_path, capsys):
     assert "diverges" in capsys.readouterr().out
 
 
-def test_run_accepts_report_profile_file(tmp_path):
-    inst = _generate(tmp_path)
-    doc = json.loads(inst.read_text())
-    reports = {
-        "schema_version": 1,
+def _truthful_reports_doc(instance_doc):
+    return {
+        "schema_version": SCHEMA_VERSION,
         "kind": "reports",
-        "mediator_costs": {m["id"]: m["user_costs"] for m in doc["mediators"]},
+        "mediator_costs": {m["id"]: m["user_costs"] for m in instance_doc["mediators"]},
         "advertiser_slots": {
             a["id"]: {"capacity": a["capacity"], "value": a["value"]}
-            for a in doc["advertisers"]
+            for a in instance_doc["advertisers"]
         },
     }
+
+
+def test_run_accepts_report_profile_file(tmp_path):
+    inst = _generate(tmp_path)
+    reports = _truthful_reports_doc(json.loads(inst.read_text()))
     rep_path = tmp_path / "reports.json"
     rep_path.write_text(json.dumps(reports, indent=2) + "\n")
     out = tmp_path / "run.json"
     assert main(["run", "--instance", str(inst), "--reports", str(rep_path),
                  "--alpha", "1", "-o", str(out)]) == 0
     assert main(["replay", str(out)]) == 0
+
+
+def _set(path, value):
+    """An edit that replaces the field at ``path`` (keys and indices) with ``value``."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "target, edit, where",
+    [
+        ("instance", _set(["mediators"], 5), "instance.mediators: expected a list"),
+        ("instance", _set(["mediators", 0], 5), "instance.mediators[0]: expected an object"),
+        ("instance", _set(["mediators", 0, "user_costs"], "123"), "instance.mediators[0].user_costs: expected a list"),
+        ("instance", _set(["advertisers"], {"a0": 1}), "instance.advertisers: expected a list"),
+        ("instance", _set(["advertisers", 0, "capacity"], "2"), "instance.advertisers[0].capacity: expected an integer"),
+        ("instance", _set(["advertisers", 0, "capacity"], True), "instance.advertisers[0].capacity: expected an integer"),
+        ("instance", _set(["tie_order"], None), "instance.tie_order: expected a list"),
+        ("reports", _set(["mediator_costs"], []), "reports.mediator_costs: expected an object"),
+        ("reports", _set(["mediator_costs", "m0"], 3), "reports.mediator_costs.m0: expected a list"),
+        ("reports", _set(["advertiser_slots", "a0"], [2, "1"]), "reports.advertiser_slots[a0]: expected an object"),
+        ("report", _set(["config", "forced_arrival_order"], 5), "config.forced_arrival_order: expected a list"),
+        ("report", _set(["config", "alpha"], None), "config.alpha: None is not a fraction"),
+        ("report", _set(["config", "alpha"], 0.1), "config.alpha: 0.1 is not a fraction"),
+        ("report", _set(["schema_version"], 1), "run_report.schema_version: got 1"),
+    ],
+)
+def test_malformed_files_exit_one_with_field_path(tmp_path, capsys, target, edit, where):
+    inst = _generate(tmp_path)
+    report = tmp_path / "report.json"
+    assert main(["run", "--instance", str(inst), "--alpha", "1", "--seed", "3", "-o", str(report)]) == 0
+    docs = {
+        "instance": (inst, json.loads(inst.read_text())),
+        "reports": (tmp_path / "reports.json", _truthful_reports_doc(json.loads(inst.read_text()))),
+        "report": (report, json.loads(report.read_text())),
+    }
+    path, doc = docs[target]
+    edit(doc)
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    if target == "report":
+        argv = ["replay", str(report)]
+    else:
+        argv = ["run", "--instance", str(inst), "--alpha", "1", "-o", str(tmp_path / "out.json")]
+        if target == "reports":
+            argv += ["--reports", str(path)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert where in err
 
 
 def test_verify_passes_on_truthful_standard(tmp_path, capsys):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from observeprice import (
     MechanismConfig,
@@ -24,7 +26,7 @@ from observeprice import (
     true_view,
     truthful_run,
 )
-from observeprice.mechanism import Thresholds, _iroot6, cbrt_term_dominates
+from observeprice.mechanism import MechanismState, Thresholds, _iroot6, cbrt_term_dominates
 from observeprice.serialize import outcome_to_doc
 from conftest import (
     ORGANIC_ALPHA,
@@ -351,3 +353,53 @@ def test_reports_must_cover_instance():
     partial = ReportProfile({mediator_id(0): (1,)}, {advertiser_id(0): (1, 9), advertiser_id(1): (1, 9)})
     with pytest.raises(ValueError):
         run_mechanism(inst, partial, MechanismConfig(alpha=Fraction(1)))
+
+
+# -- engine properties -------------------------------------------------------------
+
+
+@st.composite
+def _served_markets(draw):
+    """A tiny market, thresholds, observed prefix and arrival order for one
+    ``MechanismState``. Amounts come from 0..3 and the threshold keys share
+    amounts (and often entity ranks) with them, so keys tie heavily and
+    zero-gain pairs are common."""
+    costs = draw(st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=3), min_size=2, max_size=4))
+    slots = draw(st.lists(st.tuples(st.integers(1, 3), st.sampled_from((3, 2, 1, 0))), min_size=2, max_size=4))
+    instance = build_instance(costs, slots, seed=draw(st.integers(0, 3)))
+    tie = st.tuples(st.integers(0, instance.n_entities), st.integers(0, 2))
+    low, high = sorted((draw(tie), draw(tie)))
+    cost = draw(st.integers(1, 2))
+    user_key = TieKey(cost, *low)
+    slot_key = TieKey(draw(st.sampled_from((cost, cost + 1))), *high)
+    if user_key < slot_key:
+        thresholds = Thresholds(user_key, slot_key, None, 0)
+    else:
+        thresholds = dummy_thresholds()
+    order = draw(st.permutations(instance.entity_ids))
+    t = draw(st.integers(0, len(order) // 2))
+    variant = draw(st.sampled_from(("standard", "pay_slot_value", "skip_user_payment_updates")))
+    return instance, thresholds, order[:t], order[t:], variant
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_served_markets())
+def test_serving_loop_counters_targets_and_steps(market):
+    """After every arrival: the idle counts equal a recount of the queues, and
+    every arrived mediator's assigned users already sit at its current target
+    (so no refresh outside a trade could raise one); at the end the pay steps
+    fold to exactly the nonzero final targets."""
+    instance, thresholds, observed, arrivals, variant = market
+    state = MechanismState(true_view(instance), thresholds, observed, variant=variant)
+    folded = {}
+    for entity in arrivals:
+        event = state.process_arrival(entity)
+        assert event.unassigned_assignable_users == sum(len(q) - state._qpos[m] for m, q in state._queue.items())
+        assert event.unassigned_assignable_slots == sum(len(b) - state._spos[a] for a, b in state._slots.items())
+        for m in state._set_mediators:
+            for u in state.assigned_by_mediator.get(m, ()):
+                want = 0 if variant == "skip_user_payment_updates" else state._target_amount(m)
+                assert state.targets[u] == want
+        folded.update(event.pay_steps)
+    assert folded == {u: x for u, x in state.targets.items() if x != 0}

@@ -112,13 +112,18 @@ def test_budget_balance_catches_per_trade_subsidy():
     assert not check_budget_balance(tampered).ok
 
 
-def test_solvency_uses_event_snapshots():
-    """Recommended totals above the receipts collected so far must flag."""
+def test_budget_balance_catches_pay_steps_beyond_receipts():
+    """A pay step that lifts a mediator's owed total above its receipts so far must flag."""
     instance, out = _worked_run()
     event = out.events[1]
-    inflated = tuple((u, x + 10**6) for u, x in event.targets)
-    tampered = replace(out, events=out.events[:1] + (replace(event, targets=inflated),) + out.events[2:])
-    assert not check_budget_balance(tampered).ok
+    assert check_budget_balance(out).ok
+    # m0 has received 2 * 4 and owes its two users 4 each; one micro-unit more is a deficit.
+    *earlier, (u, x) = event.pay_steps
+    inflated = (*earlier, (u, x + 1))
+    tampered = replace(out, events=out.events[:1] + (replace(event, pay_steps=inflated),) + out.events[2:])
+    got = check_budget_balance(tampered)
+    assert not got.ok
+    assert got.failures[0] == "event 1: mediator m0 owes users 9 but has only received 8"
 
 
 def test_continuous_ir_fails_on_dip():
@@ -154,10 +159,14 @@ def test_online_legality_flags_unrelated_trades():
 
 def test_pay_monotone_flags_decreasing_targets():
     instance, out = _worked_run()
-    later = out.events[2]  # quiet arrival that repeats the target snapshot
-    shrunk = tuple((u, x - 1) for u, x in later.targets)
-    tampered = replace(out, events=out.events[:2] + (replace(later, targets=shrunk),) + out.events[3:])
-    assert not check_pay_targets_monotone(tampered).ok
+    assert check_pay_targets_monotone(out).ok
+    u, x = out.events[1].pay_steps[-1]
+    later = out.events[2]  # quiet arrival with no pay steps of its own
+    assert later.pay_steps == ()
+    tampered = replace(out, events=out.events[:2] + (replace(later, pay_steps=((u, x - 1),)),) + out.events[3:])
+    got = check_pay_targets_monotone(tampered)
+    assert not got.ok
+    assert got.failures[0] == f"event 2: pay target of {u} drops {x} -> {x - 1}"
 
 
 def test_observed_never_trade_flags_planted_observation():
