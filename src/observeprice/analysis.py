@@ -19,9 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .canonical import canonical_assignment
 from .market import EntityId, Instance, Money, SlotRef, UserRef, true_view
@@ -32,6 +30,9 @@ from .mechanism import (
     ceil_minus_cbrt,
     truthful_run,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def analytic_bound(alpha: float, r: float) -> float:
@@ -324,6 +325,8 @@ def competitive_ratio_experiment(
     validation already rejects them (tau >= 1 can still mean zero optimum
     gain when amounts tie, hence the runtime guard).
     """
+    import numpy as np  # only this experiment needs it; keeps the package import light
+
     results = []
     for alpha, instance in points:
         view = true_view(instance)

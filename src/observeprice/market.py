@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -33,18 +34,26 @@ def from_units(x: int) -> Money:
     return x * MICRO
 
 
-@dataclass(frozen=True, order=True)
-class EntityId:
-    """A mediator or advertiser handle, e.g. m0 / a3."""
-
+class _EntityFields(NamedTuple):
     kind: str  # "mediator" | "advertiser"
     index: int
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("mediator", "advertiser"):
-            raise ValueError(f"bad entity kind {self.kind!r}")
-        if self.index < 0:
+
+class EntityId(_EntityFields):
+    """A mediator or advertiser handle, e.g. m0 / a3.
+
+    A tuple underneath, so hashing and equality run in C; ids order by kind,
+    then index.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, index: int) -> "EntityId":
+        if kind not in ("mediator", "advertiser"):
+            raise ValueError(f"bad entity kind {kind!r}")
+        if index < 0:
             raise ValueError("entity index must be >= 0")
+        return super().__new__(cls, kind, index)
 
     def __str__(self) -> str:
         return f"{'m' if self.kind == 'mediator' else 'a'}{self.index}"
@@ -147,6 +156,8 @@ class Instance:
     advertisers: tuple[AdvertiserSpec, ...]
     tie_order: tuple[EntityId, ...]
     _rank: Mapping[EntityId, int] = field(init=False, repr=False, compare=False)
+    _mediators: Mapping[EntityId, MediatorSpec] = field(init=False, repr=False, compare=False)
+    _advertisers: Mapping[EntityId, AdvertiserSpec] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ids = [m.id for m in self.mediators] + [a.id for a in self.advertisers]
@@ -155,6 +166,8 @@ class Instance:
         if sorted(self.tie_order, key=str) != sorted(ids, key=str):
             raise ValueError("tie_order must be a permutation of all entity ids")
         object.__setattr__(self, "_rank", {e: i for i, e in enumerate(self.tie_order)})
+        object.__setattr__(self, "_mediators", {m.id: m for m in self.mediators})
+        object.__setattr__(self, "_advertisers", {a.id: a for a in self.advertisers})
 
     @property
     def entity_ids(self) -> tuple[EntityId, ...]:
@@ -168,16 +181,20 @@ class Instance:
         return self._rank[entity]
 
     def mediator(self, entity: EntityId) -> MediatorSpec:
-        for m in self.mediators:
-            if m.id == entity:
-                return m
-        raise KeyError(str(entity))
+        return self._mediators[entity]
 
     def advertiser(self, entity: EntityId) -> AdvertiserSpec:
-        for a in self.advertisers:
-            if a.id == entity:
-                return a
-        raise KeyError(str(entity))
+        return self._advertisers[entity]
+
+    @cached_property
+    def tau(self) -> int:
+        """Size of the canonical assignment over the whole true market.
+
+        Computed once: the instance is frozen, so it cannot go stale.
+        """
+        from .canonical import tau  # local import, avoids a module cycle
+
+        return tau(self)
 
 
 def random_tie_order(entity_ids: Sequence[EntityId], rng: random.Random) -> tuple[EntityId, ...]:
@@ -364,23 +381,22 @@ def validate_instance(instance: Instance, alpha: Fraction) -> ValidationReport:
 
     tau is the size of the offline-optimal (canonical) assignment. Required:
     tau >= 1, 1/tau <= alpha <= 1, and no single entity brings more than
-    alpha*tau users or slots.
+    alpha*tau users or slots. With alpha = p/q the bounds are compared as
+    integers.
     """
-    from .canonical import tau as _tau  # local import, avoids a module cycle
-
-    t = _tau(instance)
+    t = instance.tau
     violations: list[str] = []
     if t == 0:
         violations.append("tau=0: no trade has positive gain, mechanism assumptions reject the instance")
         return ValidationReport(False, 0, tuple(violations))
     alpha = Fraction(alpha)
-    if not (Fraction(1, t) <= alpha <= 1):
+    p, q = alpha.numerator, alpha.denominator
+    if not q <= p * t <= q * t:  # 1/tau <= alpha <= 1
         violations.append(f"alpha={alpha} outside [1/tau, 1] = [1/{t}, 1]")
-    cap = alpha * t
     for m in instance.mediators:
-        if len(m.user_costs) > cap:
-            violations.append(f"{m.id}: {len(m.user_costs)} users > alpha*tau = {float(cap):.6g}")
+        if len(m.user_costs) * q > p * t:
+            violations.append(f"{m.id}: {len(m.user_costs)} users > alpha*tau = {float(alpha * t):.6g}")
     for a in instance.advertisers:
-        if a.capacity > cap:
-            violations.append(f"{a.id}: capacity {a.capacity} > alpha*tau = {float(cap):.6g}")
+        if a.capacity * q > p * t:
+            violations.append(f"{a.id}: capacity {a.capacity} > alpha*tau = {float(alpha * t):.6g}")
     return ValidationReport(not violations, t, tuple(violations))

@@ -13,6 +13,11 @@ money, regardless of what was reported:
 
 With truthful reports these definitions collapse to the plain ledger flows.
 
+Utilities change only at trades and pay steps, so ``utility_steps`` derives
+every player's trajectory from one fold over the event log, in
+O(events + trades + pay steps); trajectories, final utilities and the
+sweeps' continuous-IR checks all read that fold.
+
 The deviation test runs a truthful and a misreporting twin under the same
 seed (same tie order, arrival order and observation count) and compares final
 utilities exactly.
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .market import (
     EntityId,
@@ -40,46 +45,43 @@ class UtilityTrajectory:
     series: tuple[Money, ...]  # element 0 is the pre-arrival state, always 0
 
 
-def _user_trajectory(outcome: MechanismOutcome, instance: Instance, user: UserRef) -> UtilityTrajectory:
-    true_cost = instance.mediator(user.mediator).user_costs[user.user_index]
-    series = [0]
-    assigned = False
-    paid = 0
-    for event in outcome.events:
-        if any(t.user == user for t in event.trades):
-            assigned = True
-        for u, target in event.pay_steps:
-            if u == user:
-                paid = target
-        series.append(paid - (true_cost if assigned else 0))
-    return UtilityTrajectory(user, tuple(series))
+def utility_steps(outcome: MechanismOutcome, instance: Instance) -> Iterator[dict[object, Money]]:
+    """One pass over the event log: after each event, the true utility of
+    exactly the players that event changed.
 
-
-def _mediator_trajectory(outcome: MechanismOutcome, instance: Instance, mediator: EntityId) -> UtilityTrajectory:
-    true_costs = sorted(instance.mediator(mediator).user_costs)
-    series = [0]
-    payments: list[Money] = []  # per-trade receipts for this mediator, in trade order
+    Utilities move only at trades and pay steps. A trade assigns its user (if
+    she exists in the true market), adds ``payment - k-th cheapest true cost``
+    to its mediator (0 once his true users are used up), and adds
+    ``value * [won <= true capacity] - charge`` to its advertiser.
+    """
+    utility: dict[object, Money] = {}
+    paid: dict[UserRef, Money] = {}
+    cost: dict[UserRef, Money] = {}  # true cost of each assigned user
+    undelivered: dict[EntityId, list[Money]] = {}  # a mediator's unused true costs, dearest first
+    won: dict[EntityId, int] = {}
     for event in outcome.events:
+        changed: list[object] = []
         for t in event.trades:
-            if t.user.mediator == mediator:
-                payments.append(t.payment)
-        delivered = min(len(payments), len(true_costs))
-        series.append(sum(payments[:delivered]) - sum(true_costs[:delivered]))
-    return UtilityTrajectory(mediator, tuple(series))
-
-
-def _advertiser_trajectory(outcome: MechanismOutcome, instance: Instance, advertiser: EntityId) -> UtilityTrajectory:
-    spec = instance.advertiser(advertiser)
-    series = [0]
-    assigned = 0
-    charged = 0
-    for event in outcome.events:
-        for t in event.trades:
-            if t.slot.advertiser == advertiser:
-                assigned += 1
-                charged += t.charge
-        series.append(min(assigned, spec.capacity) * spec.value - charged)
-    return UtilityTrajectory(advertiser, tuple(series))
+            user, m, a = t.user, t.user.mediator, t.slot.advertiser
+            true_costs = instance.mediator(m).user_costs
+            if user.user_index < len(true_costs):
+                cost[user] = true_costs[user.user_index]
+                utility[user] = paid.get(user, 0) - cost[user]
+                changed.append(user)
+            if m not in undelivered:
+                undelivered[m] = sorted(true_costs, reverse=True)
+            left = undelivered[m]
+            utility[m] = utility.get(m, 0) + (t.payment - left.pop() if left else 0)
+            spec = instance.advertiser(a)
+            won[a] = won.get(a, 0) + 1
+            utility[a] = utility.get(a, 0) + (spec.value if won[a] <= spec.capacity else 0) - t.charge
+            changed += (m, a)
+        for user, target in event.pay_steps:
+            paid[user] = target
+            if user.user_index < len(instance.mediator(user.mediator).user_costs):
+                utility[user] = target - cost.get(user, 0)
+                changed.append(user)
+        yield {p: utility[p] for p in changed}
 
 
 def utility_trajectory(outcome: MechanismOutcome, instance: Instance, player) -> UtilityTrajectory:
@@ -88,18 +90,30 @@ def utility_trajectory(outcome: MechanismOutcome, instance: Instance, player) ->
         spec = instance.mediator(player.mediator)
         if not 0 <= player.user_index < len(spec.user_costs):
             raise ValueError(f"unknown user {player}")
-        return _user_trajectory(outcome, instance, player)
-    if isinstance(player, EntityId):
+    elif isinstance(player, EntityId):
+        # raises KeyError for unknown players
         if player.kind == "mediator":
-            instance.mediator(player)  # raises KeyError for unknown players
-            return _mediator_trajectory(outcome, instance, player)
-        instance.advertiser(player)
-        return _advertiser_trajectory(outcome, instance, player)
-    raise TypeError(f"not a player: {player!r}")
+            instance.mediator(player)
+        else:
+            instance.advertiser(player)
+    else:
+        raise TypeError(f"not a player: {player!r}")
+    series = [0]
+    for changed in utility_steps(outcome, instance):
+        series.append(changed.get(player, series[-1]))
+    return UtilityTrajectory(player, tuple(series))
 
 
 def final_utility(outcome: MechanismOutcome, instance: Instance, player) -> Money:
     return utility_trajectory(outcome, instance, player).series[-1]
+
+
+def _final_utilities(outcome: MechanismOutcome, instance: Instance) -> dict[object, Money]:
+    """Every player's last utility; players absent never moved from 0."""
+    final: dict[object, Money] = {}
+    for changed in utility_steps(outcome, instance):
+        final.update(changed)
+    return final
 
 
 def all_players(instance: Instance) -> list[object]:
@@ -123,6 +137,10 @@ class CheckResult:
         return self.ok
 
 
+def _drop(player, old: Money, new: Money, event: int) -> str:
+    return f"{player}: utility drops {old} -> {new} at event {event}"
+
+
 def check_continuous_ir(trajectory: UtilityTrajectory) -> CheckResult:
     """Starts at zero and never decreases."""
     s = trajectory.series
@@ -131,7 +149,7 @@ def check_continuous_ir(trajectory: UtilityTrajectory) -> CheckResult:
         fails.append(f"{trajectory.player}: trajectory starts at {s[0]}, not 0")
     for i in range(1, len(s)):
         if s[i] < s[i - 1]:
-            fails.append(f"{trajectory.player}: utility drops {s[i - 1]} -> {s[i]} at event {i}")
+            fails.append(_drop(trajectory.player, s[i - 1], s[i], i))
             break
     return CheckResult(not fails, tuple(fails))
 
@@ -400,12 +418,18 @@ def truthful_sweep(
             got = chk(outcome)
             if not got.ok:
                 result.violations.append(f"{name}: {got.failures[0]}")
-        for player in all_players(instance):
-            traj = utility_trajectory(outcome, instance, player)
-            result.trajectories += 1
-            got = check_continuous_ir(traj)
-            if not got.ok:
-                result.violations.append(f"continuous_ir: {got.failures[0]}")
+        # Continuous IR for every player from one fold: each player's first drop.
+        last: dict[object, Money] = {}
+        drops: dict[object, str] = {}
+        for i, changed in enumerate(utility_steps(outcome, instance), start=1):
+            for player, u in changed.items():
+                old = last.get(player, 0)
+                if u < old and player not in drops:
+                    drops[player] = _drop(player, old, u, i)
+                last[player] = u
+        players = all_players(instance)
+        result.trajectories += len(players)
+        result.violations.extend(f"continuous_ir: {drops[p]}" for p in players if p in drops)
         if collect_outcomes:
             outcomes.append(outcome)
     return result, outcomes
@@ -426,10 +450,10 @@ def incentive_sweep(
     for instance, base_config in items:
         truthful = ReportProfile.truthful(instance)
         seeds = [rng.randrange(2**60) for _ in range(seeds_per_case)]
-        truthful_outcomes: dict[int, MechanismOutcome] = {}
-        for seed in seeds:
-            config = replace(base_config, seed=seed)
-            truthful_outcomes[seed] = run_mechanism(instance, truthful, config)
+        configs = [replace(base_config, seed=seed) for seed in seeds]
+        truthful_utility = []  # per seed: player -> final utility
+        for config in configs:
+            truthful_utility.append(_final_utilities(run_mechanism(instance, truthful, config), instance))
             result.runs += 1
 
         users = [p for p in all_players(instance) if isinstance(p, UserRef)]
@@ -447,8 +471,7 @@ def incentive_sweep(
                 cases.extend(take)
             for case in cases:
                 deviant = case.apply(truthful)
-                for seed in seeds:
-                    config = replace(base_config, seed=seed)
+                for config, truthful_final in zip(configs, truthful_utility):
                     dev_outcome = run_mechanism(instance, deviant, config)
                     result.runs += 1
                     result.deviation_pairs += 1
@@ -456,11 +479,11 @@ def incentive_sweep(
                         got = RUN_CHECKS[name](dev_outcome)
                         if not got.ok:
                             result.violations.append(f"{name}[deviant]: {got.failures[0]}")
-                    tu = final_utility(truthful_outcomes[seed], instance, case.player)
+                    tu = truthful_final.get(case.player, 0)
                     du = final_utility(dev_outcome, instance, case.player)
                     if du > tu:
                         result.violations.append(
                             f"profitable deviation: {case.label} for {case.player} "
-                            f"(truthful {tu} < deviant {du}, seed {seed})"
+                            f"(truthful {tu} < deviant {du}, seed {config.seed})"
                         )
     return result

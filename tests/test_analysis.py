@@ -1,7 +1,10 @@
 """Analytic bounds, diagnostic set reconstruction, and the two experiments."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -20,9 +23,19 @@ from observeprice import (
     truthful_run,
     wilson_interval,
 )
+import observeprice
 from observeprice import analysis
 from observeprice.analysis import clamp01
 from conftest import ORGANIC_ALPHA, build_instance, organic_instance
+
+
+def test_package_import_leaves_numpy_unloaded():
+    """Only the ratio experiment uses numpy, and it imports it when called."""
+    src = os.path.dirname(os.path.dirname(observeprice.__file__))
+    code = "import sys, observeprice; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    got = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert got.stdout.strip() == "False"
 
 
 # -- bounds -------------------------------------------------------------------

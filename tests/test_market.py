@@ -53,6 +53,31 @@ def test_entity_id_kind_checked():
         EntityId("mediator", -1)
 
 
+@pytest.mark.parametrize("kind, make, prefix", [("mediator", mediator_id, "m"), ("advertiser", advertiser_id, "a")])
+def test_entity_id_contract(kind, make, prefix):
+    e = EntityId(kind, 3)
+    assert (e.kind, e.index) == (kind, 3)
+    assert e == make(3) and hash(e) == hash(make(3))
+    assert e != make(4) and len({e, make(3), make(4)}) == 2
+    assert make(2) < e < make(10)  # numeric index order, not text order
+    assert advertiser_id(99) < mediator_id(0)  # kind orders first
+    assert str(e) == f"{prefix}3" and EntityId.parse(str(e)) == e
+    assert EntityId.parse(f"{prefix}10") == make(10)
+    for ref in (UserRef(e, 3), SlotRef(e, 3), UserRef(mediator_id(3), 3), SlotRef(advertiser_id(3), 3)):
+        assert e != ref and ref != e
+    with pytest.raises(ValueError):
+        EntityId(kind, -1)
+    with pytest.raises(ValueError):
+        EntityId(prefix, 0)
+    inst = build_instance([[1], [2]], [(1, 9), (1, 9)], seed=0)
+    assert inst.mediator(mediator_id(1)).id == mediator_id(1)
+    assert inst.advertiser(advertiser_id(1)).id == advertiser_id(1)
+    with pytest.raises(KeyError):
+        (inst.advertiser if kind == "mediator" else inst.mediator)(make(0))
+    with pytest.raises(KeyError):
+        (inst.mediator if kind == "mediator" else inst.advertiser)(make(7))
+
+
 def test_ref_str():
     assert str(UserRef(mediator_id(0), 2)) == "m0:2"
     assert str(SlotRef(advertiser_id(1), 0)) == "a1:0"

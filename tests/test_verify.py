@@ -8,9 +8,11 @@ import pytest
 
 from observeprice import (
     DeviationCase,
+    VARIANTS,
     MechanismConfig,
     ReportProfile,
     UserRef,
+    UtilityTrajectory,
     advertiser_id,
     all_players,
     check_budget_balance,
@@ -29,7 +31,9 @@ from observeprice import (
     truthful_sweep,
     utility_trajectory,
 )
-from conftest import desk_config, desk_instance, worked_example
+from observeprice import verify
+from observeprice.verify import RUN_CHECKS
+from conftest import ORGANIC_ALPHA, desk_config, desk_instance, organic_instance, worked_example
 
 
 def _worked_run(variant="standard"):
@@ -299,3 +303,140 @@ def test_pay_slot_value_caught_by_incentive_sweep():
         [(instance, broken)], misreports_per_role=20, seeds_per_case=2, rng=random.Random(2)
     )
     assert any("profitable deviation" in v for v in result.violations)
+
+
+# -- differential: the one-pass fold against per-player rescans ---------------------
+#
+# The reference below rescans the whole event log once per player, role by role;
+# it is how trajectories were computed before ``utility_steps`` folded them all
+# in one pass, and it stays here as the oracle the fold must match exactly.
+
+
+def _ref_user(outcome, instance, user):
+    true_cost = instance.mediator(user.mediator).user_costs[user.user_index]
+    series = [0]
+    assigned = False
+    paid = 0
+    for event in outcome.events:
+        if any(t.user == user for t in event.trades):
+            assigned = True
+        for u, target in event.pay_steps:
+            if u == user:
+                paid = target
+        series.append(paid - (true_cost if assigned else 0))
+    return tuple(series)
+
+
+def _ref_mediator(outcome, instance, mediator):
+    true_costs = sorted(instance.mediator(mediator).user_costs)
+    series = [0]
+    payments = []
+    for event in outcome.events:
+        for t in event.trades:
+            if t.user.mediator == mediator:
+                payments.append(t.payment)
+        delivered = min(len(payments), len(true_costs))
+        series.append(sum(payments[:delivered]) - sum(true_costs[:delivered]))
+    return tuple(series)
+
+
+def _ref_advertiser(outcome, instance, advertiser):
+    spec = instance.advertiser(advertiser)
+    series = [0]
+    assigned = 0
+    charged = 0
+    for event in outcome.events:
+        for t in event.trades:
+            if t.slot.advertiser == advertiser:
+                assigned += 1
+                charged += t.charge
+        series.append(min(assigned, spec.capacity) * spec.value - charged)
+    return tuple(series)
+
+
+def _ref_trajectory(outcome, instance, player):
+    if isinstance(player, UserRef):
+        return _ref_user(outcome, instance, player)
+    if player.kind == "mediator":
+        return _ref_mediator(outcome, instance, player)
+    return _ref_advertiser(outcome, instance, player)
+
+
+def _differential_runs(variant):
+    """(instance, reports, config): desk and organic runs, truthful and with
+    mediators claiming extra users or advertisers inflating capacity."""
+    runs = []
+    for s in range(20):
+        inst = desk_instance(s)
+        truth = ReportProfile.truthful(inst)
+        m, a = inst.mediators[s % 3], inst.advertisers[s % 3]
+        profiles = (
+            truth,
+            truth.with_mediator_costs(m.id, m.user_costs + (0, 0)),
+            truth.with_advertiser_slots(a.id, a.capacity + 3, a.value),
+        )
+        for seed in range(3):
+            runs.extend((inst, reports, desk_config(inst, seed, variant)) for reports in profiles)
+    for s in range(2):
+        inst = organic_instance(s)
+        for seed in range(2):
+            runs.append((inst, ReportProfile.truthful(inst), MechanismConfig(alpha=ORGANIC_ALPHA, seed=seed, variant=variant)))
+    return runs
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fold_matches_per_player_rescans(variant):
+    fake_user_trades = over_capacity_wins = 0
+    for inst, reports, config in _differential_runs(variant):
+        out = run_mechanism(inst, reports, config)
+        for player in all_players(inst):
+            assert utility_trajectory(out, inst, player).series == _ref_trajectory(out, inst, player), (player, config.seed)
+        won = {}
+        for t in out.trades_of():
+            fake_user_trades += t.user.user_index >= len(inst.mediator(t.user.mediator).user_costs)
+            won[t.slot.advertiser] = won.get(t.slot.advertiser, 0) + 1
+        over_capacity_wins += sum(n > inst.advertiser(a).capacity for a, n in won.items())
+    # The misreports must reach the branches they are here for.
+    assert fake_user_trades > 0
+    assert over_capacity_wins > 0
+
+
+def _ref_sweep_violations(runs, outcomes):
+    expected = []
+    for (inst, _), out in zip(runs, outcomes):
+        for name, chk in RUN_CHECKS.items():
+            got = chk(out)
+            if not got.ok:
+                expected.append(f"{name}: {got.failures[0]}")
+        for player in all_players(inst):
+            got = check_continuous_ir(UtilityTrajectory(player, _ref_trajectory(out, inst, player)))
+            if not got.ok:
+                expected.append(f"continuous_ir: {got.failures[0]}")
+    return expected
+
+
+def test_truthful_sweep_violations_match_per_player_rescans():
+    runs = [(inst, config) for inst, reports, config in _differential_runs("skip_user_payment_updates") if reports == ReportProfile.truthful(inst)]
+    result, outcomes = truthful_sweep(runs, collect_outcomes=True)
+    expected = _ref_sweep_violations(runs, outcomes)
+    assert any(v.startswith("continuous_ir") for v in expected)
+    assert result.violations == expected
+    assert result.trajectories == sum(len(all_players(inst)) for inst, _ in runs)
+
+
+def test_truthful_sweep_reports_each_players_first_drop(monkeypatch):
+    """Drops from a positive utility, and a second drop, on a tampered log."""
+    instance, config = worked_example()
+    out = truthful_run(instance, config)
+    u0, u1 = UserRef(mediator_id(0), 0), UserRef(mediator_id(0), 1)
+    assert [utility_trajectory(out, instance, u).series[-1] for u in (u0, u1)] == [3, 1]
+    events = list(out.events)
+    events[2] = replace(events[2], pay_steps=((u0, 2),))  # u0: 3 -> 1
+    events[4] = replace(events[4], pay_steps=((u0, 1), (u1, 3)))  # u0: 1 -> 0, u1: 1 -> 0
+    tampered = replace(out, events=tuple(events))
+    monkeypatch.setattr(verify, "run_mechanism", lambda *args: tampered)
+    result, _ = truthful_sweep([(instance, config)])
+    expected = _ref_sweep_violations([(instance, config)], [tampered])
+    assert "continuous_ir: m0:0: utility drops 3 -> 1 at event 3" in expected
+    assert "continuous_ir: m0:1: utility drops 1 -> 0 at event 5" in expected
+    assert result.violations == expected
