@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .canonical import canonical_assignment
-from .market import EntityId, Instance, Money, SlotRef, UserRef, true_view
+from .canonical import CanonicalAssignment, canonical_assignment, canonical_from_sorted
+from .market import EntityId, Instance, MarketView, Money, SlotRef, UserRef, true_view
 from .mechanism import (
     MechanismConfig,
     MechanismOutcome,
@@ -124,17 +124,26 @@ def compute_diagnostic_sets(
     instance: Instance,
     outcome: MechanismOutcome,
     rng: random.Random,
+    view: Optional[MarketView] = None,
+    cano: Optional[CanonicalAssignment] = None,
 ) -> DiagnosticSets:
     """Rebuild the analysis sets for one truthful run.
 
     The trailing block is resampled here (it is an analysis device, not part
     of the mechanism), drawing each post-observation entity into the block
     with probability min(1, 16/r * alpha^(1/3)).
+
+    A caller that diagnoses many runs of one instance may pass ``view``,
+    exactly ``true_view(instance)``, and ``cano``, exactly
+    ``canonical_assignment(view.all_users, view.all_slots, view)``; each is
+    built here when absent.
     """
     alpha = outcome.alpha
     r = outcome.r
-    view = true_view(instance)
-    cano = canonical_assignment(view.all_users, view.all_slots, view)
+    if view is None:
+        view = true_view(instance)
+    if cano is None:
+        cano = canonical_assignment(view.all_users, view.all_slots, view)
     tau_ = cano.size
     if tau_ == 0:
         raise ValueError("tau=0: diagnostics need a non-trivial optimum")
@@ -267,15 +276,23 @@ def event_frequency_experiment(
     r: Optional[Fraction] = None,
     base_seed: int = 0,
 ) -> EventFrequencyResult:
-    """Monte Carlo frequency of the concentration event on truthful runs."""
+    """Monte Carlo frequency of the concentration event on truthful runs.
+
+    The true view and the full canonical assignment are built once and shared
+    by every run and its diagnostics.
+    """
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    view = true_view(instance)
+    cano = canonical_assignment(view.all_users, view.all_slots, view)
     event_count = 0
     conc_count = 0
     r_used = None
     for i in range(n_seeds):
         config = MechanismConfig(alpha=alpha, r=r, seed=base_seed + i)
-        outcome = truthful_run(instance, config)
+        outcome = truthful_run(instance, config, view=view)
         r_used = outcome.r
-        diag = compute_diagnostic_sets(instance, outcome, random.Random((base_seed + i) ^ 0x9E3779B9))
+        diag = compute_diagnostic_sets(instance, outcome, random.Random((base_seed + i) ^ 0x9E3779B9), view=view, cano=cano)
         event_count += diag.flags.event
         conc_count += diag.flags.concentration
     raw = event_probability_bound(float(alpha))
@@ -320,13 +337,19 @@ def competitive_ratio_experiment(
     """Empirical GfT share of the offline optimum, per alpha grid point.
 
     Each point runs one matched instance for n_seeds mechanism seeds. The
-    ratio per run is exact (integer GfTs) before conversion to float. Runs
-    with a zero-GfT optimum would be skipped with a notice; instance
-    validation already rejects them (tau >= 1 can still mean zero optimum
-    gain when amounts tie, hence the runtime guard).
+    ratio per run is exact (integer GfTs) before conversion to float. A point
+    whose optimum gain is zero raises ``ValueError``: instance validation
+    passes it when tau >= 1 but amounts tie, and its ratio is undefined.
+
+    Per point, the true view and the full canonical assignment are built
+    once: every run shares the view, and each run's reachable optimum
+    filters the full assignment's sorted orders down to the unobserved
+    entities.
     """
     import numpy as np  # only this experiment needs it; keeps the package import light
 
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     results = []
     for alpha, instance in points:
         view = true_view(instance)
@@ -339,14 +362,16 @@ def competitive_ratio_experiment(
         r_used = None
         for i in range(n_seeds):
             config = MechanismConfig(alpha=alpha, r=r, seed=base_seed + i)
-            outcome = truthful_run(instance, config)
+            outcome = truthful_run(instance, config, view=view)
             r_used = outcome.r
             ratios[i] = float(Fraction(outcome.gft, opt))
             observed_m = set(outcome.observed_mediators)
             observed_a = set(outcome.observed_advertisers)
-            post_users = [u for u in view.all_users if u.mediator not in observed_m]
-            post_slots = [b for b in view.all_slots if b.advertiser not in observed_a]
-            post_cano = canonical_assignment(post_users, post_slots, view)
+            post_cano = canonical_from_sorted(
+                [u for u in cano.sorted_users if u.mediator not in observed_m],
+                [b for b in cano.sorted_slots if b.advertiser not in observed_a],
+                view,
+            )
             reachable = sum(view.slot_values[b] - view.user_costs[u] for u, b in post_cano.ordered_pairs)
             if reachable > 0:
                 reachable_ratios[i] = float(Fraction(outcome.gft, reachable))

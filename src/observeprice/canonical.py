@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .market import Assignment, Instance, MarketView, Money, SlotRef, UserRef, true_view
 
@@ -51,6 +51,20 @@ def canonical_assignment(
 ) -> CanonicalAssignment:
     sorted_users = sorted(users, key=lambda u: view.user_keys[u])
     sorted_slots = sorted(slots, key=lambda b: view.slot_keys[b], reverse=True)
+    return canonical_from_sorted(sorted_users, sorted_slots, view)
+
+
+def canonical_from_sorted(
+    sorted_users: Sequence[UserRef], sorted_slots: Sequence[SlotRef], view: MarketView
+) -> CanonicalAssignment:
+    """The canonical assignment of users already in increasing key order and
+    slots already in decreasing key order.
+
+    Keys are distinct, so any subset of a canonical assignment's
+    ``sorted_users``/``sorted_slots``, kept in order, is the sorted order of
+    that sub-market: filtering them gives its canonical assignment without
+    re-sorting.
+    """
     pairs = []
     for u, b in zip(sorted_users, sorted_slots):
         if view.slot_keys[b] > view.user_keys[u]:  # strict: key order, never "equal"

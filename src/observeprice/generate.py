@@ -119,6 +119,8 @@ def matched_family(
     best few trades; larger sigma concentrates it harder.
     """
     alpha = Fraction(alpha)
+    if not 0 < alpha <= 1:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     per_side = 1 / alpha  # tau = per_side * group_size, so alpha * tau = group_size exactly
     if per_side.denominator != 1:
         raise ValueError(f"1/alpha = {per_side} must be an integer for the matched family")

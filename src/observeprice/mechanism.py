@@ -437,11 +437,20 @@ class MechanismState:
         return event
 
 
-def run_mechanism(instance: Instance, reports: ReportProfile, config: MechanismConfig) -> MechanismOutcome:
+def run_mechanism(
+    instance: Instance,
+    reports: ReportProfile,
+    config: MechanismConfig,
+    view: Optional[MarketView] = None,
+) -> MechanismOutcome:
     """One full run: arrival order, observation, thresholds, serving loop.
 
     The true instance must satisfy the standing assumptions for config.alpha;
     reports are arbitrary type-valid claims.
+
+    ``view`` lets a caller that reruns one report profile build its view
+    once: it must be exactly ``report_view(instance, reports)``, which the run
+    builds itself when it is None. A run only reads the view.
     """
     alpha = Fraction(config.alpha)
     r = config.resolved_r()
@@ -472,7 +481,8 @@ def run_mechanism(instance: Instance, reports: ReportProfile, config: MechanismC
     observed_m = tuple(e for e in observed if e.kind == "mediator")
     observed_a = tuple(e for e in observed if e.kind == "advertiser")
 
-    view = report_view(instance, reports)
+    if view is None:
+        view = report_view(instance, reports)
     if config.threshold_override is not None:
         user_key, slot_key = config.threshold_override
         thresholds = injected_thresholds(user_key, slot_key)
@@ -507,5 +517,8 @@ def run_mechanism(instance: Instance, reports: ReportProfile, config: MechanismC
     )
 
 
-def truthful_run(instance: Instance, config: MechanismConfig) -> MechanismOutcome:
-    return run_mechanism(instance, ReportProfile.truthful(instance), config)
+def truthful_run(instance: Instance, config: MechanismConfig, view: Optional[MarketView] = None) -> MechanismOutcome:
+    """A run on truthful reports. ``view``, if given, must be exactly
+    ``report_view(instance, ReportProfile.truthful(instance))``, which equals
+    ``true_view(instance)``."""
+    return run_mechanism(instance, ReportProfile.truthful(instance), config, view=view)

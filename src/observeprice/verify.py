@@ -35,6 +35,7 @@ from .market import (
     Money,
     ReportProfile,
     UserRef,
+    report_view,
 )
 from .mechanism import MechanismConfig, MechanismOutcome, run_mechanism
 
@@ -363,19 +364,24 @@ def deviation_test(
     seeds: Sequence[int],
     truthful_outcomes: Optional[dict[int, MechanismOutcome]] = None,
 ) -> list[DeviationVerdict]:
-    """Truthful vs misreporting twin runs, one pair per seed, exact compare."""
+    """Truthful vs misreporting twin runs, one pair per seed, exact compare.
+
+    Each side's view is built once and shared by its runs.
+    """
     truthful = ReportProfile.truthful(instance)
     deviant = case.apply(truthful)
+    truthful_view = report_view(instance, truthful)
+    deviant_view = report_view(instance, deviant)
     verdicts = []
     for seed in seeds:
         config = replace(base_config, seed=seed)
         if truthful_outcomes is not None and seed in truthful_outcomes:
             base_outcome = truthful_outcomes[seed]
         else:
-            base_outcome = run_mechanism(instance, truthful, config)
+            base_outcome = run_mechanism(instance, truthful, config, view=truthful_view)
             if truthful_outcomes is not None:
                 truthful_outcomes[seed] = base_outcome
-        dev_outcome = run_mechanism(instance, deviant, config)
+        dev_outcome = run_mechanism(instance, deviant, config, view=deviant_view)
         verdicts.append(
             DeviationVerdict(
                 case,
@@ -407,11 +413,18 @@ def truthful_sweep(
     runs: Iterable[tuple[Instance, MechanismConfig]],
     collect_outcomes: bool = False,
 ) -> tuple[SweepResult, list[MechanismOutcome]]:
-    """Run truthfully and check IR for every player plus all run invariants."""
+    """Run truthfully and check IR for every player plus all run invariants.
+
+    Consecutive runs on the same ``Instance`` object share one view.
+    """
     result = SweepResult()
     outcomes = []
+    viewed = None  # the instance that ``truthful`` and ``view`` belong to
     for instance, config in runs:
-        outcome = run_mechanism(instance, ReportProfile.truthful(instance), config)
+        if instance is not viewed:
+            viewed, truthful = instance, ReportProfile.truthful(instance)
+            view = report_view(instance, truthful)
+        outcome = run_mechanism(instance, truthful, config, view=view)
         result.runs += 1
         result.trades += len(outcome.assignment)
         for name, chk in RUN_CHECKS.items():
@@ -444,16 +457,19 @@ def incentive_sweep(
     """Sampled misreports for every role; any strictly profitable deviation is a violation.
 
     Invariant checks also run on every deviant outcome (criterion: surplus and
-    legality hold across all runs, truthful or not).
+    legality hold across all runs, truthful or not). Each report profile's
+    view is built once and shared by its runs.
     """
     result = SweepResult()
     for instance, base_config in items:
         truthful = ReportProfile.truthful(instance)
+        truthful_view = report_view(instance, truthful)
         seeds = [rng.randrange(2**60) for _ in range(seeds_per_case)]
         configs = [replace(base_config, seed=seed) for seed in seeds]
         truthful_utility = []  # per seed: player -> final utility
         for config in configs:
-            truthful_utility.append(_final_utilities(run_mechanism(instance, truthful, config), instance))
+            outcome = run_mechanism(instance, truthful, config, view=truthful_view)
+            truthful_utility.append(_final_utilities(outcome, instance))
             result.runs += 1
 
         users = [p for p in all_players(instance) if isinstance(p, UserRef)]
@@ -471,8 +487,9 @@ def incentive_sweep(
                 cases.extend(take)
             for case in cases:
                 deviant = case.apply(truthful)
+                deviant_view = report_view(instance, deviant)
                 for config, truthful_final in zip(configs, truthful_utility):
-                    dev_outcome = run_mechanism(instance, deviant, config)
+                    dev_outcome = run_mechanism(instance, deviant, config, view=deviant_view)
                     result.runs += 1
                     result.deviation_pairs += 1
                     for name in ("surplus_invariant", "online_legality"):

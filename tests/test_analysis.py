@@ -183,8 +183,8 @@ def test_ratio_experiment_rejects_gain_beyond_reachable_market(monkeypatch):
     inst = matched_family(Fraction(1, 80), seed=0)
     all_mediators = tuple(m.id for m in inst.mediators)
 
-    def observe_every_mediator(instance, config):
-        outcome = truthful_run(instance, config)
+    def observe_every_mediator(instance, config, view=None):
+        outcome = truthful_run(instance, config, view=view)
         return replace(outcome, observed_mediators=all_mediators, gft=outcome.gft + 1)
 
     monkeypatch.setattr(analysis, "truthful_run", observe_every_mediator)

@@ -216,6 +216,26 @@ def test_missing_instance_file_is_reported(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "ratio", "--alphas", "1/5", "--seeds", "0"],
+        ["experiment", "events", "--alphas", "1/5", "--seeds", "0"],
+        ["experiment", "ratio", "--alphas", "0"],
+        ["experiment", "events", "--alphas=-1/5"],
+        ["replay", "{tmp}"],
+        ["experiment", "ratio", "--alphas", "1/5", "--seeds", "2", "-o", "{tmp}"],
+    ],
+    ids=["ratio-zero-seeds", "events-zero-seeds", "alpha-zero", "alpha-negative", "replay-directory", "output-directory"],
+)
+def test_bad_arguments_and_paths_exit_one_without_traceback(tmp_path, capsys, argv):
+    code = main([a.format(tmp=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -15,23 +15,32 @@ from observeprice import (
     UtilityTrajectory,
     advertiser_id,
     all_players,
+    canonical_assignment,
     check_budget_balance,
     check_continuous_ir,
     check_observed_never_trade,
     check_online_legality,
     check_pay_targets_monotone,
     check_surplus_invariant,
+    competitive_ratio_experiment,
+    compute_diagnostic_sets,
     deviation_test,
+    event_frequency_experiment,
     final_utility,
     generate_misreports,
     incentive_sweep,
+    matched_family,
     mediator_id,
+    optimal_gain,
+    report_view,
     run_mechanism,
+    true_view,
     truthful_run,
     truthful_sweep,
     utility_trajectory,
 )
 from observeprice import verify
+from observeprice.serialize import outcome_to_doc
 from observeprice.verify import RUN_CHECKS
 from conftest import ORGANIC_ALPHA, desk_config, desk_instance, organic_instance, worked_example
 
@@ -434,9 +443,113 @@ def test_truthful_sweep_reports_each_players_first_drop(monkeypatch):
     events[2] = replace(events[2], pay_steps=((u0, 2),))  # u0: 3 -> 1
     events[4] = replace(events[4], pay_steps=((u0, 1), (u1, 3)))  # u0: 1 -> 0, u1: 1 -> 0
     tampered = replace(out, events=tuple(events))
-    monkeypatch.setattr(verify, "run_mechanism", lambda *args: tampered)
+    monkeypatch.setattr(verify, "run_mechanism", lambda *args, **kwargs: tampered)
     result, _ = truthful_sweep([(instance, config)])
     expected = _ref_sweep_violations([(instance, config)], [tampered])
     assert "continuous_ir: m0:0: utility drops 3 -> 1 at event 3" in expected
     assert "continuous_ir: m0:1: utility drops 1 -> 0 at event 5" in expected
     assert result.violations == expected
+
+
+# -- differential: views shared across runs against views rebuilt per run ------------
+#
+# Sweeps and experiments build one view per (instance, report profile) and pass
+# it to every run. The references below rebuild it for every run, as the loops
+# did before, and must give identical results.
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_shared_view_runs_match_fresh_runs(variant):
+    """One view per (instance, reports), reused across seeds, gives the same
+    outcome document as runs that build their own."""
+    runs = _differential_runs(variant)
+    for s in range(2):
+        inst = organic_instance(s)
+        truth = ReportProfile.truthful(inst)
+        m, a = inst.mediators[s], inst.advertisers[s]
+        for reports in (
+            truth.with_mediator_costs(m.id, m.user_costs + (0, 0)),
+            truth.with_advertiser_slots(a.id, a.capacity + 3, a.value),
+        ):
+            runs.extend((inst, reports, MechanismConfig(alpha=ORGANIC_ALPHA, seed=seed, variant=variant)) for seed in range(2))
+    views = {}
+    for inst, reports, config in runs:
+        key = (id(inst), id(reports))
+        if key not in views:
+            views[key] = report_view(inst, reports)
+        shared = run_mechanism(inst, reports, config, view=views[key])
+        assert outcome_to_doc(shared) == outcome_to_doc(run_mechanism(inst, reports, config)), config.seed
+    assert len(views) < len(runs)
+
+
+def _sweep_items(variant):
+    items = [(desk_instance(s), desk_config(desk_instance(s), 0, variant)) for s in range(4)]
+    items.append((organic_instance(0), MechanismConfig(alpha=ORGANIC_ALPHA, variant=variant)))
+    instance, config = worked_example()
+    items.append((instance, replace(_fabrication_prone_config(config), variant=variant)))
+    return items
+
+
+def _all_sweeps(variant):
+    items = _sweep_items(variant)
+    inc = incentive_sweep(items, misreports_per_role=3, seeds_per_case=3, rng=random.Random(5))
+    runs = [(inst, replace(config, seed=seed)) for inst, config in items for seed in range(3)]
+    tru, _ = truthful_sweep(runs)
+    fabricate = DeviationCase(mediator_id(1), "append fake", mediator_costs=(5, 0))
+    dev = deviation_test(items[-1][0], fabricate, items[-1][1], seeds=[0, 1, 2], truthful_outcomes={})
+    return inc, tru, dev
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_sweeps_with_shared_views_match_per_run_rebuilds(monkeypatch, variant):
+    shared = _all_sweeps(variant)
+    given = []
+
+    def rebuild_per_run(instance, reports, config, view=None):
+        given.append(view is not None)
+        return run_mechanism(instance, reports, config)
+
+    monkeypatch.setattr(verify, "run_mechanism", rebuild_per_run)
+    assert _all_sweeps(variant) == shared
+    assert given and all(given)
+    if variant != "standard":
+        assert not (shared[0].ok and shared[1].ok)
+
+
+def test_experiments_with_shared_views_match_per_run_rebuilds():
+    """Ratios, reachable mean and event counts on the criterion-9/10 instance
+    equal the loop that rebuilt the view, re-sorted the unobserved market and
+    rebuilt the diagnostics' view and optimum on every run."""
+    import numpy as np
+
+    alpha, n = Fraction(1, 80), 20
+    inst = matched_family(alpha, seed=0)
+    view = true_view(inst)
+    cano = canonical_assignment(view.all_users, view.all_slots, view)
+    opt = optimal_gain(inst)
+    ratios, reachable, events, concentrations = [], [], 0, 0
+    for seed in range(n):
+        out = truthful_run(inst, MechanismConfig(alpha=alpha, seed=seed))
+        observed_m, observed_a = set(out.observed_mediators), set(out.observed_advertisers)
+        post = canonical_assignment(
+            [u for u in view.all_users if u.mediator not in observed_m],
+            [b for b in view.all_slots if b.advertiser not in observed_a],
+            view,
+        )
+        gain = sum(view.slot_values[b] - view.user_costs[u] for u, b in post.ordered_pairs)
+        ratios.append(float(Fraction(out.gft, opt)))
+        reachable.append(float(Fraction(out.gft, gain)) if gain else 1.0)
+        diag = compute_diagnostic_sets(inst, out, random.Random(seed ^ 0x9E3779B9))
+        shared = compute_diagnostic_sets(inst, out, random.Random(seed ^ 0x9E3779B9), view=view, cano=cano)
+        assert shared == diag, seed
+        obs = canonical_assignment(view.users_of(out.observed_mediators), view.slots_of(out.observed_advertisers), view)
+        assert diag.observed_canonical_size == obs.size
+        events += diag.flags.event
+        concentrations += diag.flags.concentration
+
+    (point,) = competitive_ratio_experiment([(alpha, inst)], n_seeds=n)
+    assert list(point.ratios) == ratios
+    assert point.mean_vs_reachable == float(np.mean(reachable))
+    result = event_frequency_experiment(inst, alpha, n_seeds=n)
+    assert (result.event_count, result.concentration_count) == (events, concentrations)
+    assert 0 < point.mean < point.mean_vs_reachable < 1
