@@ -220,7 +220,11 @@ def compute_diagnostic_sets(
     )
 
     # Always-true sandwich facts, asserted on every diagnostic pass.
-    obs_cano = canonical_assignment(view.users_of(outcome.observed_mediators), view.slots_of(outcome.observed_advertisers), view)
+    obs_cano = canonical_from_sorted(
+        [u for u in cano.sorted_users if u.mediator in observed_m],
+        [b for b in cano.sorted_slots if b.advertiser in observed_a],
+        view,
+    )
     lo = min(opt_users_observed, opt_slots_observed)
     hi = max(opt_users_observed, opt_slots_observed)
     if not lo <= obs_cano.size <= hi:

@@ -46,11 +46,25 @@ class CanonicalAssignment:
         return Assignment(self.ordered_pairs)
 
 
+def _profitable_prefix(user_keys: Iterable[tuple], slot_keys: Iterable[tuple]) -> int:
+    """How many leading pairs of increasing user keys and decreasing slot keys
+    trade: the slot key must strictly exceed the user key (key order, never
+    "equal"). Keys are ``TieKey``s or plain ``(amount, rank, index)`` tuples,
+    which order the same. Stops reading both sides at the first pair that
+    does not trade."""
+    count = 0
+    for user_key, slot_key in zip(user_keys, slot_keys):
+        if not slot_key > user_key:
+            break
+        count += 1
+    return count
+
+
 def canonical_assignment(
     users: Iterable[UserRef], slots: Iterable[SlotRef], view: MarketView
 ) -> CanonicalAssignment:
-    sorted_users = sorted(users, key=lambda u: view.user_keys[u])
-    sorted_slots = sorted(slots, key=lambda b: view.slot_keys[b], reverse=True)
+    sorted_users = sorted(users, key=view.user_keys.__getitem__)
+    sorted_slots = sorted(slots, key=view.slot_keys.__getitem__, reverse=True)
     return canonical_from_sorted(sorted_users, sorted_slots, view)
 
 
@@ -65,19 +79,27 @@ def canonical_from_sorted(
     that sub-market: filtering them gives its canonical assignment without
     re-sorting.
     """
-    pairs = []
-    for u, b in zip(sorted_users, sorted_slots):
-        if view.slot_keys[b] > view.user_keys[u]:  # strict: key order, never "equal"
-            pairs.append((u, b))
-        else:
-            break
-    return CanonicalAssignment(tuple(pairs), tuple(sorted_users), tuple(sorted_slots))
+    size = _profitable_prefix(
+        map(view.user_keys.__getitem__, sorted_users), map(view.slot_keys.__getitem__, sorted_slots)
+    )
+    pairs = tuple(zip(sorted_users[:size], sorted_slots[:size]))
+    return CanonicalAssignment(pairs, tuple(sorted_users), tuple(sorted_slots))
 
 
 def tau(instance: Instance) -> int:
-    """Size of the canonical assignment over the whole true market."""
-    view = true_view(instance)
-    return canonical_assignment(view.all_users, view.all_slots, view).size
+    """Size of the canonical assignment over the whole true market.
+
+    Counts the profitable prefix on the true view's keys without building the
+    view. Advertisers in decreasing ``(value, rank)`` order, each with its
+    slot indices counting down, are already the slot keys in decreasing
+    order, so slot keys are produced lazily and never more than there are
+    users: a capacity costs nothing beyond the slots that can meet a user.
+    """
+    rank = instance.rank
+    user_keys = sorted((c, rank(m.id), i) for m in instance.mediators for i, c in enumerate(m.user_costs))
+    advertisers = sorted(((a.value, rank(a.id), a.capacity) for a in instance.advertisers), reverse=True)
+    slot_keys = ((value, r, j) for value, r, capacity in advertisers for j in reversed(range(capacity)))
+    return _profitable_prefix(user_keys, slot_keys)
 
 
 def optimal_gain(instance: Instance) -> Money:

@@ -60,10 +60,14 @@ class EntityId(_EntityFields):
 
     @classmethod
     def parse(cls, text: str) -> "EntityId":
-        if not text or text[0] not in "ma" or not text[1:].isdigit():
-            raise ValueError(f"bad entity id {text!r}")
-        kind = "mediator" if text[0] == "m" else "advertiser"
-        return cls(kind, int(text[1:]))
+        """Inverse of ``str``: only the exact text ``str`` writes is accepted,
+        so ASCII digits without leading zeros."""
+        digits = text[1:]
+        if text[:1] in ("m", "a") and digits.isascii() and digits.isdigit():
+            index = int(digits)
+            if str(index) == digits:
+                return cls("mediator" if text[0] == "m" else "advertiser", index)
+        raise ValueError(f"bad entity id {text!r}")
 
 
 def mediator_id(index: int) -> EntityId:
@@ -161,9 +165,10 @@ class Instance:
 
     def __post_init__(self) -> None:
         ids = [m.id for m in self.mediators] + [a.id for a in self.advertisers]
-        if len(set(ids)) != len(ids):
+        id_set = set(ids)
+        if len(id_set) != len(ids):
             raise ValueError("duplicate entity id")
-        if sorted(self.tie_order, key=str) != sorted(ids, key=str):
+        if len(self.tie_order) != len(ids) or set(self.tie_order) != id_set:
             raise ValueError("tie_order must be a permutation of all entity ids")
         object.__setattr__(self, "_rank", {e: i for i, e in enumerate(self.tie_order)})
         object.__setattr__(self, "_mediators", {m.id: m for m in self.mediators})

@@ -2,10 +2,11 @@
 
 Documents are JSON with a ``schema_version`` and ``kind`` header. Money is
 written as a decimal string on the micro-unit grid ("5", "5.25", "0.000001");
-parsing rejects finer precision outright instead of rounding, and parse
-errors carry the offending field path. Serialization is canonical: parsing a
-document and re-serializing it reproduces the text byte for byte, which is
-what the replay check compares.
+parsing rejects finer precision outright instead of rounding, as it rejects
+surrounding whitespace, non-ASCII digits and ids not spelled the way ``str``
+writes them; parse errors carry the offending field path. Serialization is
+canonical: parsing a document and re-serializing it reproduces the text byte
+for byte, which is what the replay check compares.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class ParseError(Exception):
     pass
 
 
-_MONEY_RE = re.compile(r"^-?\d+(\.\d{1,6})?$")
+_MONEY_RE = re.compile(r"(-?)([0-9]+)(?:\.([0-9]{1,6}))?")
 
 
 def money_to_text(amount: Money) -> str:
@@ -46,16 +47,12 @@ def money_to_text(amount: Money) -> str:
 
 
 def money_from_text(text: str, path: str = "amount") -> Money:
-    if not isinstance(text, str) or not _MONEY_RE.match(text):
+    match = _MONEY_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise ParseError(f"{path}: {text!r} is not a money amount on the micro-unit grid (max 6 decimals)")
-    sign = -1 if text.startswith("-") else 1
-    text = text.lstrip("-")
-    if "." in text:
-        whole, frac = text.split(".")
-        micro = int(whole) * 10**6 + int(frac.ljust(6, "0"))
-    else:
-        micro = int(text) * 10**6
-    return sign * micro
+    sign, whole, frac = match.groups("")
+    micro = int(whole + frac.ljust(6, "0"))
+    return -micro if sign else micro
 
 
 def fraction_to_text(fr: Fraction) -> str:
@@ -371,16 +368,28 @@ def run_report_from_text(text: str) -> dict:
     return doc
 
 
+def _compact(doc: Any) -> str:
+    return json.dumps(doc, separators=(",", ":"))
+
+
 def replay_run_report(doc: dict) -> tuple[bool, str]:
-    """Re-run the embedded configuration and compare outcomes byte for byte."""
+    """Re-run the embedded configuration and compare outcomes byte for byte.
+
+    The verdict compares compact encodings, which the C encoder writes: they
+    are equal exactly when the ``indent=2`` texts are, since both spell the
+    same token stream and the indentation follows from its structure. The
+    indented texts are built only on a mismatch, to name the first differing
+    line.
+    """
     instance = instance_from_doc(doc["instance"])
     reports = reports_from_doc(doc["reports"])
     config = config_from_doc(doc["config"])
     fresh = run_mechanism(instance, reports, config)
-    original_text = _dumps(doc["outcome"])
-    fresh_text = _dumps(outcome_to_doc(fresh))
-    if original_text == fresh_text:
+    fresh_doc = outcome_to_doc(fresh)
+    if _compact(doc["outcome"]) == _compact(fresh_doc):
         return True, "replay matches recorded outcome exactly"
+    original_text = _dumps(doc["outcome"])
+    fresh_text = _dumps(fresh_doc)
     for lineno, (a, b) in enumerate(zip(original_text.splitlines(), fresh_text.splitlines()), start=1):
         if a != b:
             return False, f"replay diverges at outcome line {lineno}: recorded {a.strip()!r} vs fresh {b.strip()!r}"

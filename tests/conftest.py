@@ -14,6 +14,7 @@ from observeprice import (
     advertiser_id,
     constant,
     generate_instance,
+    matched_family,
     mediator_id,
     random_tie_order,
     threshold_keys_from_amounts,
@@ -111,6 +112,26 @@ def organic_instance(seed, per_side=80):
 
 
 ORGANIC_ALPHA = Fraction(1, 70)
+
+
+def replay_corpus():
+    """The 100 (instance, config) runs whose reports criterion 7 replays."""
+    cases = []
+    for s in range(40):
+        inst = desk_instance(s)
+        cases.append((inst, desk_config(inst, seed=s)))
+    for s in range(10):
+        inst = desk_instance(200 + s)
+        variant = "pay_slot_value" if s % 2 else "skip_user_payment_updates"
+        cases.append((inst, desk_config(inst, seed=s, variant=variant)))
+    for s in range(5):
+        inst = organic_instance(s)
+        cases.extend((inst, MechanismConfig(alpha=ORGANIC_ALPHA, seed=k)) for k in range(5))
+    for s in range(10):
+        cases.append((matched_family(Fraction(1, 20), seed=s), MechanismConfig(alpha=Fraction(1, 20), seed=s)))
+    for s in range(15):
+        cases.append((matched_family(Fraction(1, 80), seed=s % 3), MechanismConfig(alpha=Fraction(1, 80), seed=s)))
+    return cases
 
 
 @pytest.fixture(scope="session")

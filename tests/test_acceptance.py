@@ -43,6 +43,7 @@ from conftest import (
     desk_config,
     desk_instance,
     organic_instance,
+    replay_corpus,
     worked_example,
 )
 
@@ -198,33 +199,7 @@ def test_criterion_06_negative_controls():
 
 
 def test_criterion_07_replay_bit_exact():
-    cases = []
-    for s in range(40):
-        inst = desk_instance(s)
-        cases.append((inst, desk_config(inst, seed=s)))
-    for s in range(10):
-        inst = desk_instance(200 + s)
-        variant = "pay_slot_value" if s % 2 else "skip_user_payment_updates"
-        cases.append((inst, desk_config(inst, seed=s, variant=variant)))
-    for s in range(5):
-        inst = organic_instance(s)
-        cases.extend(
-            (inst, MechanismConfig(alpha=ORGANIC_ALPHA, seed=k)) for k in range(5)
-        )
-    for s in range(10):
-        cases.append(
-            (
-                matched_family(Fraction(1, 20), seed=s),
-                MechanismConfig(alpha=Fraction(1, 20), seed=s),
-            )
-        )
-    for s in range(15):
-        cases.append(
-            (
-                matched_family(Fraction(1, 80), seed=s % 3),
-                MechanismConfig(alpha=Fraction(1, 80), seed=s),
-            )
-        )
+    cases = replay_corpus()
     assert len(cases) == 100
     for inst, cfg in cases:
         reports = ReportProfile.truthful(inst)

@@ -1,18 +1,21 @@
 """Canonical assignment vs a brute-force optimum oracle."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from observeprice import (
+    MICRO,
     brute_force_optimal_gft,
     canonical_assignment,
     gain_from_trade,
+    matched_family,
     optimal_gain,
     tau,
     true_view,
 )
-from conftest import build_instance
+from conftest import build_instance, desk_instance, organic_instance
 
 
 def _canon(inst):
@@ -38,6 +41,32 @@ def test_two_by_two_gain():
 def test_tau_counts_only_profitable_prefix():
     inst = build_instance([[1], [2], [3], [4]], [(1, 10), (1, 9), (1, 8), (1, 0)], seed=0)
     assert tau(inst) == 3
+
+
+def _tie_heavy_instance(seed):
+    """Amounts drawn from {0, 1, 2, 3}, so most comparisons fall to the tie
+    order, and capacities that can exceed the user count."""
+    rng = random.Random(seed)
+    costs = [[rng.randrange(4) for _ in range(rng.randint(1, 3))] for _ in range(rng.randint(1, 4))]
+    slots = [(rng.randint(1, 6), rng.randrange(4)) for _ in range(rng.randint(1, 4))]
+    return build_instance(costs, slots, seed=seed)
+
+
+def test_tau_from_keys_matches_the_canonical_assignment_on_the_true_view():
+    instances = [desk_instance(s) for s in range(30)]
+    instances += [_tie_heavy_instance(s) for s in range(200)]
+    instances += [organic_instance(s) for s in range(3)]
+    instances += [matched_family(Fraction(1, d), seed=s) for d in (5, 10, 20, 40, 80, 160) for s in range(2)]
+    zero = [build_instance([[5, 7]], [(3, 4)]), build_instance([[2]], [(1, 0)]), build_instance([[3], [4]], [(2, 1)], seed=1)]
+    for inst in instances + zero:
+        assert tau(inst) == _canon(inst)[0].size
+    assert [tau(inst) for inst in zero] == [0, 0, 0]
+    assert sum(1 for inst in instances if tau(inst) == 0) > 0  # tie-heavy draws include tau = 0
+
+
+def test_tau_reads_only_the_slots_that_can_meet_a_user():
+    inst = build_instance([[1 * MICRO, 2 * MICRO]], [(10**12, 5 * MICRO), (10**12, 1 * MICRO)])
+    assert tau(inst) == 2
 
 
 def test_pairs_are_cheapest_user_to_highest_slot():

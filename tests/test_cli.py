@@ -130,6 +130,8 @@ def _set(path, value):
         ("report", _set(["config", "alpha"], None), "config.alpha: None is not a fraction"),
         ("report", _set(["config", "alpha"], 0.1), "config.alpha: 0.1 is not a fraction"),
         ("report", _set(["schema_version"], 1), "run_report.schema_version: got 1"),
+        ("instance", _set(["mediators", 0, "user_costs", 0], "1.5\n"), "instance.mediators[0].user_costs[0]: '1.5\\n' is not"),
+        ("instance", _set(["advertisers", 0, "capacity"], 10**12), "capacity 1000000000000 > alpha*tau"),
     ],
 )
 def test_malformed_files_exit_one_with_field_path(tmp_path, capsys, target, edit, where):

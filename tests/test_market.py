@@ -40,7 +40,7 @@ def test_entity_id_str_and_parse():
     assert EntityId.parse("a0") == advertiser_id(0)
 
 
-@pytest.mark.parametrize("bad", ["", "x3", "m", "m-1", "mm3", "3"])
+@pytest.mark.parametrize("bad", ["", "x3", "m", "m-1", "mm3", "3", "m01", "m\u0663"])
 def test_entity_id_parse_rejects(bad):
     with pytest.raises(ValueError):
         EntityId.parse(bad)

@@ -28,9 +28,11 @@ from observeprice.serialize import (
     config_to_doc,
     fraction_from_text,
     fraction_to_text,
+    instance_from_doc,
     outcome_to_doc,
+    reports_from_doc,
 )
-from conftest import build_instance, desk_config, desk_instance, organic_instance, ORGANIC_ALPHA
+from conftest import build_instance, desk_config, desk_instance, organic_instance, replay_corpus, ORGANIC_ALPHA
 
 
 # -- scalar codecs ------------------------------------------------------------
@@ -58,6 +60,22 @@ def test_money_text_rejects_off_grid_and_junk():
         money_from_text("7.1234567", path="mediators[0].user_costs[2]")
     except ParseError as err:
         assert "mediators[0].user_costs[2]" in str(err)
+
+
+@pytest.mark.parametrize(
+    "bad", ["29.572742\n", "1.5\n", "\u0663"], ids=["trailing-newline", "trailing-newline-fraction", "arabic-indic-digit"]
+)
+def test_money_text_rejects_whitespace_and_non_ascii_digits(bad):
+    with pytest.raises(ParseError, match=r"^mediators\[0\]\.user_costs\[2\]: "):
+        money_from_text(bad, path="mediators[0].user_costs[2]")
+
+
+@pytest.mark.parametrize("bad", ["m01", "m\u0663"], ids=["leading-zero", "arabic-indic-digit"])
+def test_instance_reader_rejects_ids_not_written_as_str_writes_them(bad):
+    doc = json.loads(instance_to_text(desk_instance(3)))
+    doc["tie_order"][0] = bad
+    with pytest.raises(ParseError, match=r"^instance\.tie_order\[0\]: bad entity id"):
+        instance_from_text(json.dumps(doc))
 
 
 def test_fraction_text_round_trip():
@@ -204,3 +222,97 @@ def test_non_truthful_reports_replay_round_trip():
     doc = run_report_from_text(run_report_to_text(inst, reports, cfg, outcome))
     ok, message = replay_run_report(doc)
     assert ok, message
+
+
+def _indented_replay(doc):
+    """Reference verdict: replay comparing the ``indent=2`` outcome texts line
+    by line, as it did before it compared compact encodings."""
+    fresh = run_mechanism(
+        instance_from_doc(doc["instance"]), reports_from_doc(doc["reports"]), config_from_doc(doc["config"])
+    )
+    original_text = json.dumps(doc["outcome"], indent=2) + "\n"
+    fresh_text = json.dumps(outcome_to_doc(fresh), indent=2) + "\n"
+    if original_text == fresh_text:
+        return True, "replay matches recorded outcome exactly"
+    for lineno, (a, b) in enumerate(zip(original_text.splitlines(), fresh_text.splitlines()), start=1):
+        if a != b:
+            return False, f"replay diverges at outcome line {lineno}: recorded {a.strip()!r} vs fresh {b.strip()!r}"
+    return False, "replay diverges: outcome lengths differ"
+
+
+def _bump_gft(outcome):
+    outcome["gft"] = money_to_text(money_from_text(outcome["gft"]) + 1)
+
+
+def _bump_pay_step(outcome):
+    step = next(step for event in outcome["events"] for step in event["pay_steps"])
+    step[1] = money_to_text(money_from_text(step[1]) + 1)
+
+
+def _injected_as_int(outcome):
+    outcome["injected_thresholds"] = int(outcome["injected_thresholds"])
+
+
+def _count_as_float(outcome):
+    outcome["observation_count"] = float(outcome["observation_count"])
+
+
+def _swap_two_keys(outcome):
+    items = list(outcome.items())
+    items[1], items[2] = items[2], items[1]
+    outcome.clear()
+    outcome.update(items)
+
+
+def _extra_key(outcome):
+    outcome["note"] = "edited"
+
+
+def _drop_event(outcome):
+    outcome["events"].pop()
+
+
+TAMPERS = {
+    "gft+1": _bump_gft,
+    "pay-step-amount": _bump_pay_step,
+    "injected-as-int": _injected_as_int,
+    "count-as-float": _count_as_float,
+    "swapped-keys": _swap_two_keys,
+    "extra-key": _extra_key,
+    "dropped-event": _drop_event,
+    "outcome-as-list": None,
+}
+
+
+def _corpus_reports():
+    for inst, cfg in replay_corpus():
+        reports = ReportProfile.truthful(inst)
+        yield run_report_to_text(inst, reports, cfg, run_mechanism(inst, reports, cfg))
+
+
+def test_replay_verdicts_equal_the_indented_comparison_on_the_replay_corpus():
+    for text in _corpus_reports():
+        doc = run_report_from_text(text)
+        verdict = replay_run_report(doc)
+        assert verdict == _indented_replay(doc) == (True, "replay matches recorded outcome exactly")
+
+
+@pytest.mark.parametrize("tamper", list(TAMPERS))
+def test_replay_verdicts_equal_the_indented_comparison_on_tampered_reports(tamper):
+    """One desk report (injected thresholds) and one organic report (computed
+    thresholds), both with pay steps; every edit must diverge with the
+    reference's message."""
+    texts = []
+    for inst, cfg in ((desk_instance(9), desk_config(desk_instance(9), seed=5)),
+                      (organic_instance(1), MechanismConfig(alpha=ORGANIC_ALPHA, seed=8))):
+        reports = ReportProfile.truthful(inst)
+        texts.append(run_report_to_text(inst, reports, cfg, run_mechanism(inst, reports, cfg)))
+    for text in texts:
+        doc = run_report_from_text(text)
+        if TAMPERS[tamper] is None:
+            doc["outcome"] = list(doc["outcome"])
+        else:
+            TAMPERS[tamper](doc["outcome"])
+        verdict = replay_run_report(doc)
+        assert verdict == _indented_replay(doc)
+        assert not verdict[0] and verdict[1].startswith("replay diverges"), verdict

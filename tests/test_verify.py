@@ -40,6 +40,7 @@ from observeprice import (
     utility_trajectory,
 )
 from observeprice import verify
+from observeprice.canonical import canonical_from_sorted
 from observeprice.serialize import outcome_to_doc
 from observeprice.verify import RUN_CHECKS
 from conftest import ORGANIC_ALPHA, desk_config, desk_instance, organic_instance, worked_example
@@ -518,8 +519,9 @@ def test_sweeps_with_shared_views_match_per_run_rebuilds(monkeypatch, variant):
 
 def test_experiments_with_shared_views_match_per_run_rebuilds():
     """Ratios, reachable mean and event counts on the criterion-9/10 instance
-    equal the loop that rebuilt the view, re-sorted the unobserved market and
-    rebuilt the diagnostics' view and optimum on every run."""
+    equal the loop that rebuilt the view, re-sorted the unobserved and the
+    observed market and rebuilt the diagnostics' view and optimum on every
+    run."""
     import numpy as np
 
     alpha, n = Fraction(1, 80), 20
@@ -543,6 +545,12 @@ def test_experiments_with_shared_views_match_per_run_rebuilds():
         shared = compute_diagnostic_sets(inst, out, random.Random(seed ^ 0x9E3779B9), view=view, cano=cano)
         assert shared == diag, seed
         obs = canonical_assignment(view.users_of(out.observed_mediators), view.slots_of(out.observed_advertisers), view)
+        filtered = canonical_from_sorted(
+            [u for u in cano.sorted_users if u.mediator in observed_m],
+            [b for b in cano.sorted_slots if b.advertiser in observed_a],
+            view,
+        )
+        assert filtered == obs, seed
         assert diag.observed_canonical_size == obs.size
         events += diag.flags.event
         concentrations += diag.flags.concentration
