@@ -33,21 +33,24 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"{text!r} is not a fraction") from exc
 
 
-def _money_dist(text: str) -> generate.DistSpec:
+def _money_dist(text: str, option: str) -> generate.DistSpec:
+    """The ``--cost``/``--value`` spec ``text``. It is read when the command
+    runs, not by argparse, so that a bad amount exits 1 with an ``error:``
+    line like any other amount the reader rejects."""
     parts = text.split(":")
     kind = parts[0]
-    try:
-        if kind == "constant" and len(parts) == 2:
-            return generate.constant(serialize.money_from_text(parts[1]))
-        if kind == "uniform" and len(parts) == 3:
-            return generate.uniform(serialize.money_from_text(parts[1]), serialize.money_from_text(parts[2]))
-        if kind == "lognormal" and len(parts) in (3, 4):
-            shift = serialize.money_from_text(parts[3]) if len(parts) == 4 else 0
+    if kind == "constant" and len(parts) == 2:
+        return generate.constant(serialize.money_from_text(parts[1], option))
+    if kind == "uniform" and len(parts) == 3:
+        return generate.uniform(serialize.money_from_text(parts[1], option), serialize.money_from_text(parts[2], option))
+    if kind == "lognormal" and len(parts) in (3, 4):
+        shift = serialize.money_from_text(parts[3], option) if len(parts) == 4 else 0
+        try:
             return generate.lognormal(float(parts[1]), float(parts[2]), shift)
-    except (serialize.ParseError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    raise argparse.ArgumentTypeError(
-        f"{text!r}: expected constant:AMOUNT, uniform:LOW:HIGH, or lognormal:MU:SIGMA[:SHIFT]"
+        except ValueError as exc:
+            raise serialize.ParseError(f"{option}: {exc}") from exc
+    raise serialize.ParseError(
+        f"{option}: {text!r}: expected constant:AMOUNT, uniform:LOW:HIGH, or lognormal:MU:SIGMA[:SHIFT]"
     )
 
 
@@ -83,8 +86,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         n_advertisers=args.advertisers,
         users_per_mediator=args.users,
         capacity=args.capacity,
-        cost=args.cost,
-        value=args.value,
+        cost=_money_dist(args.cost, "--cost"),
+        value=_money_dist(args.value, "--value"),
         alpha=args.alpha,
         seed=args.seed,
     )
@@ -205,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--advertisers", type=int, required=True)
     p.add_argument("--users", type=_count_dist, default=generate.constant(3), help="users per mediator (count spec)")
     p.add_argument("--capacity", type=_count_dist, default=generate.constant(2))
-    p.add_argument("--cost", type=_money_dist, default=generate.uniform(0, 10**6))
-    p.add_argument("--value", type=_money_dist, default=generate.uniform(0, 2 * 10**6))
+    p.add_argument("--cost", default="uniform:0:1", help="user cost (money spec)")
+    p.add_argument("--value", default="uniform:0:2", help="slot value (money spec)")
     p.add_argument("--alpha", type=_fraction, required=True)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("-o", "--output", default=None)

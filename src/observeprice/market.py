@@ -65,8 +65,8 @@ class EntityId(_EntityFields):
         digits = text[1:]
         if text[:1] in ("m", "a") and digits.isascii() and digits.isdigit():
             index = int(digits)
-            if str(index) == digits:
-                return cls("mediator" if text[0] == "m" else "advertiser", index)
+            if str(index) == digits:  # kind and index are valid here, so skip __new__'s checks
+                return tuple.__new__(cls, ("mediator" if text[0] == "m" else "advertiser", index))
         raise ValueError(f"bad entity id {text!r}")
 
 
@@ -300,33 +300,38 @@ def _build_view(
     mediator_costs: Mapping[EntityId, tuple[Money, ...]],
     advertiser_slots: Mapping[EntityId, tuple[int, Money]],
 ) -> MarketView:
+    # tuple.__new__ builds each ref and key without the Python-level
+    # NamedTuple constructor; the fields are the same.
+    new = tuple.__new__
+    rank = instance._rank
     user_costs: dict[UserRef, Money] = {}
     user_keys: dict[UserRef, TieKey] = {}
     users_by_mediator: dict[EntityId, tuple[UserRef, ...]] = {}
     for m in instance.mediators:
-        costs = mediator_costs[m.id]
-        rank = instance.rank(m.id)
+        mid = m.id
+        r = rank[mid]
         refs = []
-        for i, c in enumerate(costs):
-            u = UserRef(m.id, i)
+        for i, c in enumerate(mediator_costs[mid]):
+            u = new(UserRef, (mid, i))
             user_costs[u] = c
-            user_keys[u] = TieKey(c, rank, i)
+            user_keys[u] = new(TieKey, (c, r, i))
             refs.append(u)
-        users_by_mediator[m.id] = tuple(refs)
+        users_by_mediator[mid] = tuple(refs)
 
     slot_values: dict[SlotRef, Money] = {}
     slot_keys: dict[SlotRef, TieKey] = {}
     slots_by_advertiser: dict[EntityId, tuple[SlotRef, ...]] = {}
     for a in instance.advertisers:
-        cap, value = advertiser_slots[a.id]
-        rank = instance.rank(a.id)
+        aid = a.id
+        cap, value = advertiser_slots[aid]
+        r = rank[aid]
         refs = []
         for j in range(cap):
-            b = SlotRef(a.id, j)
+            b = new(SlotRef, (aid, j))
             slot_values[b] = value
-            slot_keys[b] = TieKey(value, rank, j)
+            slot_keys[b] = new(TieKey, (value, r, j))
             refs.append(b)
-        slots_by_advertiser[a.id] = tuple(refs)
+        slots_by_advertiser[aid] = tuple(refs)
 
     return MarketView(user_costs, slot_values, user_keys, slot_keys, users_by_mediator, slots_by_advertiser)
 

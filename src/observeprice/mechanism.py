@@ -439,7 +439,7 @@ class MechanismState:
 
 def run_mechanism(
     instance: Instance,
-    reports: ReportProfile,
+    reports: Optional[ReportProfile],
     config: MechanismConfig,
     view: Optional[MarketView] = None,
 ) -> MechanismOutcome:
@@ -450,8 +450,11 @@ def run_mechanism(
 
     ``view`` lets a caller that reruns one report profile build its view
     once: it must be exactly ``report_view(instance, reports)``, which the run
-    builds itself when it is None. A run only reads the view.
+    builds itself when it is None. A run only reads the view, so ``reports``
+    may be None when a view is given.
     """
+    if reports is None and view is None:
+        raise ValueError("run_mechanism needs reports or their view")
     alpha = Fraction(config.alpha)
     r = config.resolved_r()
     if config.variant not in VARIANTS:
@@ -520,5 +523,6 @@ def run_mechanism(
 def truthful_run(instance: Instance, config: MechanismConfig, view: Optional[MarketView] = None) -> MechanismOutcome:
     """A run on truthful reports. ``view``, if given, must be exactly
     ``report_view(instance, ReportProfile.truthful(instance))``, which equals
-    ``true_view(instance)``."""
-    return run_mechanism(instance, ReportProfile.truthful(instance), config, view=view)
+    ``true_view(instance)``; then no report profile is built."""
+    reports = ReportProfile.truthful(instance) if view is None else None
+    return run_mechanism(instance, reports, config, view=view)

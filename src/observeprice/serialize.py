@@ -1,18 +1,25 @@
 """Human-readable text serialization with exact money round trips.
 
 Documents are JSON with a ``schema_version`` and ``kind`` header. Money is
-written as a decimal string on the micro-unit grid ("5", "5.25", "0.000001");
-parsing rejects finer precision outright instead of rounding, as it rejects
-surrounding whitespace, non-ASCII digits and ids not spelled the way ``str``
-writes them; parse errors carry the offending field path. Serialization is
+written as a decimal string on the micro-unit grid ("5", "5.25", "0.000001").
+The reader accepts exactly the texts the writer writes: it rejects finer
+precision outright instead of rounding, as it rejects leading zeros, trailing
+fractional zeros, "-0", surrounding whitespace, non-ASCII digits and ids not
+spelled the way ``str`` writes them. Parse errors carry the offending field
+path; input nested too deeply to read is a parse error too. Serialization is
 canonical: parsing a document and re-serializing it reproduces the text byte
 for byte, which is what the replay check compares.
+
+Files hold the bytes ``json.dumps(doc, indent=2)`` would write, produced by
+this module's own writer, which escapes strings with the C escaper that
+``json`` itself uses.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring_ascii as _escape
 from fractions import Fraction
 from typing import Any
 
@@ -34,21 +41,26 @@ class ParseError(Exception):
     pass
 
 
-_MONEY_RE = re.compile(r"(-?)([0-9]+)(?:\.([0-9]{1,6}))?")
+# What money_to_text writes (no leading zeros, no trailing fractional zeros),
+# and "-0", which money_from_text rejects on its own.
+_MONEY_RE = re.compile(r"(-?)(0|[1-9][0-9]*)(?:\.([0-9]{0,5}[1-9]))?")
 
 
 def money_to_text(amount: Money) -> str:
-    sign = "-" if amount < 0 else ""
-    a = abs(amount)
-    whole, frac = divmod(a, 10**6)
-    if frac == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{frac:06d}".rstrip("0")
+    whole, frac = divmod(abs(amount), 1_000_000)
+    text = f"{whole}.{frac:06d}".rstrip("0") if frac else str(whole)
+    return text if amount >= 0 else "-" + text
 
 
 def money_from_text(text: str, path: str = "amount") -> Money:
-    match = _MONEY_RE.fullmatch(text) if isinstance(text, str) else None
+    match = _MONEY_RE.fullmatch(text) if isinstance(text, str) and text != "-0" else None
     if match is None:
+        if isinstance(text, str) and re.fullmatch(r"-?[0-9]+(?:\.[0-9]{1,6})?", text):
+            # another spelling of a grid amount: name the canonical one
+            whole, _, frac = text.lstrip("-").partition(".")
+            micro = int(whole + frac.ljust(6, "0"))
+            canonical = money_to_text(-micro if text[0] == "-" else micro)
+            raise ParseError(f"{path}: {text!r} is not in canonical form, write {canonical!r}")
         raise ParseError(f"{path}: {text!r} is not a money amount on the micro-unit grid (max 6 decimals)")
     sign, whole, frac = match.groups("")
     micro = int(whole + frac.ljust(6, "0"))
@@ -100,18 +112,109 @@ def _entity_from_text(text: Any, path: str) -> EntityId:
         raise ParseError(f"{path}: {exc}") from exc
 
 
+def _money_list(texts: list, path: str) -> tuple[Money, ...]:
+    """``money_from_text`` over ``texts``; an element's path ``path[j]`` is
+    formatted only when that element fails."""
+    try:
+        return tuple(map(money_from_text, texts))
+    except ParseError:
+        for j, text in enumerate(texts):
+            money_from_text(text, f"{path}[{j}]")
+        raise
+
+
+def _id_list(texts: list, known: dict[str, EntityId], path: str) -> tuple[EntityId, ...]:
+    """The ids spelled by ``texts``, looked up in ``known`` (text -> id); any
+    text not found there is parsed, so bad text gets its error at ``path[i]``."""
+    try:
+        return tuple(map(known.__getitem__, texts))
+    except (KeyError, TypeError):
+        return tuple(_entity_from_text(text, f"{path}[{i}]") for i, text in enumerate(texts))
+
+
 def _loads(text: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError("top level: nested too deeply to read") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level: expected an object")
     return doc
 
 
+_INF = float("inf")
+
+
+def _write(value: Any, newline: str, out) -> None:
+    """Pass ``value`` to ``out`` in pieces, as ``json.dumps(value, indent=2)``
+    writes it when nested at the indentation ``newline`` ends with.
+
+    Covers what JSON holds (dicts with str keys, lists, str, int, float,
+    bool, None) plus tuples, which ``json`` writes as lists. One frame per
+    nesting level, as the stdlib's pure-Python encoder takes.
+    """
+    if isinstance(value, str):
+        out(_escape(value))
+    elif isinstance(value, dict):
+        if not value:
+            out("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            out(sep)
+            out(_escape(key))
+            out(": ")
+            if type(item) is str:
+                out(_escape(item))
+            else:
+                _write(item, inner, out)
+            sep = "," + inner
+        out(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out("[]")
+            return
+        inner = newline + "  "
+        if isinstance(value[0], str):
+            try:  # a list of strings, such as ids or [user, amount] pairs, in one pass
+                out("[" + inner + ("," + inner).join(map(_escape, value)) + newline + "]")
+                return
+            except TypeError:
+                pass
+        sep = "[" + inner
+        for item in value:
+            out(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out(newline + "]")
+    elif value is None:
+        out("null")
+    elif value is True:
+        out("true")
+    elif value is False:
+        out("false")
+    elif isinstance(value, int):
+        out(int.__repr__(value))
+    elif isinstance(value, float):
+        if value != value:
+            out("NaN")
+        elif value == _INF or value == -_INF:
+            out("Infinity" if value > 0 else "-Infinity")
+        else:
+            out(float.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """The text ``json.dumps(doc, indent=2) + "\\n"`` writes."""
+    parts: list[str] = []
+    _write(doc, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
 
 
 # -- instance ----------------------------------------------------------------
@@ -135,13 +238,13 @@ def instance_to_doc(instance: Instance) -> dict:
 
 def instance_from_doc(doc: dict, path: str = "instance") -> Instance:
     _header(doc, "instance", path)
+    known: dict[str, EntityId] = {}
     mediators = []
     for i, m in enumerate(_need(doc, "mediators", path, list)):
         mp = f"{path}.mediators[{i}]"
-        ident = _entity_from_text(_need(m, "id", mp), f"{mp}.id")
-        costs = tuple(
-            money_from_text(c, f"{mp}.user_costs[{j}]") for j, c in enumerate(_need(m, "user_costs", mp, list))
-        )
+        text = _need(m, "id", mp)
+        ident = known[text] = _entity_from_text(text, f"{mp}.id")
+        costs = _money_list(_need(m, "user_costs", mp, list), f"{mp}.user_costs")
         try:
             mediators.append(MediatorSpec(ident, costs))
         except ValueError as exc:
@@ -149,16 +252,15 @@ def instance_from_doc(doc: dict, path: str = "instance") -> Instance:
     advertisers = []
     for i, a in enumerate(_need(doc, "advertisers", path, list)):
         ap = f"{path}.advertisers[{i}]"
-        ident = _entity_from_text(_need(a, "id", ap), f"{ap}.id")
+        text = _need(a, "id", ap)
+        ident = known[text] = _entity_from_text(text, f"{ap}.id")
         cap = _need(a, "capacity", ap, int)
         value = money_from_text(_need(a, "value", ap), f"{ap}.value")
         try:
             advertisers.append(AdvertiserSpec(ident, cap, value))
         except ValueError as exc:
             raise ParseError(f"{ap}: {exc}") from exc
-    tie_order = tuple(
-        _entity_from_text(e, f"{path}.tie_order[{i}]") for i, e in enumerate(_need(doc, "tie_order", path, list))
-    )
+    tie_order = _id_list(_need(doc, "tie_order", path, list), known, f"{path}.tie_order")
     try:
         return Instance(tuple(mediators), tuple(advertisers), tie_order)
     except ValueError as exc:
@@ -197,9 +299,7 @@ def reports_from_doc(doc: dict, path: str = "reports") -> ReportProfile:
     for key in costs_doc:
         ent = _entity_from_text(key, f"{path}.mediator_costs")
         costs = _need(costs_doc, key, f"{path}.mediator_costs", list)
-        mediator_costs[ent] = tuple(
-            money_from_text(c, f"{path}.mediator_costs[{key}][{j}]") for j, c in enumerate(costs)
-        )
+        mediator_costs[ent] = _money_list(costs, f"{path}.mediator_costs[{key}]")
     advertiser_slots = {}
     for key, slot in _need(doc, "advertiser_slots", path, dict).items():
         ent = _entity_from_text(key, f"{path}.advertiser_slots")

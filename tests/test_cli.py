@@ -113,6 +113,13 @@ def _set(path, value):
     return edit
 
 
+def _replace_file(text):
+    """An edit that replaces the whole file with ``text``."""
+    def edit(doc):
+        return text
+    return edit
+
+
 @pytest.mark.parametrize(
     "target, edit, where",
     [
@@ -132,6 +139,8 @@ def _set(path, value):
         ("report", _set(["schema_version"], 1), "run_report.schema_version: got 1"),
         ("instance", _set(["mediators", 0, "user_costs", 0], "1.5\n"), "instance.mediators[0].user_costs[0]: '1.5\\n' is not"),
         ("instance", _set(["advertisers", 0, "capacity"], 10**12), "capacity 1000000000000 > alpha*tau"),
+        ("instance", _replace_file("[" * 200_000), "top level: nested too deeply to read"),
+        ("report", _replace_file("[" * 200_000), "top level: nested too deeply to read"),
     ],
 )
 def test_malformed_files_exit_one_with_field_path(tmp_path, capsys, target, edit, where):
@@ -144,8 +153,8 @@ def test_malformed_files_exit_one_with_field_path(tmp_path, capsys, target, edit
         "report": (report, json.loads(report.read_text())),
     }
     path, doc = docs[target]
-    edit(doc)
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    text = edit(doc)
+    path.write_text(json.dumps(doc, indent=2) + "\n" if text is None else text)
     if target == "report":
         argv = ["replay", str(report)]
     else:
@@ -157,6 +166,36 @@ def test_malformed_files_exit_one_with_field_path(tmp_path, capsys, target, edit
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert where in err
+
+
+def test_replay_of_a_deeply_nested_outcome_names_the_first_line(tmp_path, capsys):
+    inst = _generate(tmp_path)
+    report = tmp_path / "report.json"
+    assert main(["run", "--instance", str(inst), "--alpha", "1", "--seed", "3", "-o", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    doc["outcome"] = "@"
+    report.write_text(json.dumps(doc, indent=2).replace('"@"', "[" * 900 + "]" * 900))
+    capsys.readouterr()
+    assert main(["replay", str(report)]) == 1
+    assert capsys.readouterr().out == "replay diverges at outcome line 1: recorded '[' vs fresh '{'\n"
+
+
+@pytest.mark.parametrize(
+    "option, spec, message",
+    [
+        ("--cost", "constant:-0", "--cost: '-0' is not in canonical form, write '0'"),
+        ("--cost", "uniform:007.5:8", "--cost: '007.5' is not in canonical form, write '7.5'"),
+        ("--value", "uniform:1:7.50", "--value: '7.50' is not in canonical form, write '7.5'"),
+        ("--value", "constant:0.0", "--value: '0.0' is not in canonical form, write '0'"),
+        ("--cost", "lognormal:0:1:1.000000", "--cost: '1.000000' is not in canonical form, write '1'"),
+    ],
+    ids=["minus-zero", "leading-zeros", "trailing-zero", "zero-point-zero", "six-trailing-zeros"],
+)
+def test_money_specs_reject_spellings_the_writer_never_writes(tmp_path, capsys, option, spec, message):
+    argv = ["generate", "--mediators", "3", "--advertisers", "3", "--alpha", "1", option, spec]
+    assert main(argv + ["-o", str(tmp_path / "x.json")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_verify_passes_on_truthful_standard(tmp_path, capsys):

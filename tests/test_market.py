@@ -25,7 +25,8 @@ from observeprice import (
     true_view,
     validate_instance,
 )
-from conftest import build_instance
+from observeprice.market import _build_view
+from conftest import build_instance, desk_instance, organic_instance
 
 
 def test_money_from_units():
@@ -38,6 +39,7 @@ def test_entity_id_str_and_parse():
     assert str(advertiser_id(3)) == "a3"
     assert EntityId.parse("m12") == mediator_id(12)
     assert EntityId.parse("a0") == advertiser_id(0)
+    assert type(EntityId.parse("a0")) is EntityId
 
 
 @pytest.mark.parametrize("bad", ["", "x3", "m", "m-1", "mm3", "3", "m01", "m\u0663"])
@@ -255,3 +257,48 @@ def test_validate_instance_flags_alpha_out_of_range():
     inst = build_instance([[1], [2]], [(1, 9), (1, 9)], seed=0)
     assert not validate_instance(inst, Fraction(1, 3)).ok  # below 1/tau
     assert not validate_instance(inst, Fraction(3, 2)).ok  # above 1
+
+
+def _reference_view(instance, mediator_costs, advertiser_slots):
+    """The view built with the NamedTuple constructors, entity by entity."""
+    user_costs, user_keys, users_by_mediator = {}, {}, {}
+    for m in instance.mediators:
+        refs = []
+        for i, c in enumerate(mediator_costs[m.id]):
+            u = UserRef(m.id, i)
+            user_costs[u] = c
+            user_keys[u] = TieKey(c, instance.rank(m.id), i)
+            refs.append(u)
+        users_by_mediator[m.id] = tuple(refs)
+    slot_values, slot_keys, slots_by_advertiser = {}, {}, {}
+    for a in instance.advertisers:
+        cap, value = advertiser_slots[a.id]
+        refs = []
+        for j in range(cap):
+            b = SlotRef(a.id, j)
+            slot_values[b] = value
+            slot_keys[b] = TieKey(value, instance.rank(a.id), j)
+            refs.append(b)
+        slots_by_advertiser[a.id] = tuple(refs)
+    return user_costs, slot_values, user_keys, slot_keys, users_by_mediator, slots_by_advertiser
+
+
+def test_view_build_equals_the_constructor_reference():
+    cases = []
+    for inst in (desk_instance(3), organic_instance(1), build_instance([[4, 4], [4]], [(2, 4)], seed=9)):
+        truthful = ReportProfile.truthful(inst)
+        first_m, first_a = inst.mediators[0].id, inst.advertisers[0].id
+        cases.append((inst, truthful))
+        cases.append((inst, truthful.with_mediator_costs(first_m, (0, 9, 9, 2)).with_advertiser_slots(first_a, 0, 5)))
+        cases.append((inst, truthful.with_mediator_costs(first_m, ()).with_advertiser_slots(first_a, 4, 0)))
+    for inst, reports in cases:
+        view = _build_view(inst, reports.mediator_costs, reports.advertiser_slots)
+        ref = _reference_view(inst, reports.mediator_costs, reports.advertiser_slots)
+        got = (view.user_costs, view.slot_values, view.user_keys, view.slot_keys,
+               view.users_by_mediator, view.slots_by_advertiser)
+        assert got == ref
+        assert [list(a) for a in got] == [list(b) for b in ref]  # the same insertion order
+        users = [*view.user_costs, *view.user_keys, *(u for us in view.users_by_mediator.values() for u in us)]
+        slots = [*view.slot_values, *view.slot_keys, *(b for bs in view.slots_by_advertiser.values() for b in bs)]
+        assert all(type(u) is UserRef for u in users) and all(type(b) is SlotRef for b in slots)
+        assert all(type(k) is TieKey for k in (*view.user_keys.values(), *view.slot_keys.values()))

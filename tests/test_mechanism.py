@@ -206,6 +206,21 @@ def test_worked_example_is_deterministic():
     assert a == b
 
 
+def test_truthful_run_with_a_view_builds_no_report_profile(monkeypatch):
+    instance, config = worked_example()
+    expected = outcome_to_doc(truthful_run(instance, config))
+    view = true_view(instance)
+
+    def refuse(cls, inst):
+        raise AssertionError("ReportProfile.truthful called although a view was passed")
+
+    monkeypatch.setattr(ReportProfile, "truthful", classmethod(refuse))
+    assert outcome_to_doc(truthful_run(instance, config, view=view)) == expected
+    assert outcome_to_doc(run_mechanism(instance, None, config, view=view)) == expected
+    with pytest.raises(ValueError, match="needs reports or their view"):
+        run_mechanism(instance, None, config)
+
+
 def test_seed_changes_arrival_order():
     inst = desk_instance(0)
     orders = {

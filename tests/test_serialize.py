@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from observeprice import (
     MechanismConfig,
@@ -24,6 +26,7 @@ from observeprice import (
     UserRef,
 )
 from observeprice.serialize import (
+    _dumps,
     config_from_doc,
     config_to_doc,
     fraction_from_text,
@@ -31,6 +34,8 @@ from observeprice.serialize import (
     instance_from_doc,
     outcome_to_doc,
     reports_from_doc,
+    reports_to_doc,
+    run_report_to_doc,
 )
 from conftest import build_instance, desk_config, desk_instance, organic_instance, replay_corpus, ORGANIC_ALPHA
 
@@ -60,6 +65,26 @@ def test_money_text_rejects_off_grid_and_junk():
         money_from_text("7.1234567", path="mediators[0].user_costs[2]")
     except ParseError as err:
         assert "mediators[0].user_costs[2]" in str(err)
+
+
+@pytest.mark.parametrize(
+    "bad, canonical",
+    [("-0", "0"), ("007.5", "7.5"), ("7.50", "7.5"), ("0.0", "0"), ("1.000000", "1")],
+    ids=["minus-zero", "leading-zeros", "trailing-zero", "zero-point-zero", "six-trailing-zeros"],
+)
+def test_money_text_rejects_spellings_the_writer_never_writes(bad, canonical):
+    with pytest.raises(ParseError) as err:
+        money_from_text(bad, path="mediators[0].user_costs[2]")
+    assert str(err.value) == f"mediators[0].user_costs[2]: {bad!r} is not in canonical form, write {canonical!r}"
+
+
+@given(st.text(alphabet="-.0123456789", max_size=12) | st.from_regex(r"-?[0-9]{1,4}(\.[0-9]{1,7})?", fullmatch=True))
+def test_money_text_accepts_only_what_it_writes_back(text):
+    try:
+        amount = money_from_text(text)
+    except ParseError:
+        return
+    assert money_to_text(amount) == text
 
 
 @pytest.mark.parametrize(
@@ -316,3 +341,90 @@ def test_replay_verdicts_equal_the_indented_comparison_on_tampered_reports(tampe
         verdict = replay_run_report(doc)
         assert verdict == _indented_replay(doc)
         assert not verdict[0] and verdict[1].startswith("replay diverges"), verdict
+        assert _dumps(doc) == _stdlib_text(doc)
+
+
+# -- the writer and the list readers against their references -------------------
+
+
+def _stdlib_text(doc):
+    """Reference: the text the stdlib's pure-Python ``indent=2`` encoder writes."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_writer_matches_the_stdlib_on_the_replay_corpus():
+    for inst, cfg in replay_corpus():
+        reports = ReportProfile.truthful(inst)
+        doc = run_report_to_doc(inst, reports, cfg, run_mechanism(inst, reports, cfg))
+        for part in (doc, doc["instance"], doc["reports"]):
+            assert _dumps(part) == _stdlib_text(part)
+
+
+SYNTHETIC_DOCS = {
+    "empty-object": {},
+    "nested-empty": {"a": {}, "b": [], "c": [[], {}], "d": [{}, []], "e": {"f": {"g": []}}},
+    "text": {
+        "non-ascii": "caf\u00e9 \u2013 \u6f22 \U0001f642",
+        "quotes": 'say "hi"',
+        "backslashes": "a\\b\\\\",
+        "control": "\x00\x01\t\n\r\x1f\x7f\u2028",
+        "key \"\u00e9\"\n": ["\u00e9", "\\", '"', "\x0b"],
+    },
+    "literals": {"t": True, "f": False, "n": None, "list": [True, False, None]},
+    "floats": {"big": 1e300, "negative-zero": -0.0, "list": [1e300, -0.0, 0.5]},
+    "non-finite": {"nan": float("nan"), "list": [float("inf"), float("-inf")]},
+    "integers": {"negative": -17, "forty-digits": 10**40 - 1, "list": [-(10**39), 0, 7]},
+    "mixed-lists": {"string-first": ["a", 1, "b", 2.5, None, ["c"], {"d": "e"}], "number-first": [1, "a"]},
+}
+
+
+@pytest.mark.parametrize("name", list(SYNTHETIC_DOCS))
+def test_writer_matches_the_stdlib_on_synthetic_documents(name):
+    doc = SYNTHETIC_DOCS[name]
+    assert _dumps(doc) == _stdlib_text(doc)
+
+
+def _small_instance():
+    return build_instance([[1, 2, 3], [4, 5]], [(2, 7), (1, 6)], seed=4)
+
+
+def _read_with_bad_user_cost(bad):
+    doc = json.loads(instance_to_text(_small_instance()))
+    doc["mediators"][0]["user_costs"][2] = bad
+    instance_from_doc(doc)
+
+
+def _read_with_bad_reported_cost(bad):
+    doc = reports_to_doc(ReportProfile.truthful(_small_instance()))
+    doc["mediator_costs"]["m0"][2] = bad
+    reports_from_doc(doc)
+
+
+def _read_with_bad_tie_entry(bad):
+    doc = json.loads(instance_to_text(_small_instance()))
+    doc["tie_order"][2] = bad
+    instance_from_doc(doc)
+
+
+_NOT_MONEY = "is not a money amount on the micro-unit grid (max 6 decimals)"
+
+
+@pytest.mark.parametrize(
+    "read, bad, message",
+    [
+        (_read_with_bad_user_cost, "m01", f"instance.mediators[0].user_costs[2]: 'm01' {_NOT_MONEY}"),
+        (_read_with_bad_user_cost, ["m0"], f"instance.mediators[0].user_costs[2]: ['m0'] {_NOT_MONEY}"),
+        (_read_with_bad_user_cost, "m7", f"instance.mediators[0].user_costs[2]: 'm7' {_NOT_MONEY}"),
+        (_read_with_bad_reported_cost, "m01", f"reports.mediator_costs[m0][2]: 'm01' {_NOT_MONEY}"),
+        (_read_with_bad_reported_cost, ["m0"], f"reports.mediator_costs[m0][2]: ['m0'] {_NOT_MONEY}"),
+        (_read_with_bad_reported_cost, "m7", f"reports.mediator_costs[m0][2]: 'm7' {_NOT_MONEY}"),
+        (_read_with_bad_tie_entry, "m01", "instance.tie_order[2]: bad entity id 'm01'"),
+        (_read_with_bad_tie_entry, ["m0"], "instance.tie_order[2]: bad entity id ['m0']"),
+        (_read_with_bad_tie_entry, "m7", "instance: tie_order must be a permutation of all entity ids"),
+    ],
+    ids=[f"{field}-{kind}" for field in ("user_costs", "mediator_costs", "tie_order") for kind in ("malformed-id", "list", "unknown-id")],
+)
+def test_list_readers_name_the_bad_element(read, bad, message):
+    with pytest.raises(ParseError) as err:
+        read(bad)
+    assert str(err.value) == message
