@@ -8,6 +8,12 @@ and the marginal retained slot value ``ell``. It then evaluates the
 concentration event those proofs condition on, so Monte Carlo sweeps can
 compare the event's empirical frequency against its analytic lower bound.
 
+Everything that depends only on the instance (the true view, the optimum,
+``ell``, per-entity optimum counts, the sorted keys) is prepared once in an
+``OfflineOptimum``; a diagnostic pass then reads only what its run observed
+and which prefix of each sorted order its thresholds cleared, and decides
+every cube-root bound in integers.
+
 Experiments report raw and zero-clamped analytic bounds side by side; at
 desk scales the bounds are often vacuous and the point of the lab is the
 empirical trend, not the constant.
@@ -17,16 +23,17 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .canonical import CanonicalAssignment, canonical_assignment, canonical_from_sorted
-from .market import EntityId, Instance, MarketView, Money, SlotRef, UserRef, true_view
+from .market import EntityId, Instance, MarketView, Money, SlotRef, TieKey, UserRef, true_view
 from .mechanism import (
     MechanismConfig,
     MechanismOutcome,
-    cbrt_term_dominates,
+    at_most_cbrt,
     ceil_minus_cbrt,
     truthful_run,
 )
@@ -115,17 +122,78 @@ class DiagnosticSets:
 
 
 def _abs_dev_within_cbrt(count: int, r: Fraction, total: int, alpha: Fraction, tau_: int) -> bool:
-    """Exactly decide |count - r*total| <= alpha^(1/3) * tau."""
-    d = abs(Fraction(count) - Fraction(r) * total)
-    return d**3 <= Fraction(alpha) * tau_**3
+    """Exactly decide |count - r*total| <= alpha^(1/3) * tau, both sides
+    multiplied by r's denominator."""
+    return at_most_cbrt(abs(count * r.denominator - r.numerator * total), tau_ * r.denominator, alpha)
+
+
+@dataclass(frozen=True)
+class OfflineOptimum:
+    """The offline optimum of one instance's true market, prepared once for
+    every run diagnosed on that instance. Build it with ``offline_optimum``.
+
+    Its two instance-level sandwich facts, every optimal cost <= ``ell`` <=
+    every optimal value, are asserted once, when it is built.
+    """
+
+    instance: Instance
+    view: MarketView  # true_view(instance)
+    cano: CanonicalAssignment  # over the whole true market
+    opt_users: tuple[UserRef, ...]  # cano's users, cheapest first
+    opt_slots: tuple[SlotRef, ...]  # cano's slots, most valuable first
+    ell: Money  # value of the optimum's last retained slot
+    gain: Money  # the optimum's gain from trade
+    opt_users_per_mediator: Mapping[EntityId, int]  # every mediator, 0 when none of its users is optimal
+    opt_slots_per_advertiser: Mapping[EntityId, int]
+    user_keys: list[TieKey]  # keys of cano.sorted_users, increasing
+    slot_keys: list[TieKey]  # keys of cano.sorted_slots, reversed to increasing
+    user_position: Mapping[UserRef, int]  # position in view.all_users
+    slot_position: Mapping[SlotRef, int]  # position in view.all_slots
+
+    def __post_init__(self) -> None:
+        if not all(self.view.user_costs[u] <= self.ell for u in self.opt_users):
+            raise AssertionError("an offline-optimal user cost exceeds ell")
+        if not all(self.ell <= self.view.slot_values[b] for b in self.opt_slots):
+            raise AssertionError("ell exceeds an offline-optimal slot value")
+
+
+def offline_optimum(instance: Instance) -> OfflineOptimum:
+    """The canonical assignment of ``instance``'s true market and what every
+    diagnostic pass reads from it. ``ValueError`` if the optimum is empty."""
+    view = true_view(instance)
+    cano = canonical_assignment(view.all_users, view.all_slots, view)
+    if cano.size == 0:
+        raise ValueError("tau=0: the offline optimum is empty, nothing to diagnose or measure against")
+    opt_users = tuple(u for u, _ in cano.ordered_pairs)
+    opt_slots = tuple(b for _, b in cano.ordered_pairs)
+    per_mediator = dict.fromkeys(view.users_by_mediator, 0)
+    for u in opt_users:
+        per_mediator[u.mediator] += 1
+    per_advertiser = dict.fromkeys(view.slots_by_advertiser, 0)
+    for b in opt_slots:
+        per_advertiser[b.advertiser] += 1
+    return OfflineOptimum(
+        instance=instance,
+        view=view,
+        cano=cano,
+        opt_users=opt_users,
+        opt_slots=opt_slots,
+        ell=view.slot_values[opt_slots[-1]],
+        gain=sum(view.slot_values[b] - view.user_costs[u] for u, b in cano.ordered_pairs),
+        opt_users_per_mediator=per_mediator,
+        opt_slots_per_advertiser=per_advertiser,
+        user_keys=[view.user_keys[u] for u in cano.sorted_users],
+        slot_keys=[view.slot_keys[b] for b in reversed(cano.sorted_slots)],
+        user_position={u: i for i, u in enumerate(view.all_users)},
+        slot_position={b: i for i, b in enumerate(view.all_slots)},
+    )
 
 
 def compute_diagnostic_sets(
     instance: Instance,
     outcome: MechanismOutcome,
     rng: random.Random,
-    view: Optional[MarketView] = None,
-    cano: Optional[CanonicalAssignment] = None,
+    optimum: Optional[OfflineOptimum] = None,
 ) -> DiagnosticSets:
     """Rebuild the analysis sets for one truthful run.
 
@@ -133,48 +201,51 @@ def compute_diagnostic_sets(
     of the mechanism), drawing each post-observation entity into the block
     with probability min(1, 16/r * alpha^(1/3)).
 
-    A caller that diagnoses many runs of one instance may pass ``view``,
-    exactly ``true_view(instance)``, and ``cano``, exactly
-    ``canonical_assignment(view.all_users, view.all_slots, view)``; each is
-    built here when absent.
+    A caller that diagnoses many runs of one instance passes ``optimum``,
+    ``offline_optimum(instance)`` built once; it is built here when absent,
+    and one prepared for another instance is a ``ValueError``. Each pass then
+    reads only what its run observed and cleared.
     """
+    if optimum is None:
+        optimum = offline_optimum(instance)
+    elif optimum.instance is not instance and optimum.instance != instance:
+        raise ValueError("the offline optimum was prepared for another instance")
     alpha = outcome.alpha
     r = outcome.r
-    if view is None:
-        view = true_view(instance)
-    if cano is None:
-        cano = canonical_assignment(view.all_users, view.all_slots, view)
+    view = optimum.view
+    cano = optimum.cano
     tau_ = cano.size
-    if tau_ == 0:
-        raise ValueError("tau=0: diagnostics need a non-trivial optimum")
-    opt_users = tuple(u for u, _ in cano.ordered_pairs)
-    opt_slots = tuple(b for _, b in cano.ordered_pairs)
-    ell = view.slot_values[opt_slots[-1]]
+    opt_users = optimum.opt_users
+    opt_slots = optimum.opt_slots
+    ell = optimum.ell
 
-    coeff = Fraction(6 * tau_) / r
-    if cbrt_term_dominates(tau_, coeff, alpha):
+    # Core length ceil((1 - 6/r alpha^(1/3)) tau), or 0 once tau <= 6 tau/r
+    # alpha^(1/3), which is decided here multiplied by r's numerator.
+    if at_most_cbrt(tau_ * r.numerator, 6 * tau_ * r.denominator, alpha):
         core_len = 0
     else:
-        core_len = max(0, min(tau_, ceil_minus_cbrt(tau_, coeff, alpha)))
+        core_len = max(0, min(tau_, ceil_minus_cbrt(tau_, Fraction(6 * tau_) / r, alpha)))
     core_users = opt_users[:core_len]
     core_slots = opt_slots[:core_len]
 
     observed_m = set(outcome.observed_mediators)
     observed_a = set(outcome.observed_advertisers)
+    # The keys a threshold clears form a prefix of each sorted order: users
+    # below the cost threshold, slots above the value threshold.
     thresholds = outcome.thresholds
-    clearing_users = tuple(
-        u
-        for u in view.all_users
-        if u.mediator not in observed_m and thresholds.user_assignable(view.user_keys[u])
-    )
-    clearing_slots = tuple(
-        b
-        for b in view.all_slots
-        if b.advertiser not in observed_a and thresholds.slot_assignable(view.slot_keys[b])
-    )
+    if thresholds.is_dummy:
+        n_users = n_slots = 0
+    else:
+        n_users = bisect_left(optimum.user_keys, thresholds.user_key)
+        n_slots = len(optimum.slot_keys) - bisect_right(optimum.slot_keys, thresholds.slot_key)
+    cleared_users = [u for u in cano.sorted_users[:n_users] if u.mediator not in observed_m]
+    cleared_slots = [b for b in cano.sorted_slots[:n_slots] if b.advertiser not in observed_a]
+    clearing_users = tuple(sorted(cleared_users, key=optimum.user_position.__getitem__))
+    clearing_slots = tuple(sorted(cleared_slots, key=optimum.slot_position.__getitem__))
 
     post = outcome.post_observation_order
-    p_block = min(1.0, float(Fraction(16) / r) * float(alpha) ** (1.0 / 3.0))
+    # 16/r as one int division, which rounds exactly as float(Fraction(16) / r).
+    p_block = min(1.0, 16 * r.denominator / r.numerator * float(alpha) ** (1.0 / 3.0))
     picks = [e for e in post if rng.random() < p_block]
     f = len(picks)
     trailing = post[len(post) - f :] if f else ()
@@ -182,8 +253,8 @@ def compute_diagnostic_sets(
     trailing_a = tuple(e for e in trailing if e.kind == "advertiser")
 
     # Exact concentration checks on the observed split.
-    opt_slots_observed = sum(1 for b in opt_slots if b.advertiser in observed_a)
-    opt_users_observed = sum(1 for u in opt_users if u.mediator in observed_m)
+    opt_slots_observed = sum(map(optimum.opt_slots_per_advertiser.__getitem__, outcome.observed_advertisers))
+    opt_users_observed = sum(map(optimum.opt_users_per_mediator.__getitem__, outcome.observed_mediators))
     core_slots_observed = sum(1 for b in core_slots if b.advertiser in observed_a)
     core_users_observed = sum(1 for u in core_users if u.mediator in observed_m)
 
@@ -192,18 +263,17 @@ def compute_diagnostic_sets(
     spare_slots = sum(1 for b in clearing_slots if b.advertiser not in trailing_a_set)
     spare_users = sum(1 for u in clearing_users if u.mediator not in trailing_m_set)
 
-    clearing_user_set = set(clearing_users)
-    clearing_slot_set = set(clearing_slots)
-    core_users_subset = all(u in clearing_user_set for u in core_users if u.mediator not in observed_m)
-    core_slots_subset = all(b in clearing_slot_set for b in core_slots if b.advertiser not in observed_a)
-
-    ell_sandwich = all(view.user_costs[u] <= ell for u in clearing_users) and all(
-        ell <= view.slot_values[b] for b in clearing_slots
+    # The cleared prefix, the core and the optimum are all prefixes of each
+    # sorted order, so one holds the unobserved entries of another exactly
+    # when none sits between their two lengths.
+    core_users_subset = all(u.mediator in observed_m for u in cano.sorted_users[n_users:core_len])
+    core_slots_subset = all(b.advertiser in observed_a for b in cano.sorted_slots[n_slots:core_len])
+    clearing_within = all(u.mediator in observed_m for u in cano.sorted_users[tau_:n_users]) and all(
+        b.advertiser in observed_a for b in cano.sorted_slots[tau_:n_slots]
     )
-    opt_user_set = set(opt_users)
-    opt_slot_set = set(opt_slots)
-    clearing_within = all(u in opt_user_set for u in clearing_users) and all(
-        b in opt_slot_set for b in clearing_slots
+    # Cleared lists run in key order: the last is the dearest user, the cheapest slot.
+    ell_sandwich = (not cleared_users or view.user_costs[cleared_users[-1]] <= ell) and (
+        not cleared_slots or ell <= view.slot_values[cleared_slots[-1]]
     )
 
     flags = EventFlags(
@@ -219,7 +289,8 @@ def compute_diagnostic_sets(
         clearing_within_optimum=clearing_within,
     )
 
-    # Always-true sandwich facts, asserted on every diagnostic pass.
+    # Always-true sandwich fact, asserted on every diagnostic pass; the
+    # instance-level ones were asserted when the optimum was built.
     obs_cano = canonical_from_sorted(
         [u for u in cano.sorted_users if u.mediator in observed_m],
         [b for b in cano.sorted_slots if b.advertiser in observed_a],
@@ -229,10 +300,6 @@ def compute_diagnostic_sets(
     hi = max(opt_users_observed, opt_slots_observed)
     if not lo <= obs_cano.size <= hi:
         raise AssertionError("observed canonical size escaped the min/max sandwich")
-    if not all(view.user_costs[u] <= ell for u in opt_users):
-        raise AssertionError("an offline-optimal user cost exceeds ell")
-    if not all(ell <= view.slot_values[b] for b in opt_slots):
-        raise AssertionError("ell exceeds an offline-optimal slot value")
 
     return DiagnosticSets(
         tau=tau_,
@@ -282,21 +349,20 @@ def event_frequency_experiment(
 ) -> EventFrequencyResult:
     """Monte Carlo frequency of the concentration event on truthful runs.
 
-    The true view and the full canonical assignment are built once and shared
-    by every run and its diagnostics.
+    The offline optimum, with the true view, is prepared once and shared by
+    every run and its diagnostics.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    view = true_view(instance)
-    cano = canonical_assignment(view.all_users, view.all_slots, view)
+    optimum = offline_optimum(instance)
     event_count = 0
     conc_count = 0
     r_used = None
     for i in range(n_seeds):
         config = MechanismConfig(alpha=alpha, r=r, seed=base_seed + i)
-        outcome = truthful_run(instance, config, view=view)
+        outcome = truthful_run(instance, config, view=optimum.view)
         r_used = outcome.r
-        diag = compute_diagnostic_sets(instance, outcome, random.Random((base_seed + i) ^ 0x9E3779B9), view=view, cano=cano)
+        diag = compute_diagnostic_sets(instance, outcome, random.Random((base_seed + i) ^ 0x9E3779B9), optimum=optimum)
         event_count += diag.flags.event
         conc_count += diag.flags.concentration
     raw = event_probability_bound(float(alpha))
@@ -345,10 +411,9 @@ def competitive_ratio_experiment(
     whose optimum gain is zero raises ``ValueError``: instance validation
     passes it when tau >= 1 but amounts tie, and its ratio is undefined.
 
-    Per point, the true view and the full canonical assignment are built
-    once: every run shares the view, and each run's reachable optimum
-    filters the full assignment's sorted orders down to the unobserved
-    entities.
+    Per point, the offline optimum is prepared once: every run shares its
+    true view, and each run's reachable optimum filters its sorted orders
+    down to the unobserved entities.
     """
     import numpy as np  # only this experiment needs it; keeps the package import light
 
@@ -356,9 +421,9 @@ def competitive_ratio_experiment(
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     results = []
     for alpha, instance in points:
-        view = true_view(instance)
-        cano = canonical_assignment(view.all_users, view.all_slots, view)
-        opt = sum(view.slot_values[b] - view.user_costs[u] for u, b in cano.ordered_pairs)
+        optimum = offline_optimum(instance)
+        view = optimum.view
+        opt = optimum.gain
         if opt <= 0:
             raise ValueError(f"alpha={alpha}: optimum gain is {opt}, ratio undefined; pick another instance")
         ratios = np.empty(n_seeds)
@@ -372,8 +437,8 @@ def competitive_ratio_experiment(
             observed_m = set(outcome.observed_mediators)
             observed_a = set(outcome.observed_advertisers)
             post_cano = canonical_from_sorted(
-                [u for u in cano.sorted_users if u.mediator not in observed_m],
-                [b for b in cano.sorted_slots if b.advertiser not in observed_a],
+                [u for u in optimum.cano.sorted_users if u.mediator not in observed_m],
+                [b for b in optimum.cano.sorted_slots if b.advertiser not in observed_a],
                 view,
             )
             reachable = sum(view.slot_values[b] - view.user_costs[u] for u, b in post_cano.ordered_pairs)
@@ -390,7 +455,7 @@ def competitive_ratio_experiment(
             RatioPoint(
                 alpha=Fraction(alpha),
                 r=r_used,
-                tau=cano.size,
+                tau=optimum.cano.size,
                 seeds=n_seeds,
                 ratios=ratios,
                 mean=float(np.mean(ratios)),

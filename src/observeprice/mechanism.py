@@ -74,35 +74,34 @@ def derive_r(alpha: Fraction) -> Fraction:
     return min(Fraction(1, 2), Fraction(micro, 10**6))
 
 
+def at_most_cbrt(x: int | Fraction, coeff: int | Fraction, alpha: int | Fraction) -> bool:
+    """Exactly decide x <= coeff * alpha^(1/3), for coeff >= 0 and alpha >= 0.
+
+    Both sides are cubed and cleared of their denominators, so the decision
+    is one comparison of integers.
+    """
+    xn = x.numerator
+    if xn <= 0:
+        return True
+    return xn**3 * coeff.denominator**3 * alpha.denominator <= coeff.numerator**3 * alpha.numerator * x.denominator**3
+
+
 def cbrt_term_dominates(total: int | Fraction, coeff: Fraction, alpha: Fraction) -> bool:
     """Exactly decide total - coeff * alpha^(1/3) <= 0 (total, coeff >= 0)."""
-    total = Fraction(total)
-    if total <= 0:
-        return True
-    if coeff <= 0:
-        return False
-    return total**3 <= coeff**3 * Fraction(alpha)
+    return at_most_cbrt(total, coeff, alpha)
 
 
 def ceil_minus_cbrt(total: int, coeff: Fraction, alpha: Fraction) -> int:
     """Exact ceil(total - coeff * alpha^(1/3)) for total >= 0, coeff >= 0.
 
-    Float estimate first; the candidate is then pinned by exact cubed
-    comparisons, so the result is correct even when the expression sits next
-    to an integer.
+    Float estimate first; the candidate m is then pinned by exact decisions
+    of total - m <= coeff * alpha^(1/3), so the result is correct even when
+    the expression sits next to an integer.
     """
-    alpha = Fraction(alpha)
-    coeff = Fraction(coeff)
-    a3 = coeff**3 * alpha
-
-    def at_most(m: int) -> bool:  # total - coeff*cbrt(alpha) <= m
-        d = total - m
-        return d <= 0 or Fraction(d) ** 3 <= a3
-
     m = math.ceil(total - float(coeff) * float(alpha) ** (1.0 / 3.0))
-    while not at_most(m):
+    while not at_most_cbrt(total - m, coeff, alpha):
         m += 1
-    while at_most(m - 1):
+    while at_most_cbrt(total - m + 1, coeff, alpha):
         m -= 1
     return m
 

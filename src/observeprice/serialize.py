@@ -4,15 +4,17 @@ Documents are JSON with a ``schema_version`` and ``kind`` header. Money is
 written as a decimal string on the micro-unit grid ("5", "5.25", "0.000001").
 The reader accepts exactly the texts the writer writes: it rejects finer
 precision outright instead of rounding, as it rejects leading zeros, trailing
-fractional zeros, "-0", surrounding whitespace, non-ASCII digits and ids not
-spelled the way ``str`` writes them. Parse errors carry the offending field
-path; input nested too deeply to read is a parse error too. Serialization is
-canonical: parsing a document and re-serializing it reproduces the text byte
-for byte, which is what the replay check compares.
+fractional zeros, "-0", surrounding whitespace, non-ASCII digits, ids not
+spelled the way ``str`` writes them and objects that give a key twice. Parse
+errors carry the offending field path, or name the repeated key; input
+nested too deeply to read is a parse error too. Serialization is canonical:
+parsing a document and re-serializing it reproduces the text byte for byte,
+which is what the replay check compares.
 
 Files hold the bytes ``json.dumps(doc, indent=2)`` would write, produced by
 this module's own writer, which escapes strings with the C escaper that
-``json`` itself uses.
+``json`` itself uses. The document builders format each id once per
+document and build ref texts (``m0:1``) and text-keyed sorts from it.
 """
 
 from __future__ import annotations
@@ -132,9 +134,22 @@ def _id_list(texts: list, known: dict[str, EntityId], path: str) -> tuple[Entity
         return tuple(_entity_from_text(text, f"{path}[{i}]") for i, text in enumerate(texts))
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """One JSON object as a dict; a key given twice is a ``ParseError``, as
+    the writer never writes one."""
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"repeated object key {key!r}")
+            seen.add(key)
+    return doc
+
+
 def _loads(text: str) -> dict:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}: {exc.msg}") from exc
     except RecursionError as exc:
@@ -217,22 +232,38 @@ def _dumps(doc: dict) -> str:
     return "".join(parts)
 
 
+class _Texts(dict):
+    """Text of each ``EntityId``, ``UserRef`` and ``SlotRef`` a document
+    names, formatted on first use; a ref's text is built from its entity's,
+    so each id is formatted once per document."""
+
+    def __missing__(self, key: Any) -> str:
+        if isinstance(key, EntityId):
+            text = str(key)
+        else:
+            entity, index = key
+            text = f"{self[entity]}:{index}"
+        self[key] = text
+        return text
+
+
 # -- instance ----------------------------------------------------------------
 
 
 def instance_to_doc(instance: Instance) -> dict:
+    texts = _Texts()
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "instance",
         "mediators": [
-            {"id": str(m.id), "user_costs": [money_to_text(c) for c in m.user_costs]}
+            {"id": texts[m.id], "user_costs": [money_to_text(c) for c in m.user_costs]}
             for m in instance.mediators
         ],
         "advertisers": [
-            {"id": str(a.id), "capacity": a.capacity, "value": money_to_text(a.value)}
+            {"id": texts[a.id], "capacity": a.capacity, "value": money_to_text(a.value)}
             for a in instance.advertisers
         ],
-        "tie_order": [str(e) for e in instance.tie_order],
+        "tie_order": list(map(texts.__getitem__, instance.tie_order)),
     }
 
 
@@ -278,16 +309,20 @@ def instance_from_text(text: str) -> Instance:
 # -- reports -----------------------------------------------------------------
 
 
+def _by_text(texts: _Texts, mapping: dict) -> list[tuple[str, Any]]:
+    """``mapping``'s items with each key as its text, sorted by that text
+    (texts are unique, so values are never compared)."""
+    return sorted([(texts[key], value) for key, value in mapping.items()])
+
+
 def reports_to_doc(reports: ReportProfile) -> dict:
+    texts = _Texts()
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "reports",
-        "mediator_costs": {
-            str(m): [money_to_text(c) for c in costs] for m, costs in sorted(reports.mediator_costs.items(), key=lambda kv: str(kv[0]))
-        },
+        "mediator_costs": {m: [money_to_text(c) for c in costs] for m, costs in _by_text(texts, reports.mediator_costs)},
         "advertiser_slots": {
-            str(a): {"capacity": cap, "value": money_to_text(v)}
-            for a, (cap, v) in sorted(reports.advertiser_slots.items(), key=lambda kv: str(kv[0]))
+            a: {"capacity": cap, "value": money_to_text(v)} for a, (cap, v) in _by_text(texts, reports.advertiser_slots)
         },
     }
 
@@ -398,6 +433,7 @@ def _thresholds_to_doc(t: Thresholds) -> dict:
 
 
 def outcome_to_doc(outcome: MechanismOutcome) -> dict:
+    texts = _Texts()
     return {
         "alpha": fraction_to_text(outcome.alpha),
         "r": fraction_to_text(outcome.r),
@@ -406,33 +442,33 @@ def outcome_to_doc(outcome: MechanismOutcome) -> dict:
         "injected_thresholds": outcome.injected_thresholds,
         "forced_arrival": outcome.forced_arrival,
         "forced_observation": outcome.forced_observation,
-        "arrival_order": [str(e) for e in outcome.arrival_order],
+        "arrival_order": list(map(texts.__getitem__, outcome.arrival_order)),
         "observation_count": outcome.observation_count,
-        "observed_mediators": [str(e) for e in outcome.observed_mediators],
-        "observed_advertisers": [str(e) for e in outcome.observed_advertisers],
+        "observed_mediators": list(map(texts.__getitem__, outcome.observed_mediators)),
+        "observed_advertisers": list(map(texts.__getitem__, outcome.observed_advertisers)),
         "thresholds": _thresholds_to_doc(outcome.thresholds),
         "events": [
             {
-                "arrival": str(e.arrival),
+                "arrival": texts[e.arrival],
                 "trades": [
                     {
-                        "user": str(t.user),
-                        "slot": str(t.slot),
+                        "user": texts[t.user],
+                        "slot": texts[t.slot],
                         "charge": money_to_text(t.charge),
                         "payment": money_to_text(t.payment),
                     }
                     for t in e.trades
                 ],
-                "pay_steps": [[str(u), money_to_text(x)] for u, x in e.pay_steps],
+                "pay_steps": [[texts[u], money_to_text(x)] for u, x in e.pay_steps],
                 "unassigned_assignable_users": e.unassigned_assignable_users,
                 "unassigned_assignable_slots": e.unassigned_assignable_slots,
             }
             for e in outcome.events
         ],
-        "assignment": [[str(u), str(b)] for u, b in outcome.assignment.pairs],
-        "charges": {str(a): money_to_text(x) for a, x in sorted(outcome.charges.items(), key=lambda kv: str(kv[0]))},
-        "receipts": {str(m): money_to_text(x) for m, x in sorted(outcome.receipts.items(), key=lambda kv: str(kv[0]))},
-        "final_targets": {str(u): money_to_text(x) for u, x in sorted(outcome.final_targets.items())},
+        "assignment": [[texts[u], texts[b]] for u, b in outcome.assignment.pairs],
+        "charges": {a: money_to_text(x) for a, x in _by_text(texts, outcome.charges)},
+        "receipts": {m: money_to_text(x) for m, x in _by_text(texts, outcome.receipts)},
+        "final_targets": {texts[u]: money_to_text(x) for u, x in sorted(outcome.final_targets.items())},
         "gft": money_to_text(outcome.gft),
     }
 

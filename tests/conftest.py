@@ -134,6 +134,28 @@ def replay_corpus():
     return cases
 
 
+def sandwich_corpus():
+    """The 1000 (instance, config) truthful runs whose diagnostics criterion 8
+    checks; the runs of one instance are consecutive."""
+    runs = []
+    for s in range(150):
+        inst = desk_instance(s)
+        runs.extend((inst, desk_config(inst, seed=k)) for k in range(2))
+    for s in range(100):
+        inst = desk_instance(300 + s)
+        runs.extend((inst, MechanismConfig(alpha=Fraction(1), seed=k)) for k in range(2))
+    for s in range(30):
+        inst = organic_instance(s)
+        runs.extend((inst, MechanismConfig(alpha=ORGANIC_ALPHA, seed=k)) for k in range(10))
+    for s in range(10):
+        inst = matched_family(Fraction(1, 20), seed=s)
+        runs.extend((inst, MechanismConfig(alpha=Fraction(1, 20), seed=k)) for k in range(10))
+    for s in range(10):
+        inst = matched_family(Fraction(1, 80), seed=s)
+        runs.extend((inst, MechanismConfig(alpha=Fraction(1, 80), seed=k)) for k in range(10))
+    return runs
+
+
 @pytest.fixture(scope="session")
 def worked():
     instance, config = worked_example()

@@ -44,6 +44,7 @@ from conftest import (
     desk_instance,
     organic_instance,
     replay_corpus,
+    sandwich_corpus,
     worked_example,
 )
 
@@ -213,22 +214,7 @@ def test_criterion_07_replay_bit_exact():
 
 
 def test_criterion_08_sandwich_facts_hold_everywhere():
-    runs = []
-    for s in range(150):
-        inst = desk_instance(s)
-        runs.extend((inst, desk_config(inst, seed=k)) for k in range(2))
-    for s in range(100):
-        inst = desk_instance(300 + s)
-        runs.extend((inst, MechanismConfig(alpha=Fraction(1), seed=k)) for k in range(2))
-    for s in range(30):
-        inst = organic_instance(s)
-        runs.extend((inst, MechanismConfig(alpha=ORGANIC_ALPHA, seed=k)) for k in range(10))
-    for s in range(10):
-        inst = matched_family(Fraction(1, 20), seed=s)
-        runs.extend((inst, MechanismConfig(alpha=Fraction(1, 20), seed=k)) for k in range(10))
-    for s in range(10):
-        inst = matched_family(Fraction(1, 80), seed=s)
-        runs.extend((inst, MechanismConfig(alpha=Fraction(1, 80), seed=k)) for k in range(10))
+    runs = sandwich_corpus()
     assert len(runs) == 1000
     for i, (inst, cfg) in enumerate(runs):
         outcome = run_mechanism(inst, ReportProfile.truthful(inst), cfg)

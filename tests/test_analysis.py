@@ -1,5 +1,6 @@
 """Analytic bounds, diagnostic set reconstruction, and the two experiments."""
 
+import hashlib
 import math
 import os
 import random
@@ -11,14 +12,21 @@ from fractions import Fraction
 import pytest
 
 from observeprice import (
+    DiagnosticSets,
+    EventFlags,
     MechanismConfig,
+    canonical_assignment,
     competitive_ratio_experiment,
     compute_diagnostic_sets,
     event_frequency_experiment,
     event_probability_bound,
     competitive_ratio_bound,
+    injected_thresholds,
     matched_family,
     analytic_bound,
+    offline_optimum,
+    run_mechanism,
+    ReportProfile,
     true_view,
     truthful_run,
     wilson_interval,
@@ -26,7 +34,9 @@ from observeprice import (
 import observeprice
 from observeprice import analysis
 from observeprice.analysis import clamp01
-from conftest import ORGANIC_ALPHA, build_instance, organic_instance
+from observeprice.canonical import canonical_from_sorted
+from observeprice.mechanism import cbrt_term_dominates, ceil_minus_cbrt
+from conftest import ORGANIC_ALPHA, build_instance, organic_instance, sandwich_corpus
 
 
 def test_package_import_leaves_numpy_unloaded():
@@ -148,6 +158,216 @@ def test_diagnostics_trailing_block_resampling_is_seeded():
     assert a == b
 
 
+def _reference_abs_dev_within_cbrt(count, r, total, alpha, tau_):
+    d = abs(Fraction(count) - Fraction(r) * total)
+    return d**3 <= Fraction(alpha) * tau_**3
+
+
+def _reference_diagnostic_sets(instance, outcome, rng, view=None, cano=None):
+    """``compute_diagnostic_sets`` as it was before the offline optimum was
+    prepared once per instance: every pass rebuilds the optimum's sets and
+    scans every user and slot. Kept as the reference."""
+    alpha = outcome.alpha
+    r = outcome.r
+    if view is None:
+        view = true_view(instance)
+    if cano is None:
+        cano = canonical_assignment(view.all_users, view.all_slots, view)
+    tau_ = cano.size
+    if tau_ == 0:
+        raise ValueError("tau=0: diagnostics need a non-trivial optimum")
+    opt_users = tuple(u for u, _ in cano.ordered_pairs)
+    opt_slots = tuple(b for _, b in cano.ordered_pairs)
+    ell = view.slot_values[opt_slots[-1]]
+
+    coeff = Fraction(6 * tau_) / r
+    if cbrt_term_dominates(tau_, coeff, alpha):
+        core_len = 0
+    else:
+        core_len = max(0, min(tau_, ceil_minus_cbrt(tau_, coeff, alpha)))
+    core_users = opt_users[:core_len]
+    core_slots = opt_slots[:core_len]
+
+    observed_m = set(outcome.observed_mediators)
+    observed_a = set(outcome.observed_advertisers)
+    thresholds = outcome.thresholds
+    clearing_users = tuple(
+        u
+        for u in view.all_users
+        if u.mediator not in observed_m and thresholds.user_assignable(view.user_keys[u])
+    )
+    clearing_slots = tuple(
+        b
+        for b in view.all_slots
+        if b.advertiser not in observed_a and thresholds.slot_assignable(view.slot_keys[b])
+    )
+
+    post = outcome.post_observation_order
+    p_block = min(1.0, float(Fraction(16) / r) * float(alpha) ** (1.0 / 3.0))
+    picks = [e for e in post if rng.random() < p_block]
+    f = len(picks)
+    trailing = post[len(post) - f :] if f else ()
+    trailing_m = tuple(e for e in trailing if e.kind == "mediator")
+    trailing_a = tuple(e for e in trailing if e.kind == "advertiser")
+
+    opt_slots_observed = sum(1 for b in opt_slots if b.advertiser in observed_a)
+    opt_users_observed = sum(1 for u in opt_users if u.mediator in observed_m)
+    core_slots_observed = sum(1 for b in core_slots if b.advertiser in observed_a)
+    core_users_observed = sum(1 for u in core_users if u.mediator in observed_m)
+
+    trailing_m_set = set(trailing_m)
+    trailing_a_set = set(trailing_a)
+    spare_slots = sum(1 for b in clearing_slots if b.advertiser not in trailing_a_set)
+    spare_users = sum(1 for u in clearing_users if u.mediator not in trailing_m_set)
+
+    clearing_user_set = set(clearing_users)
+    clearing_slot_set = set(clearing_slots)
+    core_users_subset = all(u in clearing_user_set for u in core_users if u.mediator not in observed_m)
+    core_slots_subset = all(b in clearing_slot_set for b in core_slots if b.advertiser not in observed_a)
+
+    ell_sandwich = all(view.user_costs[u] <= ell for u in clearing_users) and all(
+        ell <= view.slot_values[b] for b in clearing_slots
+    )
+    opt_user_set = set(opt_users)
+    opt_slot_set = set(opt_slots)
+    clearing_within = all(u in opt_user_set for u in clearing_users) and all(
+        b in opt_slot_set for b in clearing_slots
+    )
+
+    flags = EventFlags(
+        observed_opt_slots_ok=_reference_abs_dev_within_cbrt(opt_slots_observed, r, len(opt_slots), alpha, tau_),
+        observed_opt_users_ok=_reference_abs_dev_within_cbrt(opt_users_observed, r, len(opt_users), alpha, tau_),
+        observed_core_slots_ok=_reference_abs_dev_within_cbrt(core_slots_observed, r, len(core_slots), alpha, tau_),
+        observed_core_users_ok=_reference_abs_dev_within_cbrt(core_users_observed, r, len(core_users), alpha, tau_),
+        spare_slots_covered=spare_slots <= len(clearing_users),
+        spare_users_covered=spare_users <= len(clearing_slots),
+        core_slots_subset=core_slots_subset,
+        core_users_subset=core_users_subset,
+        ell_sandwich=ell_sandwich,
+        clearing_within_optimum=clearing_within,
+    )
+
+    obs_cano = canonical_from_sorted(
+        [u for u in cano.sorted_users if u.mediator in observed_m],
+        [b for b in cano.sorted_slots if b.advertiser in observed_a],
+        view,
+    )
+    lo = min(opt_users_observed, opt_slots_observed)
+    hi = max(opt_users_observed, opt_slots_observed)
+    if not lo <= obs_cano.size <= hi:
+        raise AssertionError("observed canonical size escaped the min/max sandwich")
+    if not all(view.user_costs[u] <= ell for u in opt_users):
+        raise AssertionError("an offline-optimal user cost exceeds ell")
+    if not all(ell <= view.slot_values[b] for b in opt_slots):
+        raise AssertionError("ell exceeds an offline-optimal slot value")
+
+    return DiagnosticSets(
+        tau=tau_,
+        opt_users=opt_users,
+        opt_slots=opt_slots,
+        core_users=core_users,
+        core_slots=core_slots,
+        clearing_users=clearing_users,
+        clearing_slots=clearing_slots,
+        ell=ell,
+        trailing_count=f,
+        trailing_mediators=trailing_m,
+        trailing_advertisers=trailing_a,
+        observed_canonical_size=obs_cano.size,
+        flags=flags,
+    )
+
+
+def test_diagnostics_match_the_reference_on_the_criterion_8_mix():
+    """Desk runs with injected thresholds, desk at alpha = 1, organic and
+    matched 1/20 and 1/80 runs: every ``DiagnosticSets`` field equals the
+    reference's, with the optimum prepared once per instance."""
+    optimum = None
+    seen = set()
+    for i, (inst, cfg) in enumerate(sandwich_corpus()):
+        if optimum is None or optimum.instance is not inst:
+            optimum = offline_optimum(inst)
+        outcome = run_mechanism(inst, ReportProfile.truthful(inst), cfg, view=optimum.view)
+        want = _reference_diagnostic_sets(inst, outcome, random.Random(i), view=optimum.view, cano=optimum.cano)
+        got = compute_diagnostic_sets(inst, outcome, random.Random(i), optimum=optimum)
+        assert got == want, i
+        seen.update((name, value) for name, value in vars(want.flags).items())
+    # injected thresholds clear users and slots outside the optimum and beyond ell
+    for name in ("clearing_within_optimum", "ell_sandwich"):
+        assert {(name, True), (name, False)} <= seen
+
+
+def test_diagnostics_match_the_reference_below_alpha_1_1728():
+    """Below alpha = 1/1728 the core prefix is non-empty and the observed
+    split can miss its band. The organic runs are diagnosed as if priced at
+    such an alpha (diagnostics read alpha from the outcome), so every
+    concentration, core and spare flag takes both values."""
+    inst = organic_instance(1)
+    optimum = offline_optimum(inst)
+    seen = set()
+    for seed in range(30):
+        outcome = truthful_run(inst, MechanismConfig(alpha=ORGANIC_ALPHA, seed=seed), view=optimum.view)
+        for alpha in (Fraction(1, 2000), Fraction(1, 40000)):
+            tiny = replace(outcome, alpha=alpha)
+            want = _reference_diagnostic_sets(inst, tiny, random.Random(seed))
+            assert compute_diagnostic_sets(inst, tiny, random.Random(seed), optimum=optimum) == want
+            assert 0 < len(want.core_users) < want.tau
+            seen.update((name, value) for name, value in vars(want.flags).items())
+    for name in EventFlags.__dataclass_fields__:
+        if name not in ("clearing_within_optimum", "ell_sandwich"):
+            assert {(name, True), (name, False)} <= seen, name
+
+
+def test_diagnostics_match_the_reference_with_thresholds_on_entity_keys():
+    """Thresholds set exactly at an unobserved user's and slot's own keys,
+    anywhere in the sorted orders: those two never clear (the rules are
+    strict) and the prefix around them is read as the reference reads it."""
+    inst = organic_instance(3)
+    optimum = offline_optimum(inst)
+    view, cano = optimum.view, optimum.cano
+    rng = random.Random(5)
+    for seed in range(20):
+        outcome = truthful_run(inst, MechanismConfig(alpha=ORGANIC_ALPHA, seed=seed), view=optimum.view)
+        observed = set(outcome.observed_mediators) | set(outcome.observed_advertisers)
+        users = [u for u in cano.sorted_users if u.mediator not in observed]
+        slots = [b for b in cano.sorted_slots if b.advertiser not in observed]
+        for _ in range(5):
+            u, b = rng.choice(users), rng.choice(slots)
+            if not view.user_keys[u] < view.slot_keys[b]:
+                continue
+            at_keys = replace(
+                outcome,
+                alpha=rng.choice([ORGANIC_ALPHA, Fraction(1, 2000), Fraction(1, 40000)]),
+                thresholds=injected_thresholds(view.user_keys[u], view.slot_keys[b]),
+            )
+            want = _reference_diagnostic_sets(inst, at_keys, random.Random(seed))
+            assert compute_diagnostic_sets(inst, at_keys, random.Random(seed), optimum=optimum) == want
+            assert u not in want.clearing_users and b not in want.clearing_slots
+
+
+def test_diagnostics_reject_an_optimum_of_another_instance():
+    inst = organic_instance(1)
+    other = organic_instance(2)
+    outcome = truthful_run(inst, MechanismConfig(alpha=ORGANIC_ALPHA, seed=0))
+    with pytest.raises(ValueError, match="another instance"):
+        compute_diagnostic_sets(inst, outcome, random.Random(0), optimum=offline_optimum(other))
+    # an equal instance built separately is the same market
+    twin = organic_instance(1)
+    assert twin is not inst
+    assert compute_diagnostic_sets(inst, outcome, random.Random(0), optimum=offline_optimum(twin)) == (
+        compute_diagnostic_sets(inst, outcome, random.Random(0))
+    )
+
+
+def test_tampered_optimum_fails_its_sandwich_asserts():
+    optimum = offline_optimum(_ladder_instance())
+    costs = [optimum.view.user_costs[u] for u in optimum.opt_users]
+    with pytest.raises(AssertionError, match="user cost exceeds ell"):
+        replace(optimum, ell=max(costs) - 1)
+    with pytest.raises(AssertionError, match="ell exceeds"):
+        replace(optimum, ell=max(optimum.view.slot_values.values()) + 1)
+
+
 # -- experiments ------------------------------------------------------------------
 
 
@@ -206,3 +426,30 @@ def test_matched_family_shape():
     assert all(a.capacity == 5 for a in inst.advertisers)
     with pytest.raises(ValueError):
         matched_family(Fraction(2, 7), seed=0)  # 1/alpha not an integer
+
+
+# Parent values of the criteria-9/10 grid, 20 seeds per point: (base seed,
+# alpha) -> (sha256 prefix of repr(ratios), mean_vs_reachable, event count,
+# concentration count).
+GRID_PINS = {
+    (0, Fraction(1, 5)): ("1c3982f0c3d2f96a", 0.05, 20, 20),
+    (0, Fraction(1, 20)): ("1c3982f0c3d2f96a", 0.0, 20, 20),
+    (0, Fraction(1, 80)): ("e56defeaee41b30c", 0.47067197271689676, 20, 20),
+    (1000, Fraction(1, 5)): ("1c3982f0c3d2f96a", 0.15, 20, 20),
+    (1000, Fraction(1, 20)): ("1c3982f0c3d2f96a", 0.0, 20, 20),
+    (1000, Fraction(1, 80)): ("146050e505e30b65", 0.4646968606154044, 20, 20),
+    (104729, Fraction(1, 5)): ("1c3982f0c3d2f96a", 0.05, 20, 20),
+    (104729, Fraction(1, 20)): ("1c3982f0c3d2f96a", 0.0, 20, 20),
+    (104729, Fraction(1, 80)): ("f8f354ab033c3e06", 0.4916933191993936, 20, 20),
+}
+
+
+@pytest.mark.parametrize("base_seed", [0, 1000, 104729])
+def test_experiments_keep_their_pinned_grid_values(base_seed):
+    for alpha in (Fraction(1, 5), Fraction(1, 20), Fraction(1, 80)):
+        inst = matched_family(alpha, seed=0)
+        (point,) = competitive_ratio_experiment([(alpha, inst)], n_seeds=20, base_seed=base_seed)
+        events = event_frequency_experiment(inst, alpha, n_seeds=20, base_seed=base_seed)
+        digest = hashlib.sha256(repr([float(x) for x in point.ratios]).encode()).hexdigest()[:16]
+        got = (digest, point.mean_vs_reachable, events.event_count, events.concentration_count)
+        assert got == GRID_PINS[base_seed, alpha], alpha

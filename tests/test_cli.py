@@ -120,6 +120,15 @@ def _replace_file(text):
     return edit
 
 
+def _repeat_key(key, copy):
+    """An edit that writes the file with ``"key": copy`` given just before the
+    first ``key`` in it, so that object holds ``key`` twice."""
+    def edit(doc):
+        mark = f'"{key}": '
+        return json.dumps(doc, indent=2).replace(mark, mark + copy + ", " + mark, 1) + "\n"
+    return edit
+
+
 @pytest.mark.parametrize(
     "target, edit, where",
     [
@@ -141,6 +150,9 @@ def _replace_file(text):
         ("instance", _set(["advertisers", 0, "capacity"], 10**12), "capacity 1000000000000 > alpha*tau"),
         ("instance", _replace_file("[" * 200_000), "top level: nested too deeply to read"),
         ("report", _replace_file("[" * 200_000), "top level: nested too deeply to read"),
+        ("instance", _repeat_key("kind", '"instance"'), "repeated object key 'kind'"),
+        ("reports", _repeat_key("m0", '["1"]'), "repeated object key 'm0'"),
+        ("report", _repeat_key("outcome", "{}"), "repeated object key 'outcome'"),
     ],
 )
 def test_malformed_files_exit_one_with_field_path(tmp_path, capsys, target, edit, where):

@@ -1,5 +1,6 @@
 """Mechanism engine: observation sampling, thresholds, matching, payments."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -26,7 +27,8 @@ from observeprice import (
     true_view,
     truthful_run,
 )
-from observeprice.mechanism import MechanismState, Thresholds, _iroot6, cbrt_term_dominates
+from observeprice.analysis import _abs_dev_within_cbrt
+from observeprice.mechanism import MechanismState, Thresholds, _iroot6, at_most_cbrt, cbrt_term_dominates
 from observeprice.serialize import outcome_to_doc
 from conftest import (
     ORGANIC_ALPHA,
@@ -112,6 +114,69 @@ def test_ceil_minus_cbrt_is_minimal_ceiling():
         # m >= total - coeff * alpha**(1/3) > m - 1, cubed to stay exact
         assert (total - m) ** 3 <= coeff**3 * alpha
         assert (total - (m - 1)) ** 3 > coeff**3 * alpha
+
+
+def _fraction_cbrt_term_dominates(total, coeff, alpha):
+    """The ``Fraction`` formula ``cbrt_term_dominates`` had before the integer helper."""
+    total = Fraction(total)
+    if total <= 0:
+        return True
+    if coeff <= 0:
+        return False
+    return total**3 <= coeff**3 * Fraction(alpha)
+
+
+def _fraction_ceil_minus_cbrt(total, coeff, alpha):
+    """The ``Fraction`` formula ``ceil_minus_cbrt`` had before the integer helper."""
+    alpha = Fraction(alpha)
+    coeff = Fraction(coeff)
+    a3 = coeff**3 * alpha
+
+    def at_most(m):
+        d = total - m
+        return d <= 0 or Fraction(d) ** 3 <= a3
+
+    m = math.ceil(total - float(coeff) * float(alpha) ** (1.0 / 3.0))
+    while not at_most(m):
+        m += 1
+    while at_most(m - 1):
+        m -= 1
+    return m
+
+
+_CBRT_CASES = dict(
+    p=st.integers(1, 12),
+    q=st.integers(1, 12),
+    cube=st.booleans(),
+    total=st.integers(0, 80),
+    step=st.sampled_from([-1, 0, 1]),
+    r=st.fractions(Fraction(1, 50), Fraction(1, 2), max_denominator=50),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(**_CBRT_CASES)
+def test_integer_cbrt_helper_matches_the_fraction_formulas(p, q, cube, total, step, r):
+    """alpha is the exact cube (p/q)^3 or the plain p/(q * 13); with a cube,
+    each expression is placed exactly on its boundary or one unit either side."""
+    alpha = Fraction(p, q) ** 3 if cube else Fraction(p, q * 13)
+    root = Fraction(p, q)  # alpha^(1/3) when alpha is a cube
+    # total against coeff * alpha^(1/3) = total + step
+    coeff = Fraction(total + step, 1) / root if cube and total + step >= 0 else Fraction(total + 1, q)
+    assert cbrt_term_dominates(total, coeff, alpha) == _fraction_cbrt_term_dominates(total, coeff, alpha)
+    assert ceil_minus_cbrt(total, coeff, alpha) == _fraction_ceil_minus_cbrt(total, coeff, alpha)
+    if cube:
+        edge = coeff * root
+        for x in (edge - 1, edge, edge + 1, edge - Fraction(1, edge.denominator), edge + Fraction(1, edge.denominator)):
+            assert at_most_cbrt(x, coeff, alpha) == (x <= edge)
+    # |count - r*n| against alpha^(1/3) * tau: r*n is an integer, and so is
+    # alpha^(1/3) * tau when alpha is a cube, so counts land on both edges
+    n = r.denominator * (total % 7 + 1)
+    tau_ = q * (total % 5 + 1)
+    for edge in (r * n - root * tau_, r * n + root * tau_):
+        for count in {max(0, math.floor(edge) + d) for d in (-1, 0, 1)}:
+            want = abs(Fraction(count) - r * n) ** 3 <= alpha * tau_**3
+            assert _abs_dev_within_cbrt(count, r, n, alpha, tau_) == want
 
 
 def test_thresholds_require_ordered_keys():

@@ -1,5 +1,6 @@
 """Text codecs for instances, reports, configs, outcomes, and replayable runs."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -173,6 +174,33 @@ def test_missing_field_names_its_path():
 def test_instance_text_rejects_non_json():
     with pytest.raises(ParseError):
         instance_from_text("not json at all {")
+
+
+@pytest.mark.parametrize(
+    "kind, key, copy",
+    [
+        ("instance", "kind", '"instance"'),
+        ("instance", "capacity", "2"),
+        ("reports", "m0", '["1"]'),
+        ("run_report", "outcome", "{}"),
+    ],
+)
+def test_readers_reject_a_repeated_object_key(kind, key, copy):
+    """The writer never gives a key twice, so the readers refuse such text,
+    also when both values are the same (the instance's ``kind``)."""
+    inst = desk_instance(3)
+    reports = ReportProfile.truthful(inst)
+    cfg = desk_config(inst, seed=1)
+    text, read = {
+        "instance": (instance_to_text(inst), instance_from_text),
+        "reports": (reports_to_text(reports), reports_from_text),
+        "run_report": (run_report_to_text(inst, reports, cfg, run_mechanism(inst, reports, cfg)), run_report_from_text),
+    }[kind]
+    read(text)
+    mark = f'"{key}": '
+    assert mark in text
+    with pytest.raises(ParseError, match=f"repeated object key '{key}'"):
+        read(text.replace(mark, mark + copy + ", " + mark, 1))
 
 
 # -- run reports and replay ----------------------------------------------------
@@ -358,6 +386,19 @@ def test_writer_matches_the_stdlib_on_the_replay_corpus():
         doc = run_report_to_doc(inst, reports, cfg, run_mechanism(inst, reports, cfg))
         for part in (doc, doc["instance"], doc["reports"]):
             assert _dumps(part) == _stdlib_text(part)
+
+
+def test_writer_keeps_its_bytes_on_the_replay_corpus():
+    """sha256 over every instance, reports and run-report text of the
+    criterion-7 corpus, as the writer wrote them when each id was still
+    formatted at every mention."""
+    digest = hashlib.sha256()
+    for inst, cfg in replay_corpus():
+        reports = ReportProfile.truthful(inst)
+        outcome = run_mechanism(inst, reports, cfg)
+        for text in (instance_to_text(inst), reports_to_text(reports), run_report_to_text(inst, reports, cfg, outcome)):
+            digest.update(text.encode())
+    assert digest.hexdigest() == "27c7a81dfccf02bb2056538243e12557359ba0f615530f1b456d018b1f13043a"
 
 
 SYNTHETIC_DOCS = {
