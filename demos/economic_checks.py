@@ -51,8 +51,9 @@ inc = incentive_sweep(
     seeds_per_case=4,
     rng=random.Random(1),
 )
+profitable = sum(v.startswith("profitable deviation") for v in inc.violations)
 print(f"incentive sweep: {inc.deviation_pairs} paired comparisons, "
-      f"{len(inc.violations)} profitable deviations")
+      f"{profitable} profitable deviations")
 
 # 4. Negative control: an engine variant that never raises user pay targets
 #    breaks continuous individual rationality immediately, proving the

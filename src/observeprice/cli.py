@@ -137,10 +137,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             seeds_per_case=min(args.runs, 16),
             rng=rng,
         )
-        print(
-            f"incentive sweep: {inc.deviation_pairs} deviation comparisons, "
-            f"{len(inc.violations)} profitable deviations"
-        )
+        profitable = sum(v.startswith("profitable deviation") for v in inc.violations)
+        print(f"incentive sweep: {inc.deviation_pairs} deviation comparisons, {profitable} profitable deviations")
         for line in inc.violations[:20]:
             print(f"  {line}")
         ok = ok and inc.ok

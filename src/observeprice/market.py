@@ -107,19 +107,6 @@ class TieKey(NamedTuple):
     within_index: int
 
 
-def compare_keys(a: TieKey, b: TieKey) -> int:
-    """-1 if a orders below b, +1 if above, 0 only for the identical key.
-
-    Two different users/slots never share a key, so 0 means both arguments
-    refer to the same object.
-    """
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
-
-
 @dataclass(frozen=True)
 class MediatorSpec:
     id: EntityId

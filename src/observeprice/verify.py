@@ -16,11 +16,14 @@ With truthful reports these definitions collapse to the plain ledger flows.
 Utilities change only at trades and pay steps, so ``utility_steps`` derives
 every player's trajectory from one fold over the event log, in
 O(events + trades + pay steps); trajectories, final utilities and the
-sweeps' continuous-IR checks all read that fold.
+sweeps' continuous-IR checks all read that fold, and one rule
+(``_first_drops``) finds each player's first drop for the sweep and for
+``check_continuous_ir`` alike.
 
-The deviation test runs a truthful and a misreporting twin under the same
-seed (same tie order, arrival order and observation count) and compares final
-utilities exactly.
+Every truthfulness verdict, in ``incentive_sweep`` and ``deviation_test``,
+comes from one twin path (``_twins``): a misreport runs under the seeds of
+its truthful twins (same tie order, arrival order and observation count)
+and final utilities are compared exactly.
 """
 
 from __future__ import annotations
@@ -85,8 +88,8 @@ def utility_steps(outcome: MechanismOutcome, instance: Instance) -> Iterator[dic
         yield {p: utility[p] for p in changed}
 
 
-def utility_trajectory(outcome: MechanismOutcome, instance: Instance, player) -> UtilityTrajectory:
-    """True cumulative utility after each post-observation arrival."""
+def _check_player(instance: Instance, player) -> None:
+    """Raise KeyError, ValueError or TypeError unless ``player`` is in ``instance``."""
     if isinstance(player, UserRef):
         spec = instance.mediator(player.mediator)
         if not 0 <= player.user_index < len(spec.user_costs):
@@ -99,6 +102,11 @@ def utility_trajectory(outcome: MechanismOutcome, instance: Instance, player) ->
             instance.advertiser(player)
     else:
         raise TypeError(f"not a player: {player!r}")
+
+
+def utility_trajectory(outcome: MechanismOutcome, instance: Instance, player) -> UtilityTrajectory:
+    """True cumulative utility after each post-observation arrival."""
+    _check_player(instance, player)
     series = [0]
     for changed in utility_steps(outcome, instance):
         series.append(changed.get(player, series[-1]))
@@ -106,7 +114,8 @@ def utility_trajectory(outcome: MechanismOutcome, instance: Instance, player) ->
 
 
 def final_utility(outcome: MechanismOutcome, instance: Instance, player) -> Money:
-    return utility_trajectory(outcome, instance, player).series[-1]
+    _check_player(instance, player)
+    return _final_utilities(outcome, instance).get(player, 0)
 
 
 def _final_utilities(outcome: MechanismOutcome, instance: Instance) -> dict[object, Money]:
@@ -138,20 +147,25 @@ class CheckResult:
         return self.ok
 
 
-def _drop(player, old: Money, new: Money, event: int) -> str:
-    return f"{player}: utility drops {old} -> {new} at event {event}"
+def _first_drops(steps: Iterable[dict[object, Money]], start: Money = 0) -> dict[object, str]:
+    """Each player's first utility drop over ``steps`` (events 1, 2, ...), as
+    a message; a player stands at ``start`` until a step first moves it."""
+    last: dict[object, Money] = {}
+    drops: dict[object, str] = {}
+    for i, changed in enumerate(steps, start=1):
+        for player, u in changed.items():
+            old = last.get(player, start)
+            if u < old and player not in drops:
+                drops[player] = f"{player}: utility drops {old} -> {u} at event {i}"
+            last[player] = u
+    return drops
 
 
 def check_continuous_ir(trajectory: UtilityTrajectory) -> CheckResult:
     """Starts at zero and never decreases."""
-    s = trajectory.series
-    fails = []
-    if s[0] != 0:
-        fails.append(f"{trajectory.player}: trajectory starts at {s[0]}, not 0")
-    for i in range(1, len(s)):
-        if s[i] < s[i - 1]:
-            fails.append(_drop(trajectory.player, s[i - 1], s[i], i))
-            break
+    p, s = trajectory.player, trajectory.series
+    fails = [f"{p}: trajectory starts at {s[0]}, not 0"] if s[0] != 0 else []
+    fails.extend(_first_drops(({p: u} for u in s[1:]), start=s[0]).values())
     return CheckResult(not fails, tuple(fails))
 
 
@@ -357,40 +371,44 @@ class DeviationVerdict:
         return self.deviant_utility > self.truthful_utility
 
 
+def _truthful_finals(
+    instance: Instance, truthful: ReportProfile, configs: Sequence[MechanismConfig]
+) -> list[dict[object, Money]]:
+    """Per config, every player's final utility in the truthful run; the
+    truthful view is built once and shared by the runs."""
+    view = report_view(instance, truthful)
+    return [_final_utilities(run_mechanism(instance, truthful, c, view=view), instance) for c in configs]
+
+
+def _twins(
+    instance: Instance,
+    truthful: ReportProfile,
+    case: DeviationCase,
+    configs: Sequence[MechanismConfig],
+    truthful_finals: Sequence[dict[object, Money]],
+) -> Iterator[tuple[DeviationVerdict, MechanismOutcome]]:
+    """Run ``case``'s misreport once per config, on one shared view, and
+    compare the deviant's final utility with its truthful twin's under the
+    same seed. Yields each verdict with the deviant outcome."""
+    deviant = case.apply(truthful)
+    view = report_view(instance, deviant)
+    for config, finals in zip(configs, truthful_finals):
+        outcome = run_mechanism(instance, deviant, config, view=view)
+        du = _final_utilities(outcome, instance).get(case.player, 0)
+        yield DeviationVerdict(case, config.seed, finals.get(case.player, 0), du), outcome
+
+
 def deviation_test(
     instance: Instance,
     case: DeviationCase,
     base_config: MechanismConfig,
     seeds: Sequence[int],
-    truthful_outcomes: Optional[dict[int, MechanismOutcome]] = None,
 ) -> list[DeviationVerdict]:
-    """Truthful vs misreporting twin runs, one pair per seed, exact compare.
-
-    Each side's view is built once and shared by its runs.
-    """
+    """Truthful vs misreporting twin runs, one pair per seed, exact compare."""
     truthful = ReportProfile.truthful(instance)
-    deviant = case.apply(truthful)
-    truthful_view = report_view(instance, truthful)
-    deviant_view = report_view(instance, deviant)
-    verdicts = []
-    for seed in seeds:
-        config = replace(base_config, seed=seed)
-        if truthful_outcomes is not None and seed in truthful_outcomes:
-            base_outcome = truthful_outcomes[seed]
-        else:
-            base_outcome = run_mechanism(instance, truthful, config, view=truthful_view)
-            if truthful_outcomes is not None:
-                truthful_outcomes[seed] = base_outcome
-        dev_outcome = run_mechanism(instance, deviant, config, view=deviant_view)
-        verdicts.append(
-            DeviationVerdict(
-                case,
-                seed,
-                final_utility(base_outcome, instance, case.player),
-                final_utility(dev_outcome, instance, case.player),
-            )
-        )
-    return verdicts
+    configs = [replace(base_config, seed=seed) for seed in seeds]
+    finals = _truthful_finals(instance, truthful, configs)
+    return [verdict for verdict, _ in _twins(instance, truthful, case, configs, finals)]
 
 
 # -- sweeps ----------------------------------------------------------------------
@@ -431,15 +449,7 @@ def truthful_sweep(
             got = chk(outcome)
             if not got.ok:
                 result.violations.append(f"{name}: {got.failures[0]}")
-        # Continuous IR for every player from one fold: each player's first drop.
-        last: dict[object, Money] = {}
-        drops: dict[object, str] = {}
-        for i, changed in enumerate(utility_steps(outcome, instance), start=1):
-            for player, u in changed.items():
-                old = last.get(player, 0)
-                if u < old and player not in drops:
-                    drops[player] = _drop(player, old, u, i)
-                last[player] = u
+        drops = _first_drops(utility_steps(outcome, instance))
         players = all_players(instance)
         result.trajectories += len(players)
         result.violations.extend(f"continuous_ir: {drops[p]}" for p in players if p in drops)
@@ -463,14 +473,9 @@ def incentive_sweep(
     result = SweepResult()
     for instance, base_config in items:
         truthful = ReportProfile.truthful(instance)
-        truthful_view = report_view(instance, truthful)
-        seeds = [rng.randrange(2**60) for _ in range(seeds_per_case)]
-        configs = [replace(base_config, seed=seed) for seed in seeds]
-        truthful_utility = []  # per seed: player -> final utility
-        for config in configs:
-            outcome = run_mechanism(instance, truthful, config, view=truthful_view)
-            truthful_utility.append(_final_utilities(outcome, instance))
-            result.runs += 1
+        configs = [replace(base_config, seed=rng.randrange(2**60)) for _ in range(seeds_per_case)]
+        truthful_finals = _truthful_finals(instance, truthful, configs)
+        result.runs += len(configs)
 
         users = [p for p in all_players(instance) if isinstance(p, UserRef)]
         mediators = [m.id for m in instance.mediators]
@@ -486,21 +491,17 @@ def incentive_sweep(
                 take = generate_misreports(player, instance, rng, misreports_per_role - len(cases))
                 cases.extend(take)
             for case in cases:
-                deviant = case.apply(truthful)
-                deviant_view = report_view(instance, deviant)
-                for config, truthful_final in zip(configs, truthful_utility):
-                    dev_outcome = run_mechanism(instance, deviant, config, view=deviant_view)
+                for verdict, outcome in _twins(instance, truthful, case, configs, truthful_finals):
                     result.runs += 1
                     result.deviation_pairs += 1
                     for name in ("surplus_invariant", "online_legality"):
-                        got = RUN_CHECKS[name](dev_outcome)
+                        got = RUN_CHECKS[name](outcome)
                         if not got.ok:
                             result.violations.append(f"{name}[deviant]: {got.failures[0]}")
-                    tu = truthful_final.get(case.player, 0)
-                    du = final_utility(dev_outcome, instance, case.player)
-                    if du > tu:
+                    if verdict.profitable:
                         result.violations.append(
                             f"profitable deviation: {case.label} for {case.player} "
-                            f"(truthful {tu} < deviant {du}, seed {config.seed})"
+                            f"(truthful {verdict.truthful_utility} < deviant {verdict.deviant_utility}, "
+                            f"seed {verdict.seed})"
                         )
     return result

@@ -23,7 +23,6 @@ from observeprice import (
     canonical_assignment,
     competitive_ratio_experiment,
     compute_diagnostic_sets,
-    deviation_test,
     event_frequency_experiment,
     gain_from_trade,
     incentive_sweep,
@@ -37,6 +36,7 @@ from observeprice import (
     true_view,
     truthful_sweep,
 )
+from observeprice.verify import deviation_test
 from conftest import (
     ORGANIC_ALPHA,
     build_instance,

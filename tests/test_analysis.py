@@ -20,7 +20,6 @@ from observeprice import (
     compute_diagnostic_sets,
     event_frequency_experiment,
     event_probability_bound,
-    competitive_ratio_bound,
     injected_thresholds,
     matched_family,
     analytic_bound,
@@ -33,7 +32,7 @@ from observeprice import (
 )
 import observeprice
 from observeprice import analysis
-from observeprice.analysis import clamp01
+from observeprice.analysis import clamp01, competitive_ratio_bound
 from observeprice.canonical import canonical_from_sorted
 from observeprice.mechanism import cbrt_term_dominates, ceil_minus_cbrt
 from conftest import ORGANIC_ALPHA, build_instance, organic_instance, sandwich_corpus

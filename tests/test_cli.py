@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from observeprice import verify
 from observeprice.cli import main
+from observeprice.verify import SweepResult
 from observeprice.serialize import SCHEMA_VERSION, instance_to_text, money_from_text, money_to_text
 from conftest import ORGANIC_ALPHA, organic_instance
 
@@ -228,6 +230,20 @@ def test_verify_with_incentive_sweep(tmp_path, capsys):
     assert code == 0
     assert "incentive sweep" in out
     assert "PASS" in out
+
+
+def test_verify_counts_only_profitable_lines_as_profitable_deviations(tmp_path, capsys, monkeypatch):
+    inst = _organic_file(tmp_path, seed=5)
+    invariant = "surplus_invariant[deviant]: event 3: 1 assignable users and 1 assignable slots both left unassigned"
+    swept = SweepResult(deviation_pairs=4, violations=[invariant])
+    monkeypatch.setattr(verify, "incentive_sweep", lambda *args, **kwargs: swept)
+    code = main(["verify", "--instance", str(inst), "--alpha", "1/70",
+                 "--runs", "4", "--deviations", "2", "--seed", "2"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "incentive sweep: 4 deviation comparisons, 0 profitable deviations" in out
+    assert f"  {invariant}" in out
+    assert "FAIL" in out
 
 
 def test_verify_fails_on_broken_payment_variant(tmp_path, capsys):

@@ -16,7 +16,6 @@ from observeprice import (
     UserRef,
     SlotRef,
     advertiser_id,
-    compare_keys,
     from_units,
     gain_from_trade,
     mediator_id,
@@ -83,31 +82,6 @@ def test_entity_id_contract(kind, make, prefix):
 def test_ref_str():
     assert str(UserRef(mediator_id(0), 2)) == "m0:2"
     assert str(SlotRef(advertiser_id(1), 0)) == "a1:0"
-
-
-def test_compare_keys_signs():
-    a = TieKey(5, 0, 0)
-    b = TieKey(5, 1, 0)
-    assert compare_keys(a, b) == -1
-    assert compare_keys(b, a) == 1
-    assert compare_keys(a, a) == 0
-    assert compare_keys(TieKey(4, 9, 9), TieKey(5, 0, 0)) == -1
-
-
-def test_key_order_is_strict_and_transitive():
-    """Random keys: compare_keys agrees with tuple order and is a total order."""
-    rng = random.Random(7)
-    keys = [TieKey(rng.randrange(4), rng.randrange(3), rng.randrange(3)) for _ in range(60)]
-    for x in keys:
-        for y in keys:
-            c = compare_keys(x, y)
-            assert c == (x > y) - (x < y)
-            assert c == -compare_keys(y, x)
-    for x in keys:
-        for y in keys:
-            for z in keys:
-                if compare_keys(x, y) <= 0 and compare_keys(y, z) <= 0:
-                    assert compare_keys(x, z) <= 0
 
 
 def test_view_keys_are_pairwise_distinct():

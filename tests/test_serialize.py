@@ -19,7 +19,6 @@ from observeprice import (
     money_to_text,
     replay_run_report,
     reports_from_text,
-    reports_to_text,
     run_mechanism,
     run_report_from_text,
     run_report_to_text,
@@ -36,6 +35,7 @@ from observeprice.serialize import (
     outcome_to_doc,
     reports_from_doc,
     reports_to_doc,
+    reports_to_text,
     run_report_to_doc,
 )
 from conftest import build_instance, desk_config, desk_instance, organic_instance, replay_corpus, ORGANIC_ALPHA

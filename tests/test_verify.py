@@ -24,7 +24,6 @@ from observeprice import (
     check_surplus_invariant,
     competitive_ratio_experiment,
     compute_diagnostic_sets,
-    deviation_test,
     event_frequency_experiment,
     final_utility,
     generate_misreports,
@@ -43,7 +42,7 @@ from observeprice import (
 from observeprice import verify
 from observeprice.canonical import canonical_from_sorted
 from observeprice.serialize import outcome_to_doc
-from observeprice.verify import RUN_CHECKS
+from observeprice.verify import RUN_CHECKS, deviation_test
 from conftest import ORGANIC_ALPHA, desk_config, desk_instance, organic_instance, worked_example
 
 
@@ -81,12 +80,15 @@ def test_trajectories_are_stepwise_and_start_at_zero():
 
 def test_utility_trajectory_rejects_unknown_players():
     instance, out = _worked_run()
-    with pytest.raises(KeyError):
-        utility_trajectory(out, instance, mediator_id(9))
-    with pytest.raises(ValueError):
-        utility_trajectory(out, instance, UserRef(mediator_id(0), 99))
-    with pytest.raises(TypeError):
-        utility_trajectory(out, instance, "m0")
+    for read in (utility_trajectory, final_utility):
+        with pytest.raises(KeyError):
+            read(out, instance, mediator_id(9))
+        with pytest.raises(KeyError):
+            read(out, instance, advertiser_id(9))
+        with pytest.raises(ValueError):
+            read(out, instance, UserRef(mediator_id(0), 99))
+        with pytest.raises(TypeError):
+            read(out, instance, "m0")
 
 
 def test_all_players_enumerates_every_role():
@@ -147,6 +149,13 @@ def test_continuous_ir_fails_on_dip():
     assert check_continuous_ir(traj).ok
     dipped = replace(traj, series=traj.series[:3] + (traj.series[3] - 1,) + traj.series[4:])
     assert not check_continuous_ir(dipped).ok
+
+
+def test_continuous_ir_reports_nonzero_start_and_first_drop():
+    p = UserRef(mediator_id(0), 0)
+    got = check_continuous_ir(UtilityTrajectory(p, (5, 3)))
+    assert got.failures == (f"{p}: trajectory starts at 5, not 0", f"{p}: utility drops 5 -> 3 at event 1")
+    assert not got.ok
 
 
 def test_surplus_invariant_flags_idle_pairs():
@@ -401,7 +410,9 @@ def test_fold_matches_per_player_rescans(variant):
     for inst, reports, config in _differential_runs(variant):
         out = run_mechanism(inst, reports, config)
         for player in all_players(inst):
-            assert utility_trajectory(out, inst, player).series == _ref_trajectory(out, inst, player), (player, config.seed)
+            ref = _ref_trajectory(out, inst, player)
+            assert utility_trajectory(out, inst, player).series == ref, (player, config.seed)
+            assert final_utility(out, inst, player) == ref[-1], (player, config.seed)
         won = {}
         for t in out.trades_of():
             fake_user_trades += t.user.user_index >= len(inst.mediator(t.user.mediator).user_costs)
@@ -498,7 +509,7 @@ def _all_sweeps(variant):
     runs = [(inst, replace(config, seed=seed)) for inst, config in items for seed in range(3)]
     tru, _ = truthful_sweep(runs)
     fabricate = DeviationCase(mediator_id(1), "append fake", mediator_costs=(5, 0))
-    dev = deviation_test(items[-1][0], fabricate, items[-1][1], seeds=[0, 1, 2], truthful_outcomes={})
+    dev = deviation_test(items[-1][0], fabricate, items[-1][1], seeds=[0, 1, 2])
     return inc, tru, dev
 
 
