@@ -53,7 +53,7 @@ for k in range(1, cano.size + 1):
 
 # 3. The greedy result is exactly optimal: exhaustive search over every
 #    partial assignment finds the same gain from trade.
-greedy = gain_from_trade(cano.as_assignment(), view)
+greedy = gain_from_trade(cano.ordered_pairs, view)
 exhaustive = brute_force_optimal_gft(view.all_users, view.all_slots, view)
 print(f"canonical GfT = {money_to_text(greedy)}, brute force = {money_to_text(exhaustive)}")
 assert greedy == exhaustive

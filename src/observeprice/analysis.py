@@ -26,10 +26,10 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Mapping, Optional, Sequence
 
-from .canonical import CanonicalAssignment, canonical_assignment, canonical_from_sorted
-from .market import EntityId, Instance, MarketView, Money, SlotRef, TieKey, UserRef, true_view
+from .canonical import CanonicalAssignment, _profitable_prefix, canonical_assignment
+from .market import EntityId, Instance, MarketView, Money, SlotRef, TieKey, UserRef, gain_from_trade, true_view
 from .mechanism import (
     MechanismConfig,
     MechanismOutcome,
@@ -156,6 +156,18 @@ class OfflineOptimum:
         if not all(self.ell <= self.view.slot_values[b] for b in self.opt_slots):
             raise AssertionError("ell exceeds an offline-optimal slot value")
 
+    def pairs_within(self, entities: AbstractSet[EntityId]) -> tuple[list[UserRef], list[SlotRef]]:
+        """The canonical assignment of the sub-market of ``entities`` as its
+        users and its slots, in pair order. ``cano``'s sorted orders stay
+        sorted when filtered, so its pairs are their profitable prefix:
+        nothing is re-sorted and no pair is built."""
+        users = [u for u in self.cano.sorted_users if u.mediator in entities]
+        slots = [b for b in self.cano.sorted_slots if b.advertiser in entities]
+        size = _profitable_prefix(
+            map(self.view.user_keys.__getitem__, users), map(self.view.slot_keys.__getitem__, slots)
+        )
+        return users[:size], slots[:size]
+
 
 def offline_optimum(instance: Instance) -> OfflineOptimum:
     """The canonical assignment of ``instance``'s true market and what every
@@ -179,7 +191,7 @@ def offline_optimum(instance: Instance) -> OfflineOptimum:
         opt_users=opt_users,
         opt_slots=opt_slots,
         ell=view.slot_values[opt_slots[-1]],
-        gain=sum(view.slot_values[b] - view.user_costs[u] for u, b in cano.ordered_pairs),
+        gain=gain_from_trade(cano.ordered_pairs, view),
         opt_users_per_mediator=per_mediator,
         opt_slots_per_advertiser=per_advertiser,
         user_keys=[view.user_keys[u] for u in cano.sorted_users],
@@ -219,12 +231,9 @@ def compute_diagnostic_sets(
     opt_slots = optimum.opt_slots
     ell = optimum.ell
 
-    # Core length ceil((1 - 6/r alpha^(1/3)) tau), or 0 once tau <= 6 tau/r
-    # alpha^(1/3), which is decided here multiplied by r's numerator.
-    if at_most_cbrt(tau_ * r.numerator, 6 * tau_ * r.denominator, alpha):
-        core_len = 0
-    else:
-        core_len = max(0, min(tau_, ceil_minus_cbrt(tau_, Fraction(6 * tau_) / r, alpha)))
+    # Core length ceil((1 - 6/r alpha^(1/3)) tau), 0 once that is <= 0: the
+    # threshold location rule of ``compute_thresholds`` with 6 for its 2.
+    core_len = max(0, ceil_minus_cbrt(tau_, Fraction(6 * tau_) / r, alpha))
     core_users = opt_users[:core_len]
     core_slots = opt_slots[:core_len]
 
@@ -291,14 +300,10 @@ def compute_diagnostic_sets(
 
     # Always-true sandwich fact, asserted on every diagnostic pass; the
     # instance-level ones were asserted when the optimum was built.
-    obs_cano = canonical_from_sorted(
-        [u for u in cano.sorted_users if u.mediator in observed_m],
-        [b for b in cano.sorted_slots if b.advertiser in observed_a],
-        view,
-    )
+    observed_size = len(optimum.pairs_within(observed_m | observed_a)[0])
     lo = min(opt_users_observed, opt_slots_observed)
     hi = max(opt_users_observed, opt_slots_observed)
-    if not lo <= obs_cano.size <= hi:
+    if not lo <= observed_size <= hi:
         raise AssertionError("observed canonical size escaped the min/max sandwich")
 
     return DiagnosticSets(
@@ -313,7 +318,7 @@ def compute_diagnostic_sets(
         trailing_count=f,
         trailing_mediators=trailing_m,
         trailing_advertisers=trailing_a,
-        observed_canonical_size=obs_cano.size,
+        observed_canonical_size=observed_size,
         flags=flags,
     )
 
@@ -412,8 +417,8 @@ def competitive_ratio_experiment(
     passes it when tau >= 1 but amounts tie, and its ratio is undefined.
 
     Per point, the offline optimum is prepared once: every run shares its
-    true view, and each run's reachable optimum filters its sorted orders
-    down to the unobserved entities.
+    true view, and each run's reachable optimum is its ``pairs_within`` the
+    entities the run left unobserved.
     """
     import numpy as np  # only this experiment needs it; keeps the package import light
 
@@ -426,6 +431,7 @@ def competitive_ratio_experiment(
         opt = optimum.gain
         if opt <= 0:
             raise ValueError(f"alpha={alpha}: optimum gain is {opt}, ratio undefined; pick another instance")
+        entities = frozenset(instance.entity_ids)
         ratios = np.empty(n_seeds)
         reachable_ratios = np.empty(n_seeds)
         r_used = None
@@ -434,14 +440,9 @@ def competitive_ratio_experiment(
             outcome = truthful_run(instance, config, view=view)
             r_used = outcome.r
             ratios[i] = float(Fraction(outcome.gft, opt))
-            observed_m = set(outcome.observed_mediators)
-            observed_a = set(outcome.observed_advertisers)
-            post_cano = canonical_from_sorted(
-                [u for u in optimum.cano.sorted_users if u.mediator not in observed_m],
-                [b for b in optimum.cano.sorted_slots if b.advertiser not in observed_a],
-                view,
-            )
-            reachable = sum(view.slot_values[b] - view.user_costs[u] for u, b in post_cano.ordered_pairs)
+            unobserved = entities.difference(outcome.observed_mediators, outcome.observed_advertisers)
+            users, slots = optimum.pairs_within(unobserved)
+            reachable = gain_from_trade(zip(users, slots), view)
             if reachable > 0:
                 reachable_ratios[i] = float(Fraction(outcome.gft, reachable))
             elif outcome.gft == 0:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .market import Assignment, Instance, MarketView, Money, SlotRef, UserRef, true_view
+from .market import Instance, MarketView, Money, SlotRef, UserRef, gain_from_trade, true_view
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,6 @@ class CanonicalAssignment:
             raise ValueError(f"location {location} outside 1..{self.size}")
         return self.ordered_pairs[location - 1][1]
 
-    def as_assignment(self) -> Assignment:
-        return Assignment(self.ordered_pairs)
-
 
 def _profitable_prefix(user_keys: Iterable[tuple], slot_keys: Iterable[tuple]) -> int:
     """How many leading pairs of increasing user keys and decreasing slot keys
@@ -63,22 +60,12 @@ def _profitable_prefix(user_keys: Iterable[tuple], slot_keys: Iterable[tuple]) -
 def canonical_assignment(
     users: Iterable[UserRef], slots: Iterable[SlotRef], view: MarketView
 ) -> CanonicalAssignment:
+    """Sort users by increasing and slots by decreasing key, then pair the
+    profitable prefix. Keys are distinct, so any subset of the sorted orders,
+    kept in order, is sorted too: ``analysis.OfflineOptimum.pairs_within``
+    filters them instead of re-sorting a sub-market."""
     sorted_users = sorted(users, key=view.user_keys.__getitem__)
     sorted_slots = sorted(slots, key=view.slot_keys.__getitem__, reverse=True)
-    return canonical_from_sorted(sorted_users, sorted_slots, view)
-
-
-def canonical_from_sorted(
-    sorted_users: Sequence[UserRef], sorted_slots: Sequence[SlotRef], view: MarketView
-) -> CanonicalAssignment:
-    """The canonical assignment of users already in increasing key order and
-    slots already in decreasing key order.
-
-    Keys are distinct, so any subset of a canonical assignment's
-    ``sorted_users``/``sorted_slots``, kept in order, is the sorted order of
-    that sub-market: filtering them gives its canonical assignment without
-    re-sorting.
-    """
     size = _profitable_prefix(
         map(view.user_keys.__getitem__, sorted_users), map(view.slot_keys.__getitem__, sorted_slots)
     )
@@ -106,7 +93,7 @@ def optimal_gain(instance: Instance) -> Money:
     """Gain from trade of the canonical assignment on the true market."""
     view = true_view(instance)
     cano = canonical_assignment(view.all_users, view.all_slots, view)
-    return sum(view.slot_values[b] - view.user_costs[u] for u, b in cano.ordered_pairs)
+    return gain_from_trade(cano.ordered_pairs, view)
 
 
 def brute_force_optimal_gft(

@@ -234,7 +234,11 @@ class ReportProfile:
             raise ValueError("report profile must cover exactly the instance's entities")
 
     def with_user_cost(self, user: UserRef, cost: Money) -> "ReportProfile":
-        costs = list(self.mediator_costs[user.mediator])
+        """The profile with one reported user cost changed; ``ValueError`` if
+        ``user`` is not among the reported users (a negative index too)."""
+        costs = list(self.mediator_costs.get(user.mediator, ()))
+        if not 0 <= user.user_index < len(costs):
+            raise ValueError(f"unknown user {user}")
         costs[user.user_index] = cost
         new = dict(self.mediator_costs)
         new[user.mediator] = tuple(costs)
@@ -354,16 +358,16 @@ class Assignment:
         return len(self.pairs)
 
 
-def gain_from_trade(assignment: Assignment, view: MarketView) -> Money:
-    """Exact sum of slot value minus user cost over the assigned pairs."""
-    total = 0
-    for user, slot in assignment.pairs:
-        if user not in view.user_costs:
-            raise ValueError(f"assignment references unknown user {user}")
-        if slot not in view.slot_values:
-            raise ValueError(f"assignment references unknown slot {slot}")
-        total += view.slot_values[slot] - view.user_costs[user]
-    return total
+def gain_from_trade(pairs: Iterable[tuple[UserRef, SlotRef]], view: MarketView) -> Money:
+    """Exact sum of slot value minus user cost over ``(user, slot)`` pairs, the
+    one place a gain from trade is summed. A user or slot the view does not
+    hold is a ``ValueError`` naming it."""
+    try:
+        return sum(view.slot_values[b] - view.user_costs[u] for u, b in pairs)
+    except KeyError as e:
+        (ref,) = e.args
+        kind = "user" if isinstance(ref, UserRef) else "slot"
+        raise ValueError(f"pairs reference unknown {kind} {ref}") from None
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from .market import (
     SlotRef,
     TieKey,
     UserRef,
+    gain_from_trade,
     report_view,
     validate_instance,
 )
@@ -84,11 +85,6 @@ def at_most_cbrt(x: int | Fraction, coeff: int | Fraction, alpha: int | Fraction
     if xn <= 0:
         return True
     return xn**3 * coeff.denominator**3 * alpha.denominator <= coeff.numerator**3 * alpha.numerator * x.denominator**3
-
-
-def cbrt_term_dominates(total: int | Fraction, coeff: Fraction, alpha: Fraction) -> bool:
-    """Exactly decide total - coeff * alpha^(1/3) <= 0 (total, coeff >= 0)."""
-    return at_most_cbrt(total, coeff, alpha)
 
 
 def ceil_minus_cbrt(total: int, coeff: Fraction, alpha: Fraction) -> int:
@@ -161,8 +157,8 @@ class Thresholds:
         return self.slot_key is not None and key > self.slot_key
 
 
-def dummy_thresholds(observed_size: int = 0, injected: bool = False) -> Thresholds:
-    return Thresholds(None, None, None, observed_size, injected)
+def dummy_thresholds(observed_size: int = 0) -> Thresholds:
+    return Thresholds(None, None, None, observed_size)
 
 
 def injected_thresholds(user_key: TieKey, slot_key: TieKey) -> Thresholds:
@@ -191,21 +187,18 @@ def compute_thresholds(
 ) -> Thresholds:
     """Step 2: price off the canonical assignment of the observed sub-market.
 
-    The location is ceil((1 - 2/r * alpha^(1/3)) * s) for s observed canonical
-    pairs; if the expression is <= 0 the thresholds degenerate to the dummy
-    pair and the run will trade nothing.
+    The location is k = ceil((1 - 2/r * alpha^(1/3)) * s) for s observed
+    canonical pairs, which lies in 1..s whenever it is positive; k <= 0,
+    s = 0 included, degenerates to the dummy pair and the run trades nothing.
     """
     users = view.users_of(observed_mediators)
     slots = view.slots_of(observed_advertisers)
     cano = canonical_assignment(users, slots, view)
     s = cano.size
-    if s == 0 or cbrt_term_dominates(s, Fraction(2 * s) / Fraction(r), alpha):
+    k = max(0, ceil_minus_cbrt(s, Fraction(2 * s) / r, alpha))
+    if k == 0:
         return dummy_thresholds(observed_size=s)
-    k = ceil_minus_cbrt(s, Fraction(2 * s) / Fraction(r), alpha)
-    k = max(1, min(k, s))
-    p_hat = cano.user_at(k)
-    b_hat = cano.slot_at(k)
-    return Thresholds(view.user_keys[p_hat], view.slot_keys[b_hat], k, s)
+    return Thresholds(view.user_keys[cano.user_at(k)], view.slot_keys[cano.slot_at(k)], k, s)
 
 
 class Trade(NamedTuple):
@@ -456,8 +449,6 @@ def run_mechanism(
         raise ValueError("run_mechanism needs reports or their view")
     alpha = Fraction(config.alpha)
     r = config.resolved_r()
-    if config.variant not in VARIANTS:
-        raise ValueError(f"unknown engine variant {config.variant!r}")
     check = validate_instance(instance, alpha)
     if not check.ok:
         raise ValueError("instance fails mechanism assumptions: " + "; ".join(check.violations))
@@ -465,7 +456,7 @@ def run_mechanism(
     rng = random.Random(config.seed)
     if config.forced_arrival_order is not None:
         arrival = list(config.forced_arrival_order)
-        if sorted(map(str, arrival)) != sorted(map(str, instance.entity_ids)):
+        if len(arrival) != instance.n_entities or set(arrival) != set(instance.entity_ids):
             raise ValueError("forced_arrival_order must be a permutation of the instance's entities")
     else:
         arrival = list(instance.entity_ids)
@@ -496,7 +487,7 @@ def run_mechanism(
         state.process_arrival(entity)
 
     assignment = Assignment(tuple(state.pairs))
-    gft = sum(view.slot_values[b] - view.user_costs[u] for u, b in state.pairs)
+    gft = gain_from_trade(assignment.pairs, view)
     return MechanismOutcome(
         alpha=alpha,
         r=r,

@@ -284,7 +284,9 @@ def _dedupe(cases: list[DeviationCase], truth_payload) -> list[DeviationCase]:
     seen = {truth_payload}
     out = []
     for c in cases:
-        payload = c.user_cost if c.user_cost is not None else (c.mediator_costs or c.advertiser_slots)
+        payload = c.user_cost
+        if payload is None:  # an empty cost vector is a payload too
+            payload = c.advertiser_slots if c.mediator_costs is None else c.mediator_costs
         if payload in seen:
             continue
         seen.add(payload)
@@ -313,13 +315,14 @@ def generate_misreports(player, instance: Instance, rng: random.Random, k: int) 
         costs = instance.mediator(player).user_costs
         n = len(costs)
         pool: list[tuple[str, tuple[Money, ...]]] = []
-        cheapest = min(range(n), key=lambda i: costs[i])
-        pool.append(("drop cheapest user", tuple(c for i, c in enumerate(costs) if i != cheapest)))
-        if n > 1:
-            drop = rng.randrange(n)
-            pool.append((f"drop user {drop}", tuple(c for i, c in enumerate(costs) if i != drop)))
-        dup = rng.randrange(n)
-        pool.append((f"duplicate user {dup}", costs + (costs[dup],)))
+        if n:  # a mediator with no users has none to drop or duplicate
+            cheapest = min(range(n), key=lambda i: costs[i])
+            pool.append(("drop cheapest user", tuple(c for i, c in enumerate(costs) if i != cheapest)))
+            if n > 1:
+                drop = rng.randrange(n)
+                pool.append((f"drop user {drop}", tuple(c for i, c in enumerate(costs) if i != drop)))
+            dup = rng.randrange(n)
+            pool.append((f"duplicate user {dup}", costs + (costs[dup],)))
         pool.append(("append fake cheap user", costs + (0,)))
         pool.append(("append two fake cheap users", costs + (0, 0)))
         pool.append(("append fake expensive user", costs + (big,)))

@@ -67,6 +67,11 @@ def worked_example():
     return instance, config
 
 
+def zero_user_instance():
+    """Two mediators, m1 with no users at all: a valid instance at alpha = 1."""
+    return build_instance([[1, 3], []], [(1, 7), (1, 6)], seed=0)
+
+
 def desk_instance(seed, n_mediators=3, n_advertisers=3):
     """Small random instance valid at alpha = 1, for injected-threshold runs."""
     return generate_instance(
@@ -112,6 +117,15 @@ def organic_instance(seed, per_side=80):
 
 
 ORGANIC_ALPHA = Fraction(1, 70)
+
+# (alpha, r) pairs for the threshold location and the core length: alpha =
+# 1/64 with r = 1/2 puts both on their exact zero boundary, 1/65 just inside.
+LOCATION_GRID = tuple(
+    (Fraction(alpha), r)
+    for alpha in (1, Fraction(1, 8), Fraction(1, 27), Fraction(1, 64), Fraction(1, 65), Fraction(1, 80),
+                  Fraction(3, 700), Fraction(1, 1000), Fraction(1, 10**6))
+    for r in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(7, 25), Fraction(1, 10), Fraction(1, 50))
+)
 
 
 def replay_corpus():

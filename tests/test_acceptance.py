@@ -111,7 +111,7 @@ def test_criterion_01_canonical_matches_brute_force():
         inst = build_instance(costs, slots, seed=rng.randrange(2**30))
         view = true_view(inst)
         cano = canonical_assignment(view.all_users, view.all_slots, view)
-        got = gain_from_trade(cano.as_assignment(), view)
+        got = gain_from_trade(cano.ordered_pairs, view)
         want = brute_force_optimal_gft(view.all_users, view.all_slots, view)
         assert got == want, f"canonical {got} != brute force {want} on {inst}"
     elapsed = time.monotonic() - start

@@ -33,9 +33,8 @@ from observeprice import (
 import observeprice
 from observeprice import analysis
 from observeprice.analysis import clamp01, competitive_ratio_bound
-from observeprice.canonical import canonical_from_sorted
-from observeprice.mechanism import cbrt_term_dominates, ceil_minus_cbrt
-from conftest import ORGANIC_ALPHA, build_instance, organic_instance, sandwich_corpus
+from observeprice.mechanism import at_most_cbrt, ceil_minus_cbrt
+from conftest import LOCATION_GRID, ORGANIC_ALPHA, build_instance, organic_instance, sandwich_corpus
 
 
 def test_package_import_leaves_numpy_unloaded():
@@ -162,6 +161,15 @@ def _reference_abs_dev_within_cbrt(count, r, total, alpha, tau_):
     return d**3 <= Fraction(alpha) * tau_**3
 
 
+def _branched_core_length(tau_, r, alpha):
+    """The core length as it was computed before its one-line rule: a zero
+    pre-branch, then a clamp into 0..tau."""
+    coeff = Fraction(6 * tau_) / r
+    if at_most_cbrt(tau_, coeff, alpha):
+        return 0
+    return max(0, min(tau_, ceil_minus_cbrt(tau_, coeff, alpha)))
+
+
 def _reference_diagnostic_sets(instance, outcome, rng, view=None, cano=None):
     """``compute_diagnostic_sets`` as it was before the offline optimum was
     prepared once per instance: every pass rebuilds the optimum's sets and
@@ -179,11 +187,7 @@ def _reference_diagnostic_sets(instance, outcome, rng, view=None, cano=None):
     opt_slots = tuple(b for _, b in cano.ordered_pairs)
     ell = view.slot_values[opt_slots[-1]]
 
-    coeff = Fraction(6 * tau_) / r
-    if cbrt_term_dominates(tau_, coeff, alpha):
-        core_len = 0
-    else:
-        core_len = max(0, min(tau_, ceil_minus_cbrt(tau_, coeff, alpha)))
+    core_len = _branched_core_length(tau_, r, alpha)
     core_users = opt_users[:core_len]
     core_slots = opt_slots[:core_len]
 
@@ -246,7 +250,7 @@ def _reference_diagnostic_sets(instance, outcome, rng, view=None, cano=None):
         clearing_within_optimum=clearing_within,
     )
 
-    obs_cano = canonical_from_sorted(
+    obs_cano = canonical_assignment(
         [u for u in cano.sorted_users if u.mediator in observed_m],
         [b for b in cano.sorted_slots if b.advertiser in observed_a],
         view,
@@ -365,6 +369,52 @@ def test_tampered_optimum_fails_its_sandwich_asserts():
         replace(optimum, ell=max(costs) - 1)
     with pytest.raises(AssertionError, match="ell exceeds"):
         replace(optimum, ell=max(optimum.view.slot_values.values()) + 1)
+
+
+def test_core_length_matches_the_branched_rule():
+    """tau one-user mediators against tau one-slot advertisers have tau
+    optimal pairs; their runs are diagnosed as if priced over the (alpha, r)
+    grid, for tau in 1..40 (tau = 0 has no optimum to diagnose)."""
+    with pytest.raises(ValueError, match="tau=0"):
+        offline_optimum(build_instance([[9]], [(1, 1)], seed=0))
+    for tau_ in range(1, 41):
+        inst = build_instance([[1]] * tau_, [(1, 9)] * tau_, seed=0)
+        optimum = offline_optimum(inst)
+        outcome = truthful_run(inst, MechanismConfig(alpha=Fraction(1), seed=tau_), view=optimum.view)
+        for alpha, r in LOCATION_GRID:
+            priced = replace(outcome, alpha=alpha, r=r)
+            diag = compute_diagnostic_sets(inst, priced, random.Random(0), optimum=optimum)
+            assert diag.tau == tau_
+            want = _branched_core_length(tau_, r, alpha)
+            assert len(diag.core_users) == len(diag.core_slots) == want, (tau_, r, alpha)
+            if alpha == Fraction(1, 64) and r == Fraction(1, 2):
+                assert diag.core_users == ()  # tau - 6 tau/r * alpha^(1/3) = -2 tau
+
+
+def test_pairs_within_is_the_sub_market_canonical_assignment():
+    """For the observed and the unobserved entities of 20 runs at alpha =
+    1/80, and for none and all of them, the filtered prefix pairs up exactly
+    as ``canonical_assignment`` re-sorting that sub-market does."""
+    alpha = Fraction(1, 80)
+    inst = matched_family(alpha, seed=0)
+    optimum = offline_optimum(inst)
+    view = optimum.view
+    entities = frozenset(inst.entity_ids)
+    subsets = [frozenset(), entities]
+    for seed in range(20):
+        out = truthful_run(inst, MechanismConfig(alpha=alpha, seed=seed), view=view)
+        observed = frozenset(out.observed_mediators + out.observed_advertisers)
+        subsets += [observed, entities - observed]
+    for sub in subsets:
+        users, slots = optimum.pairs_within(sub)
+        want = canonical_assignment(
+            view.users_of(e for e in inst.entity_ids if e in sub and e.kind == "mediator"),
+            view.slots_of(e for e in inst.entity_ids if e in sub and e.kind == "advertiser"),
+            view,
+        )
+        assert len(users) == len(slots) == want.size
+        assert tuple(zip(users, slots)) == want.ordered_pairs
+    assert len(optimum.pairs_within(entities)[0]) == optimum.cano.size == 400
 
 
 # -- experiments ------------------------------------------------------------------

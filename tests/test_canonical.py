@@ -28,14 +28,14 @@ def test_zip_stops_at_first_unprofitable_pair():
     inst = build_instance([[1, 3, 6]], [(1, 5), (1, 4), (1, 2)], seed=0)
     canon, view = _canon(inst)
     assert canon.size == 2
-    assert gain_from_trade(canon.as_assignment(), view) == (5 - 1) + (4 - 3)
+    assert gain_from_trade(canon.ordered_pairs, view) == (5 - 1) + (4 - 3)
 
 
 def test_two_by_two_gain():
     inst = build_instance([[1, 2]], [(1, 10), (1, 9)], seed=0)
     canon, view = _canon(inst)
     assert canon.size == 2
-    assert gain_from_trade(canon.as_assignment(), view) == 16
+    assert gain_from_trade(canon.ordered_pairs, view) == 16
 
 
 def test_tau_counts_only_profitable_prefix():
@@ -120,7 +120,7 @@ def test_matches_brute_force_on_random_instances():
         )
         view = true_view(inst)
         canon = canonical_assignment(view.all_users, view.all_slots, view)
-        got = gain_from_trade(canon.as_assignment(), view)
+        got = gain_from_trade(canon.ordered_pairs, view)
         want = brute_force_optimal_gft(view.all_users, view.all_slots, view)
         assert got == want, f"trial {trial}: canonical {got} != brute force {want}"
 
@@ -140,7 +140,7 @@ def test_optimal_gain_equals_brute_force_on_subsets():
         users = view.users_of(meds)
         slots = view.slots_of(ads)
         canon = canonical_assignment(users, slots, view)
-        got = gain_from_trade(canon.as_assignment(), view)
+        got = gain_from_trade(canon.ordered_pairs, view)
         assert got == brute_force_optimal_gft(users, slots, view)
 
 

@@ -9,7 +9,7 @@ from observeprice import verify
 from observeprice.cli import main
 from observeprice.verify import SweepResult
 from observeprice.serialize import SCHEMA_VERSION, instance_to_text, money_from_text, money_to_text
-from conftest import ORGANIC_ALPHA, organic_instance
+from conftest import ORGANIC_ALPHA, organic_instance, zero_user_instance
 
 
 def _generate(tmp_path, name="inst.json", seed="0", alpha="1"):
@@ -229,6 +229,17 @@ def test_verify_with_incentive_sweep(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "incentive sweep" in out
+    assert "PASS" in out
+
+
+def test_verify_handles_a_mediator_with_no_users(tmp_path, capsys):
+    path = tmp_path / "zero_user.json"
+    path.write_text(instance_to_text(zero_user_instance()), encoding="utf-8")
+    code = main(["verify", "--instance", str(path), "--alpha", "1",
+                 "--runs", "4", "--deviations", "5", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "incentive sweep: 60 deviation comparisons, 0 profitable deviations" in out
     assert "PASS" in out
 
 

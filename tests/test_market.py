@@ -25,7 +25,7 @@ from observeprice import (
     validate_instance,
 )
 from observeprice.market import _build_view
-from conftest import build_instance, desk_instance, organic_instance
+from conftest import build_instance, desk_instance, organic_instance, worked_example
 
 
 def test_money_from_units():
@@ -170,6 +170,17 @@ def test_with_user_cost_changes_one_entry():
     assert reports.mediator_costs[mediator_id(0)] == (1, 8)
 
 
+def test_with_user_cost_rejects_unknown_users():
+    """A negative index must not edit the last user, nor an index past the
+    list raise a bare ``IndexError``: both name the unknown user."""
+    inst, _ = worked_example()
+    truthful = ReportProfile.truthful(inst)
+    for index in (-1, 3):
+        with pytest.raises(ValueError, match=rf"unknown user m0:{index}$"):
+            truthful.with_user_cost(UserRef(mediator_id(0), index), 99)
+    assert truthful.with_user_cost(UserRef(mediator_id(0), 2), 99).mediator_costs[mediator_id(0)] == (1, 3, 99)
+
+
 def test_report_view_reflects_misreports():
     inst = build_instance([[1, 2]], [(1, 9)], seed=1)
     deviant = ReportProfile.truthful(inst).with_advertiser_slots(advertiser_id(0), 3, 4)
@@ -194,16 +205,22 @@ def test_gain_from_trade_sums_margins():
         (UserRef(mediator_id(0), 0), SlotRef(advertiser_id(0), 0)),
         (UserRef(mediator_id(0), 1), SlotRef(advertiser_id(0), 1)),
     )
-    assert gain_from_trade(Assignment(pairs), view) == (7 - 1) + (7 - 3)
-    assert gain_from_trade(Assignment(pairs[:1]), view) == 6
+    assert gain_from_trade(pairs, view) == (7 - 1) + (7 - 3)
+    assert gain_from_trade(pairs[:1], view) == 6
+    assert gain_from_trade(iter(pairs), view) == 10  # any iterable, read once
+    assert gain_from_trade((), view) == 0
 
 
 def test_gain_from_trade_rejects_dangling_refs():
     inst = build_instance([[1]], [(1, 7)], seed=0)
     view = true_view(inst)
-    ghost = (UserRef(mediator_id(5), 0), SlotRef(advertiser_id(0), 0))
-    with pytest.raises(ValueError):
-        gain_from_trade(Assignment((ghost,)), view)
+    real = (UserRef(mediator_id(0), 0), SlotRef(advertiser_id(0), 0))
+    ghost_user = (UserRef(mediator_id(5), 0), SlotRef(advertiser_id(0), 0))
+    ghost_slot = (UserRef(mediator_id(0), 0), SlotRef(advertiser_id(0), 1))
+    with pytest.raises(ValueError, match=r"unknown user m5:0$"):
+        gain_from_trade((real, ghost_user), view)
+    with pytest.raises(ValueError, match=r"unknown slot a0:1$"):
+        gain_from_trade((real, ghost_slot), view)
 
 
 def test_validate_instance_passes_balanced_market():

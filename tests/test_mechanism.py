@@ -28,9 +28,10 @@ from observeprice import (
     truthful_run,
 )
 from observeprice.analysis import _abs_dev_within_cbrt
-from observeprice.mechanism import MechanismState, Thresholds, _iroot6, at_most_cbrt, cbrt_term_dominates
+from observeprice.mechanism import MechanismState, Thresholds, _iroot6, at_most_cbrt
 from observeprice.serialize import outcome_to_doc
 from conftest import (
+    LOCATION_GRID,
     ORGANIC_ALPHA,
     build_instance,
     desk_config,
@@ -93,10 +94,10 @@ def test_sample_observation_count_extremes():
 # -- threshold arithmetic --------------------------------------------------------
 
 
-def test_cbrt_term_dominates_exact_boundary():
+def test_at_most_cbrt_exact_boundary():
     # total**3 <= coeff**3 * alpha, checked without floats
-    assert cbrt_term_dominates(1, Fraction(2), Fraction(1, 8))
-    assert not cbrt_term_dominates(1, Fraction(2), Fraction(1, 9))
+    assert at_most_cbrt(1, Fraction(2), Fraction(1, 8))
+    assert not at_most_cbrt(1, Fraction(2), Fraction(1, 9))
 
 
 def test_ceil_minus_cbrt_frozen():
@@ -117,7 +118,7 @@ def test_ceil_minus_cbrt_is_minimal_ceiling():
 
 
 def _fraction_cbrt_term_dominates(total, coeff, alpha):
-    """The ``Fraction`` formula ``cbrt_term_dominates`` had before the integer helper."""
+    """The ``Fraction`` formula of total - coeff * alpha^(1/3) <= 0 before the integer helper."""
     total = Fraction(total)
     if total <= 0:
         return True
@@ -163,7 +164,7 @@ def test_integer_cbrt_helper_matches_the_fraction_formulas(p, q, cube, total, st
     root = Fraction(p, q)  # alpha^(1/3) when alpha is a cube
     # total against coeff * alpha^(1/3) = total + step
     coeff = Fraction(total + step, 1) / root if cube and total + step >= 0 else Fraction(total + 1, q)
-    assert cbrt_term_dominates(total, coeff, alpha) == _fraction_cbrt_term_dominates(total, coeff, alpha)
+    assert at_most_cbrt(total, coeff, alpha) == _fraction_cbrt_term_dominates(total, coeff, alpha)
     assert ceil_minus_cbrt(total, coeff, alpha) == _fraction_ceil_minus_cbrt(total, coeff, alpha)
     if cube:
         edge = coeff * root
@@ -236,6 +237,33 @@ def test_compute_thresholds_empty_observation_is_dummy():
     th = compute_thresholds(view, [], [advertiser_id(0)], Fraction(1, 2), Fraction(1, 1000))
     assert th.is_dummy
     assert th.observed_size == 0
+
+
+def _branched_location(s, r, alpha):
+    """The threshold location as it was computed before its one-line rule: a
+    dummy pre-branch, then a clamp into 1..s. ``None`` is the dummy pair."""
+    if s == 0 or at_most_cbrt(s, Fraction(2 * s) / r, alpha):
+        return None
+    return max(1, min(ceil_minus_cbrt(s, Fraction(2 * s) / r, alpha), s))
+
+
+def test_threshold_location_matches_the_branched_rule():
+    """s one-user mediators observed against s one-slot advertisers are s
+    observed canonical pairs, for s in 0..40 over the (alpha, r) grid."""
+    inst = build_instance([[1]] * 40, [(1, 9)] * 40, seed=0)
+    view = true_view(inst)
+    meds = [m.id for m in inst.mediators]
+    ads = [a.id for a in inst.advertisers]
+    for alpha, r in LOCATION_GRID:
+        for s in range(41):
+            th = compute_thresholds(view, meds[:s], ads[:s], r, alpha)
+            assert th.observed_size == s
+            assert th.location == _branched_location(s, r, alpha), (s, r, alpha)
+            assert th.is_dummy == (th.location is None)
+    # s - 2s/r * alpha^(1/3) is exactly 0 at alpha = 1/64, r = 1/2: dummy
+    for s in range(41):
+        assert compute_thresholds(view, meds[:s], ads[:s], Fraction(1, 2), Fraction(1, 64)).is_dummy
+        assert compute_thresholds(view, meds[:s], ads[:s], Fraction(1, 2), Fraction(1, 65)).is_dummy == (s == 0)
 
 
 # -- the worked run --------------------------------------------------------------
@@ -403,7 +431,7 @@ def test_config_validates_r_and_variant():
     with pytest.raises(ValueError):
         MechanismConfig(alpha=Fraction(1, 2), r=Fraction(0)).resolved_r()
     inst = build_instance([[1], [2]], [(1, 9), (1, 9)], seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown engine variant 'banana'"):
         truthful_run(inst, MechanismConfig(alpha=Fraction(1), variant="banana"))
 
 
@@ -414,12 +442,14 @@ def test_run_rejects_invalid_instance_alpha_pair():
 
 
 def test_forced_arrival_order_must_be_permutation():
+    """Of the ids themselves: strings that print as the ids are none."""
     inst = build_instance([[1], [2]], [(1, 9), (1, 9)], seed=0)
-    with pytest.raises(ValueError):
-        truthful_run(
-            inst,
-            MechanismConfig(alpha=Fraction(1), forced_arrival_order=(mediator_id(0),)),
-        )
+    m0, m1, a0, a1 = mediator_id(0), mediator_id(1), advertiser_id(0), advertiser_id(1)
+    for order in ((m0,), ("m0", "m1", "a0", "a1"), (m0, m0, a0, a1), (m0, m1, a0, a1, a1)):
+        with pytest.raises(ValueError, match="permutation"):
+            truthful_run(inst, MechanismConfig(alpha=Fraction(1), forced_arrival_order=order))
+    out = truthful_run(inst, MechanismConfig(alpha=Fraction(1), forced_arrival_order=(a1, m1, a0, m0)))
+    assert out.arrival_order == (a1, m1, a0, m0)
 
 
 def test_forced_observation_count_bounds():

@@ -40,10 +40,9 @@ from observeprice import (
     utility_trajectory,
 )
 from observeprice import verify
-from observeprice.canonical import canonical_from_sorted
 from observeprice.serialize import outcome_to_doc
 from observeprice.verify import RUN_CHECKS, deviation_test
-from conftest import ORGANIC_ALPHA, desk_config, desk_instance, organic_instance, worked_example
+from conftest import ORGANIC_ALPHA, desk_config, desk_instance, organic_instance, worked_example, zero_user_instance
 
 
 def _worked_run(variant="standard"):
@@ -229,6 +228,21 @@ def test_mediator_misreports_include_length_changes():
     true_len = len(inst.mediator(mediator).user_costs)
     assert any(n < true_len for n in lengths)
     assert any(n > true_len for n in lengths)
+
+
+def test_mediator_with_no_users_gets_misreports_and_sweeps():
+    """A mediator with no users has none to drop or duplicate, and an empty
+    vector is its truthful report, so it is left with fabricated users only;
+    the incentive sweep runs on it for every rng seed."""
+    inst = zero_user_instance()
+    cases = generate_misreports(mediator_id(1), inst, random.Random(0), 100)
+    assert sorted(c.mediator_costs for c in cases) == [(0,), (0, 0), (10**12,)]
+    for seed in range(20):
+        result = incentive_sweep(
+            [(inst, MechanismConfig(alpha=Fraction(1)))], misreports_per_role=5, seeds_per_case=4, rng=random.Random(seed)
+        )
+        assert result.ok, (seed, result.violations)
+        assert result.deviation_pairs == 60
 
 
 def test_deviation_case_apply_targets_one_player():
@@ -557,7 +571,7 @@ def test_experiments_with_shared_views_match_per_run_rebuilds():
         shared = compute_diagnostic_sets(inst, out, random.Random(seed ^ 0x9E3779B9), optimum=optimum)
         assert shared == diag, seed
         obs = canonical_assignment(view.users_of(out.observed_mediators), view.slots_of(out.observed_advertisers), view)
-        filtered = canonical_from_sorted(
+        filtered = canonical_assignment(
             [u for u in cano.sorted_users if u.mediator in observed_m],
             [b for b in cano.sorted_slots if b.advertiser in observed_a],
             view,
