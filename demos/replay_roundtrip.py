@@ -4,7 +4,8 @@ Replayable run reports
 
 Every run serializes to a self-contained JSON report: the instance, the
 reports the mechanism saw, the full configuration, and the outcome. Anyone
-can re-run the report and compare outcomes byte for byte.
+can re-run the report and compare outcomes byte for byte. A report is one
+line of compact JSON; `python -m json.tool report.json` prints it indented.
 """
 
 import json
@@ -41,7 +42,7 @@ reports = ReportProfile.truthful(instance)
 config = MechanismConfig(alpha=Fraction(1, 70), seed=3)
 outcome = run_mechanism(instance, reports, config)
 text = run_report_to_text(instance, reports, config, outcome)
-print(f"report is {len(text.splitlines())} lines of JSON, "
+print(f"report is {len(text.encode())} bytes of compact JSON, "
       f"records {len(outcome.assignment)} trades, GfT {money_to_text(outcome.gft)}")
 
 # 2. Replaying the parsed report re-runs the mechanism from the recorded

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, AbstractSet, Mapping, Optional, Sequence
 
-from .canonical import CanonicalAssignment, _profitable_prefix, canonical_assignment
+from .canonical import CanonicalAssignment, canonical_assignment
 from .market import EntityId, Instance, MarketView, Money, SlotRef, TieKey, UserRef, gain_from_trade, true_view
 from .mechanism import (
     MechanismConfig,
@@ -160,11 +160,15 @@ class OfflineOptimum:
         """The canonical assignment of the sub-market of ``entities`` as its
         users and its slots, in pair order. ``cano``'s sorted orders stay
         sorted when filtered, so its pairs are their profitable prefix:
-        nothing is re-sorted and no pair is built."""
+        nothing is re-sorted and no pair is built. Along those orders user
+        keys rise and slot keys fall, so whether the k-th pair trades is true
+        up to the prefix length and false after it: a bisection finds the
+        length from a few keys."""
         users = [u for u in self.cano.sorted_users if u.mediator in entities]
         slots = [b for b in self.cano.sorted_slots if b.advertiser in entities]
-        size = _profitable_prefix(
-            map(self.view.user_keys.__getitem__, users), map(self.view.slot_keys.__getitem__, slots)
+        user_keys, slot_keys = self.view.user_keys, self.view.slot_keys
+        size = bisect_left(
+            range(min(len(users), len(slots))), True, key=lambda k: not slot_keys[slots[k]] > user_keys[users[k]]
         )
         return users[:size], slots[:size]
 

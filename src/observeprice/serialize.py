@@ -11,17 +11,18 @@ nested too deeply to read is a parse error too. Serialization is canonical:
 parsing a document and re-serializing it reproduces the text byte for byte,
 which is what the replay check compares.
 
-Files hold the bytes ``json.dumps(doc, indent=2)`` would write, produced by
-this module's own writer, which escapes strings with the C escaper that
-``json`` itself uses. The document builders format each id once per
-document and build ref texts (``m0:1``) and text-keyed sorts from it.
+Files hold the bytes ``json.dumps(doc, separators=(",", ":")) + "\\n"``
+writes, one line produced by the stdlib's C encoder; ``python -m json.tool``
+prints one indented. The document builders format each id and each amount
+once per document, build ref texts (``m0:1``) and text-keyed sorts from
+them, and a run report shares one such memo across its parts; replay reads
+each amount text of the instance and the reports it re-runs once.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from json.encoder import encode_basestring_ascii as _escape
 from fractions import Fraction
 from typing import Any
 
@@ -36,7 +37,7 @@ from .market import (
 )
 from .mechanism import MechanismConfig, MechanismOutcome, Thresholds, run_mechanism
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class ParseError(Exception):
@@ -114,12 +115,21 @@ def _entity_from_text(text: Any, path: str) -> EntityId:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _money_list(texts: list, path: str) -> tuple[Money, ...]:
-    """``money_from_text`` over ``texts``; an element's path ``path[j]`` is
-    formatted only when that element fails."""
+class _Amounts(dict):
+    """Amount of each money text a document holds, parsed on first use, so
+    an amount a run report repeats across its parts is read once."""
+
+    def __missing__(self, text: Any) -> Money:
+        amount = self[text] = money_from_text(text)
+        return amount
+
+
+def _money_list(texts: list, amounts: _Amounts, path: str) -> tuple[Money, ...]:
+    """The amounts ``texts`` spell, read through ``amounts``; an element's
+    path ``path[j]`` is formatted only when that element fails."""
     try:
-        return tuple(map(money_from_text, texts))
-    except ParseError:
+        return tuple(map(amounts.__getitem__, texts))
+    except (ParseError, TypeError):  # TypeError: an element that cannot be a key, such as a list
         for j, text in enumerate(texts):
             money_from_text(text, f"{path}[{j}]")
         raise
@@ -151,7 +161,7 @@ def _loads(text: str) -> dict:
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}: {exc.msg}") from exc
+        raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise ParseError("top level: nested too deeply to read") from exc
     if not isinstance(doc, dict):
@@ -159,86 +169,23 @@ def _loads(text: str) -> dict:
     return doc
 
 
-_INF = float("inf")
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
-def _write(value: Any, newline: str, out) -> None:
-    """Pass ``value`` to ``out`` in pieces, as ``json.dumps(value, indent=2)``
-    writes it when nested at the indentation ``newline`` ends with.
-
-    Covers what JSON holds (dicts with str keys, lists, str, int, float,
-    bool, None) plus tuples, which ``json`` writes as lists. One frame per
-    nesting level, as the stdlib's pure-Python encoder takes.
-    """
-    if isinstance(value, str):
-        out(_escape(value))
-    elif isinstance(value, dict):
-        if not value:
-            out("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            out(sep)
-            out(_escape(key))
-            out(": ")
-            if type(item) is str:
-                out(_escape(item))
-            else:
-                _write(item, inner, out)
-            sep = "," + inner
-        out(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out("[]")
-            return
-        inner = newline + "  "
-        if isinstance(value[0], str):
-            try:  # a list of strings, such as ids or [user, amount] pairs, in one pass
-                out("[" + inner + ("," + inner).join(map(_escape, value)) + newline + "]")
-                return
-            except TypeError:
-                pass
-        sep = "[" + inner
-        for item in value:
-            out(sep)
-            _write(item, inner, out)
-            sep = "," + inner
-        out(newline + "]")
-    elif value is None:
-        out("null")
-    elif value is True:
-        out("true")
-    elif value is False:
-        out("false")
-    elif isinstance(value, int):
-        out(int.__repr__(value))
-    elif isinstance(value, float):
-        if value != value:
-            out("NaN")
-        elif value == _INF or value == -_INF:
-            out("Infinity" if value > 0 else "-Infinity")
-        else:
-            out(float.__repr__(value))
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _dumps(doc: dict) -> str:
-    """The text ``json.dumps(doc, indent=2) + "\\n"`` writes."""
-    parts: list[str] = []
-    _write(doc, "\n", parts.append)
-    parts.append("\n")
-    return "".join(parts)
+def _text(doc: dict) -> str:
+    """The one encoding of a document: compact JSON from the C encoder."""
+    return _ENCODER.encode(doc) + "\n"
 
 
 class _Texts(dict):
-    """Text of each ``EntityId``, ``UserRef`` and ``SlotRef`` a document
-    names, formatted on first use; a ref's text is built from its entity's,
-    so each id is formatted once per document."""
+    """Text of each Money amount, ``EntityId``, ``UserRef`` and ``SlotRef`` a
+    document names, formatted on first use; a ref's text is built from its
+    entity's, so each amount and each id is formatted once per document."""
 
     def __missing__(self, key: Any) -> str:
-        if isinstance(key, EntityId):
+        if not isinstance(key, tuple):
+            text = money_to_text(key)
+        elif isinstance(key, EntityId):
             text = str(key)
         else:
             entity, index = key
@@ -250,24 +197,28 @@ class _Texts(dict):
 # -- instance ----------------------------------------------------------------
 
 
-def instance_to_doc(instance: Instance) -> dict:
-    texts = _Texts()
+def _instance_doc(instance: Instance, texts: _Texts) -> dict:
+    text = texts.__getitem__
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "instance",
-        "mediators": [
-            {"id": texts[m.id], "user_costs": [money_to_text(c) for c in m.user_costs]}
-            for m in instance.mediators
-        ],
+        "mediators": [{"id": text(m.id), "user_costs": list(map(text, m.user_costs))} for m in instance.mediators],
         "advertisers": [
-            {"id": texts[a.id], "capacity": a.capacity, "value": money_to_text(a.value)}
-            for a in instance.advertisers
+            {"id": text(a.id), "capacity": a.capacity, "value": text(a.value)} for a in instance.advertisers
         ],
-        "tie_order": list(map(texts.__getitem__, instance.tie_order)),
+        "tie_order": list(map(text, instance.tie_order)),
     }
 
 
+def instance_to_doc(instance: Instance) -> dict:
+    return _instance_doc(instance, _Texts())
+
+
 def instance_from_doc(doc: dict, path: str = "instance") -> Instance:
+    return _read_instance(doc, _Amounts(), path)
+
+
+def _read_instance(doc: dict, amounts: _Amounts, path: str) -> Instance:
     _header(doc, "instance", path)
     known: dict[str, EntityId] = {}
     mediators = []
@@ -275,7 +226,7 @@ def instance_from_doc(doc: dict, path: str = "instance") -> Instance:
         mp = f"{path}.mediators[{i}]"
         text = _need(m, "id", mp)
         ident = known[text] = _entity_from_text(text, f"{mp}.id")
-        costs = _money_list(_need(m, "user_costs", mp, list), f"{mp}.user_costs")
+        costs = _money_list(_need(m, "user_costs", mp, list), amounts, f"{mp}.user_costs")
         try:
             mediators.append(MediatorSpec(ident, costs))
         except ValueError as exc:
@@ -299,7 +250,7 @@ def instance_from_doc(doc: dict, path: str = "instance") -> Instance:
 
 
 def instance_to_text(instance: Instance) -> str:
-    return _dumps(instance_to_doc(instance))
+    return _text(instance_to_doc(instance))
 
 
 def instance_from_text(text: str) -> Instance:
@@ -315,26 +266,34 @@ def _by_text(texts: _Texts, mapping: dict) -> list[tuple[str, Any]]:
     return sorted([(texts[key], value) for key, value in mapping.items()])
 
 
-def reports_to_doc(reports: ReportProfile) -> dict:
-    texts = _Texts()
+def _reports_doc(reports: ReportProfile, texts: _Texts) -> dict:
+    text = texts.__getitem__
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "reports",
-        "mediator_costs": {m: [money_to_text(c) for c in costs] for m, costs in _by_text(texts, reports.mediator_costs)},
+        "mediator_costs": {m: list(map(text, costs)) for m, costs in _by_text(texts, reports.mediator_costs)},
         "advertiser_slots": {
-            a: {"capacity": cap, "value": money_to_text(v)} for a, (cap, v) in _by_text(texts, reports.advertiser_slots)
+            a: {"capacity": cap, "value": text(v)} for a, (cap, v) in _by_text(texts, reports.advertiser_slots)
         },
     }
 
 
+def reports_to_doc(reports: ReportProfile) -> dict:
+    return _reports_doc(reports, _Texts())
+
+
 def reports_from_doc(doc: dict, path: str = "reports") -> ReportProfile:
+    return _read_reports(doc, _Amounts(), path)
+
+
+def _read_reports(doc: dict, amounts: _Amounts, path: str) -> ReportProfile:
     _header(doc, "reports", path)
     mediator_costs = {}
     costs_doc = _need(doc, "mediator_costs", path, dict)
     for key in costs_doc:
         ent = _entity_from_text(key, f"{path}.mediator_costs")
         costs = _need(costs_doc, key, f"{path}.mediator_costs", list)
-        mediator_costs[ent] = _money_list(costs, f"{path}.mediator_costs[{key}]")
+        mediator_costs[ent] = _money_list(costs, amounts, f"{path}.mediator_costs[{key}]")
     advertiser_slots = {}
     for key, slot in _need(doc, "advertiser_slots", path, dict).items():
         ent = _entity_from_text(key, f"{path}.advertiser_slots")
@@ -348,7 +307,7 @@ def reports_from_doc(doc: dict, path: str = "reports") -> ReportProfile:
 
 
 def reports_to_text(reports: ReportProfile) -> str:
-    return _dumps(reports_to_doc(reports))
+    return _text(reports_to_doc(reports))
 
 
 def reports_from_text(text: str) -> ReportProfile:
@@ -358,8 +317,8 @@ def reports_from_text(text: str) -> ReportProfile:
 # -- config ------------------------------------------------------------------
 
 
-def _key_to_doc(key: TieKey) -> dict:
-    return {"amount": money_to_text(key.amount), "entity_rank": key.entity_rank, "within_index": key.within_index}
+def _key_to_doc(key: TieKey, texts: _Texts) -> dict:
+    return {"amount": texts[key.amount], "entity_rank": key.entity_rank, "within_index": key.within_index}
 
 
 def _key_from_doc(doc: dict, path: str) -> TieKey:
@@ -371,7 +330,8 @@ def config_to_doc(config: MechanismConfig) -> dict:
     override = None
     if config.threshold_override is not None:
         user_key, slot_key = config.threshold_override
-        override = {"user_key": _key_to_doc(user_key), "slot_key": _key_to_doc(slot_key)}
+        texts = _Texts()
+        override = {"user_key": _key_to_doc(user_key, texts), "slot_key": _key_to_doc(slot_key, texts)}
     return {
         "alpha": fraction_to_text(config.alpha),
         "r": None if config.r is None else fraction_to_text(config.r),
@@ -421,19 +381,19 @@ def config_from_doc(doc: dict, path: str = "config") -> MechanismConfig:
 # -- outcome -----------------------------------------------------------------
 
 
-def _thresholds_to_doc(t: Thresholds) -> dict:
+def _thresholds_to_doc(t: Thresholds, texts: _Texts) -> dict:
     return {
         "dummy": t.is_dummy,
-        "user_key": None if t.user_key is None else _key_to_doc(t.user_key),
-        "slot_key": None if t.slot_key is None else _key_to_doc(t.slot_key),
+        "user_key": None if t.user_key is None else _key_to_doc(t.user_key, texts),
+        "slot_key": None if t.slot_key is None else _key_to_doc(t.slot_key, texts),
         "location": t.location,
         "observed_size": t.observed_size,
         "injected": t.injected,
     }
 
 
-def outcome_to_doc(outcome: MechanismOutcome) -> dict:
-    texts = _Texts()
+def _outcome_doc(outcome: MechanismOutcome, texts: _Texts) -> dict:
+    text = texts.__getitem__
     return {
         "alpha": fraction_to_text(outcome.alpha),
         "r": fraction_to_text(outcome.r),
@@ -442,35 +402,34 @@ def outcome_to_doc(outcome: MechanismOutcome) -> dict:
         "injected_thresholds": outcome.injected_thresholds,
         "forced_arrival": outcome.forced_arrival,
         "forced_observation": outcome.forced_observation,
-        "arrival_order": list(map(texts.__getitem__, outcome.arrival_order)),
+        "arrival_order": list(map(text, outcome.arrival_order)),
         "observation_count": outcome.observation_count,
-        "observed_mediators": list(map(texts.__getitem__, outcome.observed_mediators)),
-        "observed_advertisers": list(map(texts.__getitem__, outcome.observed_advertisers)),
-        "thresholds": _thresholds_to_doc(outcome.thresholds),
+        "observed_mediators": list(map(text, outcome.observed_mediators)),
+        "observed_advertisers": list(map(text, outcome.observed_advertisers)),
+        "thresholds": _thresholds_to_doc(outcome.thresholds, texts),
         "events": [
             {
-                "arrival": texts[e.arrival],
+                "arrival": text(e.arrival),
                 "trades": [
-                    {
-                        "user": texts[t.user],
-                        "slot": texts[t.slot],
-                        "charge": money_to_text(t.charge),
-                        "payment": money_to_text(t.payment),
-                    }
+                    {"user": text(t.user), "slot": text(t.slot), "charge": text(t.charge), "payment": text(t.payment)}
                     for t in e.trades
                 ],
-                "pay_steps": [[texts[u], money_to_text(x)] for u, x in e.pay_steps],
+                "pay_steps": [[text(u), text(x)] for u, x in e.pay_steps],
                 "unassigned_assignable_users": e.unassigned_assignable_users,
                 "unassigned_assignable_slots": e.unassigned_assignable_slots,
             }
             for e in outcome.events
         ],
-        "assignment": [[texts[u], texts[b]] for u, b in outcome.assignment.pairs],
-        "charges": {a: money_to_text(x) for a, x in _by_text(texts, outcome.charges)},
-        "receipts": {m: money_to_text(x) for m, x in _by_text(texts, outcome.receipts)},
-        "final_targets": {texts[u]: money_to_text(x) for u, x in sorted(outcome.final_targets.items())},
-        "gft": money_to_text(outcome.gft),
+        "assignment": [[text(u), text(b)] for u, b in outcome.assignment.pairs],
+        "charges": {a: text(x) for a, x in _by_text(texts, outcome.charges)},
+        "receipts": {m: text(x) for m, x in _by_text(texts, outcome.receipts)},
+        "final_targets": {text(u): text(x) for u, x in sorted(outcome.final_targets.items())},
+        "gft": text(outcome.gft),
     }
+
+
+def outcome_to_doc(outcome: MechanismOutcome) -> dict:
+    return _outcome_doc(outcome, _Texts())
 
 
 # -- run report ----------------------------------------------------------------
@@ -482,18 +441,19 @@ def run_report_to_doc(
     config: MechanismConfig,
     outcome: MechanismOutcome,
 ) -> dict:
+    texts = _Texts()
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "run_report",
-        "instance": instance_to_doc(instance),
-        "reports": reports_to_doc(reports),
+        "instance": _instance_doc(instance, texts),
+        "reports": _reports_doc(reports, texts),
         "config": config_to_doc(config),
-        "outcome": outcome_to_doc(outcome),
+        "outcome": _outcome_doc(outcome, texts),
     }
 
 
 def run_report_to_text(instance, reports, config, outcome) -> str:
-    return _dumps(run_report_to_doc(instance, reports, config, outcome))
+    return _text(run_report_to_doc(instance, reports, config, outcome))
 
 
 def run_report_from_text(text: str) -> dict:
@@ -504,29 +464,61 @@ def run_report_from_text(text: str) -> dict:
     return doc
 
 
-def _compact(doc: Any) -> str:
-    return json.dumps(doc, separators=(",", ":"))
+def _show(value: Any) -> str:
+    if isinstance(value, dict):
+        return "an object"
+    if isinstance(value, list):
+        return "a list"
+    return f"{_ENCODER.encode(value):.40}"
+
+
+def _step(path: str, key: str | int) -> str:
+    return f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}"
+
+
+def _first_difference(recorded: Any, fresh: Any, path: str) -> tuple[str, str, str] | None:
+    """Where ``recorded`` first differs from ``fresh``, in the order their
+    compact texts spell them: the JSON path and both sides shown, or None
+    when the two texts are equal. Types, key orders and lengths count as the
+    texts count them (``1`` is neither ``true`` nor ``1.0``). It descends
+    only into containers ``fresh`` holds, so no deeper than the fresh
+    document, however deep ``recorded`` nests."""
+    if type(recorded) is not type(fresh):
+        return path, _show(recorded), _show(fresh)
+    if isinstance(fresh, dict):
+        recorded_items, fresh_items = list(recorded.items()), list(fresh.items())
+    elif isinstance(fresh, list):
+        recorded_items, fresh_items = list(enumerate(recorded)), list(enumerate(fresh))
+    else:
+        return None if recorded == fresh else (path, _show(recorded), _show(fresh))
+    for (key, value), (fresh_key, fresh_value) in zip(recorded_items, fresh_items):
+        if key != fresh_key:
+            return path, f"key {_show(key)}", f"key {_show(fresh_key)}"
+        found = _first_difference(value, fresh_value, _step(path, key))
+        if found is not None:
+            return found
+    n = len(fresh_items)
+    if len(recorded_items) > n:
+        key, value = recorded_items[n]
+        return _step(path, key), _show(value), "nothing"
+    if len(recorded_items) < n:
+        key, value = fresh_items[len(recorded_items)]
+        return _step(path, key), "nothing", _show(value)
+    return None
 
 
 def replay_run_report(doc: dict) -> tuple[bool, str]:
     """Re-run the embedded configuration and compare outcomes byte for byte.
 
-    The verdict compares compact encodings, which the C encoder writes: they
-    are equal exactly when the ``indent=2`` texts are, since both spell the
-    same token stream and the indentation follows from its structure. The
-    indented texts are built only on a mismatch, to name the first differing
-    line.
+    The verdict compares the compact texts of both outcomes; on a mismatch
+    the message names the first differing JSON path and both values there.
     """
-    instance = instance_from_doc(doc["instance"])
-    reports = reports_from_doc(doc["reports"])
+    amounts = _Amounts()
+    instance = _read_instance(doc["instance"], amounts, "instance")
+    reports = _read_reports(doc["reports"], amounts, "reports")
     config = config_from_doc(doc["config"])
-    fresh = run_mechanism(instance, reports, config)
-    fresh_doc = outcome_to_doc(fresh)
-    if _compact(doc["outcome"]) == _compact(fresh_doc):
+    fresh = outcome_to_doc(run_mechanism(instance, reports, config))
+    if _ENCODER.encode(doc["outcome"]) == _ENCODER.encode(fresh):
         return True, "replay matches recorded outcome exactly"
-    original_text = _dumps(doc["outcome"])
-    fresh_text = _dumps(fresh_doc)
-    for lineno, (a, b) in enumerate(zip(original_text.splitlines(), fresh_text.splitlines()), start=1):
-        if a != b:
-            return False, f"replay diverges at outcome line {lineno}: recorded {a.strip()!r} vs fresh {b.strip()!r}"
-    return False, "replay diverges: outcome lengths differ"
+    path, recorded, now = _first_difference(doc["outcome"], fresh, "outcome")
+    return False, f"replay diverges at {path}: recorded {recorded} vs fresh {now}"

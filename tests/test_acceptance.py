@@ -207,7 +207,7 @@ def test_criterion_07_replay_bit_exact():
         outcome = run_mechanism(inst, reports, cfg)
         text = run_report_to_text(inst, reports, cfg, outcome)
         doc = run_report_from_text(text)
-        assert json.dumps(doc, indent=2) + "\n" == text
+        assert json.dumps(doc, separators=(",", ":")) + "\n" == text
         ok, message = replay_run_report(doc)
         assert ok, message
     print("criterion 7: 100 run reports replayed bit-exactly")

@@ -21,7 +21,12 @@ from observeprice import (
     event_frequency_experiment,
     event_probability_bound,
     injected_thresholds,
+    GeneratorConfig,
+    MICRO,
+    generate_instance,
     matched_family,
+    mediator_id,
+    uniform,
     analytic_bound,
     offline_optimum,
     run_mechanism,
@@ -33,6 +38,7 @@ from observeprice import (
 import observeprice
 from observeprice import analysis
 from observeprice.analysis import clamp01, competitive_ratio_bound
+from observeprice.canonical import _profitable_prefix
 from observeprice.mechanism import at_most_cbrt, ceil_minus_cbrt
 from conftest import LOCATION_GRID, ORGANIC_ALPHA, build_instance, organic_instance, sandwich_corpus
 
@@ -415,6 +421,60 @@ def test_pairs_within_is_the_sub_market_canonical_assignment():
         assert len(users) == len(slots) == want.size
         assert tuple(zip(users, slots)) == want.ordered_pairs
     assert len(optimum.pairs_within(entities)[0]) == optimum.cano.size == 400
+
+
+def _filtered_pairs_within(optimum, entities):
+    """Reference: ``pairs_within`` as a filter over both whole sorted orders,
+    keeping the given entities' refs and counting their profitable prefix."""
+    users = [u for u in optimum.cano.sorted_users if u.mediator in entities]
+    slots = [b for b in optimum.cano.sorted_slots if b.advertiser in entities]
+    size = _profitable_prefix(
+        map(optimum.view.user_keys.__getitem__, users), map(optimum.view.slot_keys.__getitem__, slots)
+    )
+    return users[:size], slots[:size]
+
+
+def _overlapping_instance(seed):
+    """Costs and values drawn from one range, so most sub-markets stop
+    trading before one side runs out."""
+    return generate_instance(
+        GeneratorConfig(
+            n_mediators=40,
+            n_advertisers=40,
+            users_per_mediator=uniform(1, 3),
+            capacity=uniform(1, 3),
+            cost=uniform(0, 2 * MICRO),
+            value=uniform(0, 2 * MICRO),
+            alpha=Fraction(1, 5),
+            seed=seed,
+        )
+    )
+
+
+def test_pairs_within_matches_the_filter_on_random_subsets():
+    """Random entity subsets of the criterion-9 grid instances (where every
+    value beats every cost, so the prefix ends where a side runs out) and
+    of three instances whose costs and values overlap (where it mostly ends
+    at an unprofitable pair), each entity kept with a per-subset
+    probability, plus none and all of them, and an id the instance does not
+    hold (ignored by both)."""
+    rng = random.Random(2016)
+    instances = [matched_family(alpha, seed=0) for alpha in (Fraction(1, 5), Fraction(1, 20), Fraction(1, 80))]
+    instances += [_overlapping_instance(seed) for seed in range(3)]
+    ends = set()
+    for inst in instances:
+        optimum = offline_optimum(inst)
+        subsets = [set(), set(inst.entity_ids), {mediator_id(10**6), *inst.entity_ids[:3]}]
+        for _ in range(100):
+            keep = rng.random()
+            subsets.append({e for e in inst.entity_ids if rng.random() < keep})
+        for sub in subsets:
+            users, slots = want = _filtered_pairs_within(optimum, sub)
+            assert optimum.pairs_within(sub) == want
+            sides = (sum(u.mediator in sub for u in optimum.cano.sorted_users),
+                     sum(b.advertiser in sub for b in optimum.cano.sorted_slots))
+            ends.add(len(users) == min(sides))
+    assert ends == {True, False}
 
 
 # -- experiments ------------------------------------------------------------------

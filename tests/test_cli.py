@@ -8,7 +8,14 @@ import pytest
 from observeprice import verify
 from observeprice.cli import main
 from observeprice.verify import SweepResult
-from observeprice.serialize import SCHEMA_VERSION, instance_to_text, money_from_text, money_to_text
+from observeprice.serialize import (
+    SCHEMA_VERSION,
+    ParseError,
+    instance_to_text,
+    money_from_text,
+    money_to_text,
+    run_report_from_text,
+)
 from conftest import ORGANIC_ALPHA, organic_instance, zero_user_instance
 
 
@@ -148,6 +155,8 @@ def _repeat_key(key, copy):
         ("report", _set(["config", "alpha"], None), "config.alpha: None is not a fraction"),
         ("report", _set(["config", "alpha"], 0.1), "config.alpha: 0.1 is not a fraction"),
         ("report", _set(["schema_version"], 1), "run_report.schema_version: got 1"),
+        ("report", _set(["reports", "mediator_costs", "m0", 0], "007"), "reports.mediator_costs[m0][0]: '007' is not in canonical form, write '7'"),
+        ("report", _set(["instance", "mediators", 0, "user_costs", 0], ["1"]), "instance.mediators[0].user_costs[0]: ['1'] is not"),
         ("instance", _set(["mediators", 0, "user_costs", 0], "1.5\n"), "instance.mediators[0].user_costs[0]: '1.5\\n' is not"),
         ("instance", _set(["advertisers", 0, "capacity"], 10**12), "capacity 1000000000000 > alpha*tau"),
         ("instance", _replace_file("[" * 200_000), "top level: nested too deeply to read"),
@@ -188,10 +197,28 @@ def test_replay_of_a_deeply_nested_outcome_names_the_first_line(tmp_path, capsys
     assert main(["run", "--instance", str(inst), "--alpha", "1", "--seed", "3", "-o", str(report)]) == 0
     doc = json.loads(report.read_text())
     doc["outcome"] = "@"
-    report.write_text(json.dumps(doc, indent=2).replace('"@"', "[" * 900 + "]" * 900))
+    report.write_text(json.dumps(doc).replace('"@"', "[" * 900 + "]" * 900))
     capsys.readouterr()
     assert main(["replay", str(report)]) == 1
-    assert capsys.readouterr().out == "replay diverges at outcome line 1: recorded '[' vs fresh '{'\n"
+    assert capsys.readouterr().out == "replay diverges at outcome: recorded a list vs fresh an object\n"
+
+
+def test_replay_of_a_schema_2_report_exits_one(tmp_path, capsys):
+    """A report as the schema-2 writer wrote it (indented, every
+    ``schema_version`` at 2) is refused with the version named, no traceback."""
+    inst = _generate(tmp_path)
+    report = tmp_path / "report.json"
+    assert main(["run", "--instance", str(inst), "--alpha", "1", "--seed", "3", "-o", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    doc["schema_version"] = doc["instance"]["schema_version"] = doc["reports"]["schema_version"] = 2
+    report.write_text(json.dumps(doc, indent=2) + "\n")
+    with pytest.raises(ParseError) as err:
+        run_report_from_text(report.read_text())
+    assert str(err.value) == "run_report.schema_version: got 2, this reader understands 3"
+    capsys.readouterr()
+    assert main(["replay", str(report)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: run_report.schema_version: got 2, this reader understands 3\n")
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # Lines a demo's output must contain: replay_roundtrip shows both replay verdicts.
 EXPECTED = {
-    "replay_roundtrip.py": ("replay matches recorded outcome exactly", "diverges at outcome line"),
+    "replay_roundtrip.py": ("replay matches recorded outcome exactly", "replay diverges at outcome.gft: recorded"),
 }
 
 

@@ -26,7 +26,6 @@ from observeprice import (
     UserRef,
 )
 from observeprice.serialize import (
-    _dumps,
     config_from_doc,
     config_to_doc,
     fraction_from_text,
@@ -36,7 +35,6 @@ from observeprice.serialize import (
     reports_from_doc,
     reports_to_doc,
     reports_to_text,
-    run_report_to_doc,
 )
 from conftest import build_instance, desk_config, desk_instance, organic_instance, replay_corpus, ORGANIC_ALPHA
 
@@ -197,10 +195,10 @@ def test_readers_reject_a_repeated_object_key(kind, key, copy):
         "run_report": (run_report_to_text(inst, reports, cfg, run_mechanism(inst, reports, cfg)), run_report_from_text),
     }[kind]
     read(text)
-    mark = f'"{key}": '
+    mark = f'"{key}":'
     assert mark in text
     with pytest.raises(ParseError, match=f"repeated object key '{key}'"):
-        read(text.replace(mark, mark + copy + ", " + mark, 1))
+        read(text.replace(mark, mark + copy + "," + mark, 1))
 
 
 # -- run reports and replay ----------------------------------------------------
@@ -277,20 +275,18 @@ def test_non_truthful_reports_replay_round_trip():
     assert ok, message
 
 
-def _indented_replay(doc):
-    """Reference verdict: replay comparing the ``indent=2`` outcome texts line
-    by line, as it did before it compared compact encodings."""
-    fresh = run_mechanism(
+def _compact(doc):
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def _reference_verdicts(doc):
+    """Reference verdicts: whether the recorded outcome's compact text equals
+    a fresh run's, and whether its ``indent=2`` text does (the comparison
+    replay made at schema 2)."""
+    fresh = outcome_to_doc(run_mechanism(
         instance_from_doc(doc["instance"]), reports_from_doc(doc["reports"]), config_from_doc(doc["config"])
-    )
-    original_text = json.dumps(doc["outcome"], indent=2) + "\n"
-    fresh_text = json.dumps(outcome_to_doc(fresh), indent=2) + "\n"
-    if original_text == fresh_text:
-        return True, "replay matches recorded outcome exactly"
-    for lineno, (a, b) in enumerate(zip(original_text.splitlines(), fresh_text.splitlines()), start=1):
-        if a != b:
-            return False, f"replay diverges at outcome line {lineno}: recorded {a.strip()!r} vs fresh {b.strip()!r}"
-    return False, "replay diverges: outcome lengths differ"
+    ))
+    return _compact(doc["outcome"]) == _compact(fresh), json.dumps(doc["outcome"], indent=2) == json.dumps(fresh, indent=2)
 
 
 def _bump_gft(outcome):
@@ -346,83 +342,114 @@ def _corpus_reports():
 def test_replay_verdicts_equal_the_indented_comparison_on_the_replay_corpus():
     for text in _corpus_reports():
         doc = run_report_from_text(text)
-        verdict = replay_run_report(doc)
-        assert verdict == _indented_replay(doc) == (True, "replay matches recorded outcome exactly")
+        assert replay_run_report(doc) == (True, "replay matches recorded outcome exactly")
+        assert _reference_verdicts(doc) == (True, True)
+
+
+# The first differing path each edit leaves, on the desk and on the organic report.
+TAMPERED_AT = {
+    "gft+1": ('outcome.gft: recorded "14.506203" vs fresh "14.506202"', 'outcome.gft: recorded "5.844012" vs fresh "5.844011"'),
+    "pay-step-amount": (
+        'outcome.events[3].pay_steps[0][1]: recorded "5.676161" vs fresh "5.67616"',
+        'outcome.events[15].pay_steps[0][1]: recorded "0.030452" vs fresh "0.030451"',
+    ),
+    "injected-as-int": ("outcome.injected_thresholds: recorded 1 vs fresh true", "outcome.injected_thresholds: recorded 0 vs fresh false"),
+    "count-as-float": ("outcome.observation_count: recorded 1.0 vs fresh 1", "outcome.observation_count: recorded 83.0 vs fresh 83"),
+    "swapped-keys": ('outcome: recorded key "seed" vs fresh key "r"',) * 2,
+    "extra-key": ('outcome.note: recorded "edited" vs fresh nothing',) * 2,
+    "dropped-event": ("outcome.events[4]: recorded nothing vs fresh an object", "outcome.events[76]: recorded nothing vs fresh an object"),
+    "outcome-as-list": ("outcome: recorded a list vs fresh an object",) * 2,
+}
 
 
 @pytest.mark.parametrize("tamper", list(TAMPERS))
 def test_replay_verdicts_equal_the_indented_comparison_on_tampered_reports(tamper):
     """One desk report (injected thresholds) and one organic report (computed
-    thresholds), both with pay steps; every edit must diverge with the
-    reference's message."""
+    thresholds), both with pay steps; every edit must diverge, as both
+    reference comparisons do, at the path pinned for it."""
     texts = []
     for inst, cfg in ((desk_instance(9), desk_config(desk_instance(9), seed=5)),
                       (organic_instance(1), MechanismConfig(alpha=ORGANIC_ALPHA, seed=8))):
         reports = ReportProfile.truthful(inst)
         texts.append(run_report_to_text(inst, reports, cfg, run_mechanism(inst, reports, cfg)))
-    for text in texts:
+    for text, where in zip(texts, TAMPERED_AT[tamper]):
         doc = run_report_from_text(text)
         if TAMPERS[tamper] is None:
             doc["outcome"] = list(doc["outcome"])
         else:
             TAMPERS[tamper](doc["outcome"])
-        verdict = replay_run_report(doc)
-        assert verdict == _indented_replay(doc)
-        assert not verdict[0] and verdict[1].startswith("replay diverges"), verdict
-        assert _dumps(doc) == _stdlib_text(doc)
+        assert _reference_verdicts(doc) == (False, False)
+        assert replay_run_report(doc) == (False, f"replay diverges at {where}")
 
 
-# -- the writer and the list readers against their references -------------------
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        (lambda o: o["events"][0].pop("trades"), 'outcome.events[0]: recorded key "pay_steps" vs fresh key "trades"'),
+        (lambda o: o["assignment"].append(["m0:0", "a0:0"]), "outcome.assignment[2]: recorded a list vs fresh nothing"),
+        (lambda o: o["assignment"][0].pop(), 'outcome.assignment[0][1]: recorded nothing vs fresh "a0:0"'),
+        (lambda o: o.update(gft=None), 'outcome.gft: recorded null vs fresh "14.506202"'),
+    ],
+    ids=["missing-key", "longer-list", "shorter-pair", "null-amount"],
+)
+def test_replay_names_the_first_differing_path(edit, where):
+    """More edits on the desk report, each caught by the compact comparison
+    and named at its path with both values."""
+    inst = desk_instance(9)
+    cfg = desk_config(inst, seed=5)
+    reports = ReportProfile.truthful(inst)
+    doc = run_report_from_text(run_report_to_text(inst, reports, cfg, run_mechanism(inst, reports, cfg)))
+    edit(doc["outcome"])
+    assert _reference_verdicts(doc)[0] is False
+    assert replay_run_report(doc) == (False, f"replay diverges at {where}")
 
 
-def _stdlib_text(doc):
-    """Reference: the text the stdlib's pure-Python ``indent=2`` encoder writes."""
+def _as_schema_2(text):
+    """The text the schema-2 writer wrote for the document ``text`` holds:
+    ``json.dumps(doc, indent=2)`` with every ``schema_version`` at 2."""
+    doc = json.loads(text)
+    for part in (doc, doc.get("instance"), doc.get("reports")):
+        if part is not None:
+            part["schema_version"] = 2
     return json.dumps(doc, indent=2) + "\n"
 
 
-def test_writer_matches_the_stdlib_on_the_replay_corpus():
+def _without_versions(doc):
+    for part in (doc, doc.get("instance"), doc.get("reports")):
+        if part is not None:
+            del part["schema_version"]
+    return doc
+
+
+def _corpus_texts():
+    """Every instance, reports and run-report text of the criterion-7 corpus."""
     for inst, cfg in replay_corpus():
         reports = ReportProfile.truthful(inst)
-        doc = run_report_to_doc(inst, reports, cfg, run_mechanism(inst, reports, cfg))
-        for part in (doc, doc["instance"], doc["reports"]):
-            assert _dumps(part) == _stdlib_text(part)
+        outcome = run_mechanism(inst, reports, cfg)
+        yield from (instance_to_text(inst), reports_to_text(reports), run_report_to_text(inst, reports, cfg, outcome))
+
+
+def test_schema_3_texts_hold_the_schema_2_documents():
+    """Each schema-3 text reads as the same document the schema-2 writer
+    wrote, apart from ``schema_version``: re-spelling every text in the
+    schema-2 form reproduces the sha256 pinned over the schema-2 writer's
+    bytes, and reading both spellings gives equal documents."""
+    digest = hashlib.sha256()
+    for text in _corpus_texts():
+        old = _as_schema_2(text)
+        digest.update(old.encode())
+        assert _without_versions(json.loads(old)) == _without_versions(json.loads(text))
+    assert digest.hexdigest() == "27c7a81dfccf02bb2056538243e12557359ba0f615530f1b456d018b1f13043a"
 
 
 def test_writer_keeps_its_bytes_on_the_replay_corpus():
     """sha256 over every instance, reports and run-report text of the
-    criterion-7 corpus, as the writer wrote them when each id was still
-    formatted at every mention."""
+    criterion-7 corpus, each one line of compact JSON."""
     digest = hashlib.sha256()
-    for inst, cfg in replay_corpus():
-        reports = ReportProfile.truthful(inst)
-        outcome = run_mechanism(inst, reports, cfg)
-        for text in (instance_to_text(inst), reports_to_text(reports), run_report_to_text(inst, reports, cfg, outcome)):
-            digest.update(text.encode())
-    assert digest.hexdigest() == "27c7a81dfccf02bb2056538243e12557359ba0f615530f1b456d018b1f13043a"
-
-
-SYNTHETIC_DOCS = {
-    "empty-object": {},
-    "nested-empty": {"a": {}, "b": [], "c": [[], {}], "d": [{}, []], "e": {"f": {"g": []}}},
-    "text": {
-        "non-ascii": "caf\u00e9 \u2013 \u6f22 \U0001f642",
-        "quotes": 'say "hi"',
-        "backslashes": "a\\b\\\\",
-        "control": "\x00\x01\t\n\r\x1f\x7f\u2028",
-        "key \"\u00e9\"\n": ["\u00e9", "\\", '"', "\x0b"],
-    },
-    "literals": {"t": True, "f": False, "n": None, "list": [True, False, None]},
-    "floats": {"big": 1e300, "negative-zero": -0.0, "list": [1e300, -0.0, 0.5]},
-    "non-finite": {"nan": float("nan"), "list": [float("inf"), float("-inf")]},
-    "integers": {"negative": -17, "forty-digits": 10**40 - 1, "list": [-(10**39), 0, 7]},
-    "mixed-lists": {"string-first": ["a", 1, "b", 2.5, None, ["c"], {"d": "e"}], "number-first": [1, "a"]},
-}
-
-
-@pytest.mark.parametrize("name", list(SYNTHETIC_DOCS))
-def test_writer_matches_the_stdlib_on_synthetic_documents(name):
-    doc = SYNTHETIC_DOCS[name]
-    assert _dumps(doc) == _stdlib_text(doc)
+    for text in _corpus_texts():
+        assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"
+        digest.update(text.encode())
+    assert digest.hexdigest() == "38745fbf607bfae931cba4fea3e77752704d11c084155b165ffbe28a689de974"
 
 
 def _small_instance():
