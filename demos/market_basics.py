@@ -38,17 +38,18 @@ ids = [m.id for m in mediators] + [a.id for a in advertisers]
 instance = Instance(mediators, advertisers, random_tie_order(ids, random.Random(0)))
 print(f"market: {len(mediators)} mediators, {len(advertisers)} advertisers")
 
-# 2. The canonical assignment sorts users by increasing cost and slots by
-#    decreasing value, then keeps pairs while the slot strictly outbids the
-#    user. Its size is tau, the market's optimal trade count.
+# 2. The canonical assignment sorts users by increasing cost and each
+#    advertiser's block of slots by decreasing value, then keeps pairs while
+#    the slot strictly outbids the user. Its size is tau, the market's
+#    optimal trade count.
 view = true_view(instance)
-cano = canonical_assignment(view.all_users, view.all_slots, view)
+cano = canonical_assignment(view.all_users, view.blocks, view)
 print(f"tau = {tau(instance)}")
 for k in range(1, cano.size + 1):
     u, b = cano.user_at(k), cano.slot_at(k)
     print(
         f"  pair {k}: user {u} (cost {money_to_text(view.user_costs[u])})"
-        f" <- slot {b} (value {money_to_text(view.slot_values[b])})"
+        f" <- slot {b} (value {money_to_text(view.slot_value(b))})"
     )
 
 # 3. The greedy result is exactly optimal: exhaustive search over every

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, AbstractSet, Mapping, Optional, Sequence
 
-from .canonical import CanonicalAssignment, canonical_assignment
+from .canonical import CanonicalAssignment, canonical_assignment, sorted_canonical_assignment
 from .market import EntityId, Instance, MarketView, Money, SlotRef, TieKey, UserRef, gain_from_trade, true_view
 from .mechanism import (
     MechanismConfig,
@@ -153,31 +153,24 @@ class OfflineOptimum:
     def __post_init__(self) -> None:
         if not all(self.view.user_costs[u] <= self.ell for u in self.opt_users):
             raise AssertionError("an offline-optimal user cost exceeds ell")
-        if not all(self.ell <= self.view.slot_values[b] for b in self.opt_slots):
+        if not all(self.ell <= self.view.slot_value(b) for b in self.opt_slots):
             raise AssertionError("ell exceeds an offline-optimal slot value")
 
-    def pairs_within(self, entities: AbstractSet[EntityId]) -> tuple[list[UserRef], list[SlotRef]]:
-        """The canonical assignment of the sub-market of ``entities`` as its
-        users and its slots, in pair order. ``cano``'s sorted orders stay
-        sorted when filtered, so its pairs are their profitable prefix:
-        nothing is re-sorted and no pair is built. Along those orders user
-        keys rise and slot keys fall, so whether the k-th pair trades is true
-        up to the prefix length and false after it: a bisection finds the
-        length from a few keys."""
-        users = [u for u in self.cano.sorted_users if u.mediator in entities]
-        slots = [b for b in self.cano.sorted_slots if b.advertiser in entities]
-        user_keys, slot_keys = self.view.user_keys, self.view.slot_keys
-        size = bisect_left(
-            range(min(len(users), len(slots))), True, key=lambda k: not slot_keys[slots[k]] > user_keys[users[k]]
+    def pairs_within(self, entities: AbstractSet[EntityId]) -> CanonicalAssignment:
+        """The canonical assignment of the sub-market of ``entities``: ``cano``'s
+        sorted users and blocks, filtered, so nothing is re-sorted."""
+        return sorted_canonical_assignment(
+            [u for u in self.cano.sorted_users if u.mediator in entities],
+            [b for b in self.cano.sorted_blocks if b.advertiser in entities],
+            self.view,
         )
-        return users[:size], slots[:size]
 
 
 def offline_optimum(instance: Instance) -> OfflineOptimum:
     """The canonical assignment of ``instance``'s true market and what every
     diagnostic pass reads from it. ``ValueError`` if the optimum is empty."""
     view = true_view(instance)
-    cano = canonical_assignment(view.all_users, view.all_slots, view)
+    cano = canonical_assignment(view.all_users, view.blocks, view)
     if cano.size == 0:
         raise ValueError("tau=0: the offline optimum is empty, nothing to diagnose or measure against")
     opt_users = tuple(u for u, _ in cano.ordered_pairs)
@@ -185,7 +178,7 @@ def offline_optimum(instance: Instance) -> OfflineOptimum:
     per_mediator = dict.fromkeys(view.users_by_mediator, 0)
     for u in opt_users:
         per_mediator[u.mediator] += 1
-    per_advertiser = dict.fromkeys(view.slots_by_advertiser, 0)
+    per_advertiser = dict.fromkeys(view.blocks, 0)
     for b in opt_slots:
         per_advertiser[b.advertiser] += 1
     return OfflineOptimum(
@@ -194,12 +187,12 @@ def offline_optimum(instance: Instance) -> OfflineOptimum:
         cano=cano,
         opt_users=opt_users,
         opt_slots=opt_slots,
-        ell=view.slot_values[opt_slots[-1]],
+        ell=view.slot_value(opt_slots[-1]),
         gain=gain_from_trade(cano.ordered_pairs, view),
         opt_users_per_mediator=per_mediator,
         opt_slots_per_advertiser=per_advertiser,
         user_keys=[view.user_keys[u] for u in cano.sorted_users],
-        slot_keys=[view.slot_keys[b] for b in reversed(cano.sorted_slots)],
+        slot_keys=[view.slot_key(b) for b in reversed(cano.sorted_slots)],
         user_position={u: i for i, u in enumerate(view.all_users)},
         slot_position={b: i for i, b in enumerate(view.all_slots)},
     )
@@ -286,7 +279,7 @@ def compute_diagnostic_sets(
     )
     # Cleared lists run in key order: the last is the dearest user, the cheapest slot.
     ell_sandwich = (not cleared_users or view.user_costs[cleared_users[-1]] <= ell) and (
-        not cleared_slots or ell <= view.slot_values[cleared_slots[-1]]
+        not cleared_slots or ell <= view.slot_value(cleared_slots[-1])
     )
 
     flags = EventFlags(
@@ -304,7 +297,7 @@ def compute_diagnostic_sets(
 
     # Always-true sandwich fact, asserted on every diagnostic pass; the
     # instance-level ones were asserted when the optimum was built.
-    observed_size = len(optimum.pairs_within(observed_m | observed_a)[0])
+    observed_size = optimum.pairs_within(observed_m | observed_a).size
     lo = min(opt_users_observed, opt_slots_observed)
     hi = max(opt_users_observed, opt_slots_observed)
     if not lo <= observed_size <= hi:
@@ -445,8 +438,7 @@ def competitive_ratio_experiment(
             r_used = outcome.r
             ratios[i] = float(Fraction(outcome.gft, opt))
             unobserved = entities.difference(outcome.observed_mediators, outcome.observed_advertisers)
-            users, slots = optimum.pairs_within(unobserved)
-            reachable = gain_from_trade(zip(users, slots), view)
+            reachable = gain_from_trade(optimum.pairs_within(unobserved).ordered_pairs, view)
             if reachable > 0:
                 reachable_ratios[i] = float(Fraction(outcome.gft, reachable))
             elif outcome.gft == 0:

@@ -9,90 +9,95 @@ inputs.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable
+from functools import cached_property, lru_cache
+from itertools import accumulate
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .market import Instance, MarketView, Money, SlotRef, UserRef, gain_from_trade, true_view
+from .market import EntityId, Instance, MarketView, Money, SlotBlock, SlotRef, UserRef, gain_from_trade, true_view
+
+
+def _slot(blocks: Sequence[tuple], ends: Sequence[int], i: int) -> tuple[tuple, int]:
+    """Block and index of the (i+1)-th slot of blocks in decreasing key order,
+    ``ends`` their cumulative capacities: within a block j counts down."""
+    b = bisect_right(ends, i)
+    return blocks[b], ends[b] - 1 - i
+
+
+def _profitable_prefix(user_key: Callable[[int], tuple], n_users: int, blocks: Sequence[tuple], ends: Sequence[int]) -> int:
+    """How many leading pairs of users in increasing key order (``user_key(i)``)
+    and slots of blocks in decreasing order trade (the slot key must strictly exceed
+    the user key). Keys rise on one side and fall on the other: a bisection finds it."""
+
+    def stops(i: int) -> bool:
+        (value, rank, *_), j = _slot(blocks, ends, i)
+        return not (value, rank, j) > user_key(i)
+
+    return bisect_left(range(min(n_users, ends[-1] if ends else 0)), True, key=stops)
 
 
 @dataclass(frozen=True)
 class CanonicalAssignment:
-    """Pairs plus the full sorted orders they were drawn from.
+    """The profitable prefix of the sorted users and slot blocks: location k
+    pairs the k-th cheapest user with the k-th most valuable slot."""
 
-    ``ordered_pairs[i]`` matches the (i+1)-th cheapest user with the (i+1)-th
-    most valuable slot; locations are 1-indexed to match that phrasing.
-    """
-
-    ordered_pairs: tuple[tuple[UserRef, SlotRef], ...]
-    sorted_users: tuple[UserRef, ...]  # increasing cost key
-    sorted_slots: tuple[SlotRef, ...]  # decreasing value key
-
-    @property
-    def size(self) -> int:
-        return len(self.ordered_pairs)
+    size: int
+    sorted_users: tuple[UserRef, ...]
+    sorted_blocks: tuple[SlotBlock, ...]
+    slot_ends: tuple[int, ...]  # cumulative capacities of sorted_blocks
 
     def user_at(self, location: int) -> UserRef:
         if not 1 <= location <= self.size:
             raise ValueError(f"location {location} outside 1..{self.size}")
-        return self.ordered_pairs[location - 1][0]
+        return self.sorted_users[location - 1]
 
     def slot_at(self, location: int) -> SlotRef:
         if not 1 <= location <= self.size:
             raise ValueError(f"location {location} outside 1..{self.size}")
-        return self.ordered_pairs[location - 1][1]
+        block, j = _slot(self.sorted_blocks, self.slot_ends, location - 1)
+        return SlotRef(block.advertiser, j)
+
+    def _slots(self) -> Iterator[SlotRef]:
+        return (tuple.__new__(SlotRef, (b.advertiser, j)) for b in self.sorted_blocks for j in reversed(range(b.capacity)))
+
+    @cached_property
+    def sorted_slots(self) -> tuple[SlotRef, ...]:
+        return tuple(self._slots())
+
+    @cached_property
+    def ordered_pairs(self) -> tuple[tuple[UserRef, SlotRef], ...]:
+        return tuple(zip(self.sorted_users[: self.size], self._slots()))
 
 
-def _profitable_prefix(user_keys: Iterable[tuple], slot_keys: Iterable[tuple]) -> int:
-    """How many leading pairs of increasing user keys and decreasing slot keys
-    trade: the slot key must strictly exceed the user key (key order, never
-    "equal"). Keys are ``TieKey``s or plain ``(amount, rank, index)`` tuples,
-    which order the same. Stops reading both sides at the first pair that
-    does not trade."""
-    count = 0
-    for user_key, slot_key in zip(user_keys, slot_keys):
-        if not slot_key > user_key:
-            break
-        count += 1
-    return count
+def sorted_canonical_assignment(users: Sequence[UserRef], blocks: Sequence[SlotBlock], view: MarketView) -> CanonicalAssignment:
+    """The canonical assignment of users and blocks given in canonical order;
+    a subset kept in order is sorted too, so a sub-market needs no re-sort."""
+    users, blocks = tuple(users), tuple(blocks)
+    ends = tuple(accumulate(b.capacity for b in blocks))
+    keys = view.user_keys
+    return CanonicalAssignment(_profitable_prefix(lambda i: keys[users[i]], len(users), blocks, ends), users, blocks, ends)
 
 
-def canonical_assignment(
-    users: Iterable[UserRef], slots: Iterable[SlotRef], view: MarketView
-) -> CanonicalAssignment:
-    """Sort users by increasing and slots by decreasing key, then pair the
-    profitable prefix. Keys are distinct, so any subset of the sorted orders,
-    kept in order, is sorted too: ``analysis.OfflineOptimum.pairs_within``
-    filters them instead of re-sorting a sub-market."""
-    sorted_users = sorted(users, key=view.user_keys.__getitem__)
-    sorted_slots = sorted(slots, key=view.slot_keys.__getitem__, reverse=True)
-    size = _profitable_prefix(
-        map(view.user_keys.__getitem__, sorted_users), map(view.slot_keys.__getitem__, sorted_slots)
-    )
-    pairs = tuple(zip(sorted_users[:size], sorted_slots[:size]))
-    return CanonicalAssignment(pairs, tuple(sorted_users), tuple(sorted_slots))
+def canonical_assignment(users: Iterable[UserRef], advertisers: Iterable[EntityId], view: MarketView) -> CanonicalAssignment:
+    """Sort users by key and the advertisers' slot blocks, then pair the profitable prefix."""
+    users = sorted(users, key=view.user_keys.__getitem__)
+    return sorted_canonical_assignment(users, sorted(map(view.blocks.__getitem__, advertisers), reverse=True), view)
 
 
 def tau(instance: Instance) -> int:
-    """Size of the canonical assignment over the whole true market.
-
-    Counts the profitable prefix on the true view's keys without building the
-    view. Advertisers in decreasing ``(value, rank)`` order, each with its
-    slot indices counting down, are already the slot keys in decreasing
-    order, so slot keys are produced lazily and never more than there are
-    users: a capacity costs nothing beyond the slots that can meet a user.
-    """
+    """Size of the canonical assignment over the whole true market, counted
+    on the true keys without building the view."""
     rank = instance.rank
     user_keys = sorted((c, rank(m.id), i) for m in instance.mediators for i, c in enumerate(m.user_costs))
-    advertisers = sorted(((a.value, rank(a.id), a.capacity) for a in instance.advertisers), reverse=True)
-    slot_keys = ((value, r, j) for value, r, capacity in advertisers for j in reversed(range(capacity)))
-    return _profitable_prefix(user_keys, slot_keys)
+    blocks = sorted(((a.value, rank(a.id), a.capacity) for a in instance.advertisers), reverse=True)
+    return _profitable_prefix(user_keys.__getitem__, len(user_keys), blocks, list(accumulate(b[2] for b in blocks)))
 
 
 def optimal_gain(instance: Instance) -> Money:
     """Gain from trade of the canonical assignment on the true market."""
     view = true_view(instance)
-    cano = canonical_assignment(view.all_users, view.all_slots, view)
+    cano = canonical_assignment(view.all_users, view.blocks, view)
     return gain_from_trade(cano.ordered_pairs, view)
 
 
@@ -109,7 +114,7 @@ def brute_force_optimal_gft(
     if len(us) > 8 or len(sl) > 8:
         raise ValueError("brute force oracle is capped at 8 users x 8 slots")
     costs = [view.user_costs[u] for u in us]
-    values = [view.slot_values[b] for b in sl]
+    values = [view.slot_value(b) for b in sl]
 
     @lru_cache(maxsize=None)
     def best(i: int, used_mask: int) -> Money:

@@ -255,21 +255,28 @@ class ReportProfile:
         return ReportProfile(self.mediator_costs, new)
 
 
+class SlotBlock(NamedTuple):
+    """An advertiser's ``capacity`` slots; slot j has key ``(value, rank, j)``."""
+
+    value: Money
+    rank: int
+    capacity: int
+    advertiser: EntityId
+
+
 @dataclass(frozen=True)
 class MarketView:
     """Numeric amounts and tie keys for one reading of the market.
 
     Built either from the ground truth or from a report profile; everything
     downstream (canonical assignment, the mechanism, diagnostics) works on a
-    view and never cares which reading it is.
+    view and never cares which reading it is. No part grows with a capacity.
     """
 
     user_costs: Mapping[UserRef, Money]
-    slot_values: Mapping[SlotRef, Money]
     user_keys: Mapping[UserRef, TieKey]
-    slot_keys: Mapping[SlotRef, TieKey]
     users_by_mediator: Mapping[EntityId, tuple[UserRef, ...]]
-    slots_by_advertiser: Mapping[EntityId, tuple[SlotRef, ...]]
+    blocks: Mapping[EntityId, SlotBlock]
 
     @property
     def all_users(self) -> tuple[UserRef, ...]:
@@ -277,13 +284,20 @@ class MarketView:
 
     @property
     def all_slots(self) -> tuple[SlotRef, ...]:
-        return tuple(s for ss in self.slots_by_advertiser.values() for s in ss)
+        return tuple(SlotRef(a, j) for a, block in self.blocks.items() for j in range(block.capacity))
 
     def users_of(self, mediators: Iterable[EntityId]) -> list[UserRef]:
         return [u for m in mediators for u in self.users_by_mediator[m]]
 
-    def slots_of(self, advertisers: Iterable[EntityId]) -> list[SlotRef]:
-        return [s for a in advertisers for s in self.slots_by_advertiser[a]]
+    def slot_value(self, slot: SlotRef) -> Money:
+        """The value of one slot; ``KeyError(slot)`` if the view holds no such slot."""
+        block = self.blocks.get(slot.advertiser)
+        if block is None or not 0 <= slot.slot_index < block.capacity:
+            raise KeyError(slot)
+        return block.value
+
+    def slot_key(self, slot: SlotRef) -> TieKey:
+        return TieKey(self.slot_value(slot), self.blocks[slot.advertiser].rank, slot.slot_index)
 
 
 def _build_view(
@@ -309,22 +323,11 @@ def _build_view(
             refs.append(u)
         users_by_mediator[mid] = tuple(refs)
 
-    slot_values: dict[SlotRef, Money] = {}
-    slot_keys: dict[SlotRef, TieKey] = {}
-    slots_by_advertiser: dict[EntityId, tuple[SlotRef, ...]] = {}
+    blocks: dict[EntityId, SlotBlock] = {}
     for a in instance.advertisers:
-        aid = a.id
-        cap, value = advertiser_slots[aid]
-        r = rank[aid]
-        refs = []
-        for j in range(cap):
-            b = new(SlotRef, (aid, j))
-            slot_values[b] = value
-            slot_keys[b] = new(TieKey, (value, r, j))
-            refs.append(b)
-        slots_by_advertiser[aid] = tuple(refs)
-
-    return MarketView(user_costs, slot_values, user_keys, slot_keys, users_by_mediator, slots_by_advertiser)
+        cap, value = advertiser_slots[a.id]
+        blocks[a.id] = new(SlotBlock, (value, rank[a.id], cap, a.id))
+    return MarketView(user_costs, user_keys, users_by_mediator, blocks)
 
 
 def true_view(instance: Instance) -> MarketView:
@@ -363,7 +366,7 @@ def gain_from_trade(pairs: Iterable[tuple[UserRef, SlotRef]], view: MarketView) 
     one place a gain from trade is summed. A user or slot the view does not
     hold is a ``ValueError`` naming it."""
     try:
-        return sum(view.slot_values[b] - view.user_costs[u] for u, b in pairs)
+        return sum(view.slot_value(b) - view.user_costs[u] for u, b in pairs)
     except KeyError as e:
         (ref,) = e.args
         kind = "user" if isinstance(ref, UserRef) else "slot"

@@ -33,6 +33,7 @@ from .market import (
     MarketView,
     Money,
     ReportProfile,
+    SlotBlock,
     SlotRef,
     TieKey,
     UserRef,
@@ -153,8 +154,14 @@ class Thresholds:
     def user_assignable(self, key: TieKey) -> bool:
         return self.user_key is not None and key < self.user_key
 
-    def slot_assignable(self, key: TieKey) -> bool:
-        return self.slot_key is not None and key > self.slot_key
+    def first_assignable(self, block: SlotBlock) -> int:
+        """The first index of ``block`` whose slot key ``(value, rank, j)`` exceeds
+        the slot threshold, or its capacity; keys rise with j, so the rest do too."""
+        if self.slot_key is None or block[:2] < self.slot_key[:2]:
+            return block.capacity
+        if block[:2] > self.slot_key[:2]:
+            return 0
+        return min(block.capacity, max(0, self.slot_key.within_index + 1))
 
 
 def dummy_thresholds(observed_size: int = 0) -> Thresholds:
@@ -191,14 +198,12 @@ def compute_thresholds(
     canonical pairs, which lies in 1..s whenever it is positive; k <= 0,
     s = 0 included, degenerates to the dummy pair and the run trades nothing.
     """
-    users = view.users_of(observed_mediators)
-    slots = view.slots_of(observed_advertisers)
-    cano = canonical_assignment(users, slots, view)
+    cano = canonical_assignment(view.users_of(observed_mediators), observed_advertisers, view)
     s = cano.size
     k = max(0, ceil_minus_cbrt(s, Fraction(2 * s) / r, alpha))
     if k == 0:
         return dummy_thresholds(observed_size=s)
-    return Thresholds(view.user_keys[cano.user_at(k)], view.slot_keys[cano.slot_at(k)], k, s)
+    return Thresholds(view.user_keys[cano.user_at(k)], view.slot_key(cano.slot_at(k)), k, s)
 
 
 class Trade(NamedTuple):
@@ -299,9 +304,8 @@ class MechanismState:
         # pointer moves, the membership is fixed at arrival.
         self._queue: dict[EntityId, list[UserRef]] = {}
         self._qpos: dict[EntityId, int] = {}
-        # Per-advertiser assignable slots, lowest index first.
-        self._slots: dict[EntityId, list[SlotRef]] = {}
-        self._spos: dict[EntityId, int] = {}
+        # Per-advertiser assignable slot indices; a trade takes the lowest.
+        self._slots: dict[EntityId, range] = {}
         # Assignable users and slots that have arrived and are not yet traded.
         self._idle_users = 0
         self._idle_slots = 0
@@ -322,14 +326,10 @@ class MechanismState:
         q, i = self._queue[m], self._qpos[m]
         return q[i] if i < len(q) else None
 
-    def _next_slot(self, a: EntityId) -> Optional[SlotRef]:
-        s, i = self._slots[a], self._spos[a]
-        return s[i] if i < len(s) else None
-
     def _earliest_advertiser_with_slots(self) -> Optional[EntityId]:
         while self._aptr < len(self._set_advertisers):
             a = self._set_advertisers[self._aptr]
-            if self._next_slot(a) is not None:
+            if self._slots[a]:
                 return a
             self._aptr += 1
         return None
@@ -367,10 +367,10 @@ class MechanismState:
 
     def _execute(self, m: EntityId, a: EntityId, trades: list[Trade], steps: list[tuple[UserRef, Money]]) -> None:
         user = self._next_user(m)
-        slot = self._next_slot(a)
-        assert user is not None and slot is not None
+        assert user is not None
+        slot = SlotRef(a, self._slots[a][0])  # IndexError when a has no slot left
         self._qpos[m] += 1
-        self._spos[a] += 1
+        self._slots[a] = self._slots[a][1:]
         self._idle_users -= 1
         self._idle_slots -= 1
         charge = self.thresholds.charge
@@ -407,12 +407,12 @@ class MechanismState:
                     break
                 self._execute(entity, a, trades, steps)
         else:
-            slots = [b for b in self.view.slots_by_advertiser[entity] if self.thresholds.slot_assignable(self.view.slot_keys[b])]
-            self._slots[entity] = slots
-            self._spos[entity] = 0
-            self._idle_slots += len(slots)
+            block = self.view.blocks[entity]
+            first = self.thresholds.first_assignable(block)
+            self._slots[entity] = range(first, block.capacity)
+            self._idle_slots += block.capacity - first  # len() of a range stops at sys.maxsize
             self._set_advertisers.append(entity)
-            while self._next_slot(entity) is not None:
+            while self._slots[entity]:
                 m = self._earliest_mediator_with_users()
                 if m is None:
                     break

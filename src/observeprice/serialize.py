@@ -4,8 +4,9 @@ Documents are JSON with a ``schema_version`` and ``kind`` header. Money is
 written as a decimal string on the micro-unit grid ("5", "5.25", "0.000001").
 The reader accepts exactly the texts the writer writes: it rejects finer
 precision outright instead of rounding, as it rejects leading zeros, trailing
-fractional zeros, "-0", surrounding whitespace, non-ASCII digits, ids not
-spelled the way ``str`` writes them and objects that give a key twice. Parse
+fractional zeros, "-0", surrounding whitespace, non-ASCII digits, fractions
+and ids not spelled the way ``fraction_to_text`` and ``str`` write them and
+objects that give a key twice. Parse
 errors carry the offending field path, or name the repeated key; input
 nested too deeply to read is a parse error too. Serialization is canonical:
 parsing a document and re-serializing it reproduces the text byte for byte,
@@ -16,7 +17,8 @@ writes, one line produced by the stdlib's C encoder; ``python -m json.tool``
 prints one indented. The document builders format each id and each amount
 once per document, build ref texts (``m0:1``) and text-keyed sorts from
 them, and a run report shares one such memo across its parts; replay reads
-each amount text of the instance and the reports it re-runs once.
+each amount text of the instance and the reports it re-runs once, and
+reads the reports' ids from the instance's id map.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .market import (
     ReportProfile,
     TieKey,
 )
-from .mechanism import MechanismConfig, MechanismOutcome, Thresholds, run_mechanism
+from .mechanism import VARIANTS, MechanismConfig, MechanismOutcome, Thresholds, run_mechanism
 
 SCHEMA_VERSION = 3
 
@@ -55,18 +57,25 @@ def money_to_text(amount: Money) -> str:
     return text if amount >= 0 else "-" + text
 
 
+def _micro(whole: str, frac: str, text: str, path: str) -> int:
+    try:
+        return int(whole + frac.ljust(6, "0"))
+    except ValueError as exc:  # more digits than int() reads, so more than money_to_text writes
+        raise ParseError(f"{path}: {text:.20}... ({len(text)} characters) is too long for a money amount") from exc
+
+
 def money_from_text(text: str, path: str = "amount") -> Money:
     match = _MONEY_RE.fullmatch(text) if isinstance(text, str) and text != "-0" else None
     if match is None:
         if isinstance(text, str) and re.fullmatch(r"-?[0-9]+(?:\.[0-9]{1,6})?", text):
             # another spelling of a grid amount: name the canonical one
             whole, _, frac = text.lstrip("-").partition(".")
-            micro = int(whole + frac.ljust(6, "0"))
+            micro = _micro(whole, frac, text, path)
             canonical = money_to_text(-micro if text[0] == "-" else micro)
             raise ParseError(f"{path}: {text!r} is not in canonical form, write {canonical!r}")
         raise ParseError(f"{path}: {text!r} is not a money amount on the micro-unit grid (max 6 decimals)")
     sign, whole, frac = match.groups("")
-    micro = int(whole + frac.ljust(6, "0"))
+    micro = _micro(whole, frac, text, path)
     return -micro if sign else micro
 
 
@@ -79,9 +88,12 @@ def fraction_from_text(text: str, path: str = "fraction") -> Fraction:
     if not isinstance(text, str):  # a JSON float would become a binary fraction
         raise ParseError(f"{path}: {text!r} is not a fraction")
     try:
-        return Fraction(text)
+        fr = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{path}: {text!r} is not a fraction") from exc
+    if fraction_to_text(fr) != text:
+        raise ParseError(f"{path}: {text!r} is not in canonical form, write {fraction_to_text(fr)!r}")
+    return fr
 
 
 _KIND_NAMES = {dict: "an object", list: "a list", int: "an integer"}
@@ -215,12 +227,12 @@ def instance_to_doc(instance: Instance) -> dict:
 
 
 def instance_from_doc(doc: dict, path: str = "instance") -> Instance:
-    return _read_instance(doc, _Amounts(), path)
+    return _read_instance(doc, _Amounts(), {}, path)
 
 
-def _read_instance(doc: dict, amounts: _Amounts, path: str) -> Instance:
+def _read_instance(doc: dict, amounts: _Amounts, known: dict[str, EntityId], path: str) -> Instance:
+    """The instance ``doc`` holds; its ids go into ``known`` (text -> id)."""
     _header(doc, "instance", path)
-    known: dict[str, EntityId] = {}
     mediators = []
     for i, m in enumerate(_need(doc, "mediators", path, list)):
         mp = f"{path}.mediators[{i}]"
@@ -286,17 +298,30 @@ def reports_from_doc(doc: dict, path: str = "reports") -> ReportProfile:
     return _read_reports(doc, _Amounts(), path)
 
 
-def _read_reports(doc: dict, amounts: _Amounts, path: str) -> ReportProfile:
+def _report_id(key: str, path: str, known: dict[str, EntityId] | None) -> EntityId:
+    """The id a reports key spells: parsed, or, given ``known`` (the
+    instance's ids by text), looked up there, where a key it lacks is either
+    badly spelled or an unknown id."""
+    if known is None:
+        return _entity_from_text(key, path)
+    ident = known.get(key)
+    if ident is None:
+        _entity_from_text(key, path)
+        raise ParseError(f"{path}: unknown entity id {key!r}")
+    return ident
+
+
+def _read_reports(doc: dict, amounts: _Amounts, path: str, known: dict[str, EntityId] | None = None) -> ReportProfile:
     _header(doc, "reports", path)
     mediator_costs = {}
     costs_doc = _need(doc, "mediator_costs", path, dict)
     for key in costs_doc:
-        ent = _entity_from_text(key, f"{path}.mediator_costs")
+        ent = _report_id(key, f"{path}.mediator_costs", known)
         costs = _need(costs_doc, key, f"{path}.mediator_costs", list)
         mediator_costs[ent] = _money_list(costs, amounts, f"{path}.mediator_costs[{key}]")
     advertiser_slots = {}
     for key, slot in _need(doc, "advertiser_slots", path, dict).items():
-        ent = _entity_from_text(key, f"{path}.advertiser_slots")
+        ent = _report_id(key, f"{path}.advertiser_slots", known)
         ap = f"{path}.advertiser_slots[{key}]"
         cap = _need(slot, "capacity", ap, int)
         advertiser_slots[ent] = (cap, money_from_text(_need(slot, "value", ap), f"{ap}.value"))
@@ -351,6 +376,8 @@ def config_from_doc(doc: dict, path: str = "config") -> MechanismConfig:
     r = None if r_text is None else fraction_from_text(r_text, f"{path}.r")
     seed = _need(doc, "seed", path, int)
     variant = _need(doc, "variant", path)
+    if variant not in VARIANTS:
+        raise ParseError(f"{path}.variant: {variant!r:.40} is not one of {', '.join(VARIANTS)}")
     override_doc = _need(doc, "threshold_override", path)
     override = None
     if override_doc is not None:
@@ -365,7 +392,7 @@ def config_from_doc(doc: dict, path: str = "config") -> MechanismConfig:
             for i, e in enumerate(_need(doc, "forced_arrival_order", path, list))
         )
     forced_count = _need(doc, "forced_observation_count", path)
-    if forced_count is not None and not isinstance(forced_count, int):
+    if forced_count is not None and (not isinstance(forced_count, int) or isinstance(forced_count, bool)):
         raise ParseError(f"{path}.forced_observation_count: expected an integer or null")
     return MechanismConfig(
         alpha=alpha,
@@ -513,9 +540,9 @@ def replay_run_report(doc: dict) -> tuple[bool, str]:
     The verdict compares the compact texts of both outcomes; on a mismatch
     the message names the first differing JSON path and both values there.
     """
-    amounts = _Amounts()
-    instance = _read_instance(doc["instance"], amounts, "instance")
-    reports = _read_reports(doc["reports"], amounts, "reports")
+    amounts, known = _Amounts(), {}
+    instance = _read_instance(doc["instance"], amounts, known, "instance")
+    reports = _read_reports(doc["reports"], amounts, "reports", known)
     config = config_from_doc(doc["config"])
     fresh = outcome_to_doc(run_mechanism(instance, reports, config))
     if _ENCODER.encode(doc["outcome"]) == _ENCODER.encode(fresh):

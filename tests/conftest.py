@@ -1,7 +1,9 @@
-"""Shared instance builders for the test suite."""
+"""Shared instance builders for the test suite, and the per-unit reference
+rules the slot-block code is checked against."""
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -11,15 +13,21 @@ from observeprice import (
     Instance,
     MechanismConfig,
     MediatorSpec,
+    ReportProfile,
+    SlotRef,
+    Thresholds,
+    TieKey,
     advertiser_id,
     constant,
     generate_instance,
     matched_family,
     mediator_id,
     random_tie_order,
+    run_mechanism,
     threshold_keys_from_amounts,
     uniform,
 )
+from observeprice import mechanism
 
 MICRO = 10**6
 
@@ -174,3 +182,85 @@ def sandwich_corpus():
 def worked():
     instance, config = worked_example()
     return instance, config
+
+
+def random_reports(inst, rng, unit=1):
+    """Reported costs and capacities around the truth: amounts from a few
+    multiples of ``unit`` so ties fall to the tie order, and capacities 0, 1
+    and above the user count."""
+    n_users = sum(len(m.user_costs) for m in inst.mediators)
+    reports = ReportProfile.truthful(inst)
+    for m in inst.mediators:
+        if rng.random() < 0.5:
+            reports = reports.with_mediator_costs(m.id, [rng.randrange(6) * unit for _ in range(rng.randint(0, 4))])
+    for a in inst.advertisers:
+        cap = rng.choice((0, 1, 2, n_users + 1, n_users + rng.randint(2, 9)))
+        reports = reports.with_advertiser_slots(a.id, cap, rng.randrange(6) * unit)
+    return reports
+
+
+# -- the per-unit reference rules -------------------------------------------------
+# Every slot is one ref with one key: the rules the slot-block code must agree with.
+
+
+def per_unit_slot_keys(view, advertisers):
+    """One ``TieKey`` per unit of each advertiser's capacity, keyed by its ref."""
+    keys = {}
+    for a in advertisers:
+        value, rank, capacity, _ = view.blocks[a]
+        for j in range(capacity):
+            keys[SlotRef(a, j)] = TieKey(value, rank, j)
+    return keys
+
+
+def per_unit_pairs(sorted_users, sorted_slots, user_keys, slot_keys):
+    """Zip the two sorted orders, keeping pairs while the slot key exceeds the user key."""
+    pairs = []
+    for u, b in zip(sorted_users, sorted_slots):
+        if not slot_keys[b] > user_keys[u]:
+            break
+        pairs.append((u, b))
+    return tuple(pairs)
+
+
+def per_unit_canonical(users, advertisers, view):
+    """Sort every user and every slot ref by key and zip the profitable
+    prefix. Returns the pairs, the sorted users and the sorted slots."""
+    slot_keys = per_unit_slot_keys(view, advertisers)
+    sorted_users = tuple(sorted(users, key=view.user_keys.__getitem__))
+    sorted_slots = tuple(sorted(slot_keys, key=slot_keys.__getitem__, reverse=True))
+    return per_unit_pairs(sorted_users, sorted_slots, view.user_keys, slot_keys), sorted_users, sorted_slots
+
+
+class PerUnitCanonical:
+    """What a run reads of a canonical assignment, from the per-unit pairs."""
+
+    def __init__(self, users, advertisers, view):
+        self.pairs = per_unit_canonical(users, advertisers, view)[0]
+        self.size = len(self.pairs)
+
+    def user_at(self, location):
+        return self.pairs[location - 1][0]
+
+    def slot_at(self, location):
+        return self.pairs[location - 1][1]
+
+
+def per_unit_first_assignable(thresholds, block):
+    """Filter every slot of ``block`` against the threshold, lowest index
+    first; the list must be the tail of the block, and its first index is
+    returned."""
+    value, rank, capacity, _ = block
+    key = thresholds.slot_key
+    assignable = [j for j in range(capacity) if key is not None and TieKey(value, rank, j) > key]
+    assert assignable == list(range(capacity - len(assignable), capacity))
+    return capacity - len(assignable)
+
+
+def per_unit_run(instance, reports, config):
+    """``run_mechanism`` with the thresholds' canonical assignment and the
+    serving loop's assignable slots taken from the per-unit rules."""
+    with mock.patch.object(mechanism, "canonical_assignment", PerUnitCanonical), mock.patch.object(
+        Thresholds, "first_assignable", per_unit_first_assignable
+    ):
+        return run_mechanism(instance, reports, config)

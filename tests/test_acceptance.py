@@ -110,7 +110,7 @@ def test_criterion_01_canonical_matches_brute_force():
             n_slots -= take
         inst = build_instance(costs, slots, seed=rng.randrange(2**30))
         view = true_view(inst)
-        cano = canonical_assignment(view.all_users, view.all_slots, view)
+        cano = canonical_assignment(view.all_users, view.blocks, view)
         got = gain_from_trade(cano.ordered_pairs, view)
         want = brute_force_optimal_gft(view.all_users, view.all_slots, view)
         assert got == want, f"canonical {got} != brute force {want} on {inst}"
@@ -226,7 +226,7 @@ def test_criterion_08_sandwich_facts_hold_everywhere():
         ob = sum(1 for b in diag.opt_slots if b.advertiser in observed_a)
         assert min(ou, ob) <= diag.observed_canonical_size <= max(ou, ob)
         assert all(view.user_costs[u] <= diag.ell for u in diag.opt_users)
-        assert all(view.slot_values[b] >= diag.ell for b in diag.opt_slots)
+        assert all(view.slot_value(b) >= diag.ell for b in diag.opt_slots)
     print("criterion 8: both sandwich facts held on all 1000 runs")
 
 
@@ -250,7 +250,7 @@ def test_criterion_09_ratio_trend_and_level():
     elapsed = time.monotonic() - start
     ceilings = []
     for p, (_, inst) in zip(results, points):
-        total_value = sum(true_view(inst).slot_values.values())
+        total_value = sum(b.value * b.capacity for b in true_view(inst).blocks.values())
         ceilings.append(float((1 - p.r) * Fraction(total_value, optimal_gain(inst))))
         print(
             f"criterion 9: alpha={p.alpha} tau={p.tau} mean={p.mean:.4f} "

@@ -38,9 +38,17 @@ from observeprice import (
 import observeprice
 from observeprice import analysis
 from observeprice.analysis import clamp01, competitive_ratio_bound
-from observeprice.canonical import _profitable_prefix
 from observeprice.mechanism import at_most_cbrt, ceil_minus_cbrt
-from conftest import LOCATION_GRID, ORGANIC_ALPHA, build_instance, organic_instance, sandwich_corpus
+from conftest import (
+    LOCATION_GRID,
+    ORGANIC_ALPHA,
+    build_instance,
+    organic_instance,
+    per_unit_canonical,
+    per_unit_pairs,
+    per_unit_slot_keys,
+    sandwich_corpus,
+)
 
 
 def test_package_import_leaves_numpy_unloaded():
@@ -113,7 +121,7 @@ def test_diagnostics_frozen_ladder():
     assert diag.tau == 3
     assert diag.ell == 8
     assert [view.user_costs[u] for u in diag.opt_users] == [1, 2, 3]
-    assert sorted(view.slot_values[b] for b in diag.opt_slots) == [8, 9, 10]
+    assert sorted(view.slot_value(b) for b in diag.opt_slots) == [8, 9, 10]
     # r = 1/2 and alpha = 1/3 make the core shrinkage dominate: empty core
     assert diag.core_users == ()
     # dummy thresholds here, so nothing clears and the event holds trivially
@@ -185,13 +193,13 @@ def _reference_diagnostic_sets(instance, outcome, rng, view=None, cano=None):
     if view is None:
         view = true_view(instance)
     if cano is None:
-        cano = canonical_assignment(view.all_users, view.all_slots, view)
+        cano = canonical_assignment(view.all_users, view.blocks, view)
     tau_ = cano.size
     if tau_ == 0:
         raise ValueError("tau=0: diagnostics need a non-trivial optimum")
     opt_users = tuple(u for u, _ in cano.ordered_pairs)
     opt_slots = tuple(b for _, b in cano.ordered_pairs)
-    ell = view.slot_values[opt_slots[-1]]
+    ell = view.slot_value(opt_slots[-1])
 
     core_len = _branched_core_length(tau_, r, alpha)
     core_users = opt_users[:core_len]
@@ -208,7 +216,7 @@ def _reference_diagnostic_sets(instance, outcome, rng, view=None, cano=None):
     clearing_slots = tuple(
         b
         for b in view.all_slots
-        if b.advertiser not in observed_a and thresholds.slot_assignable(view.slot_keys[b])
+        if b.advertiser not in observed_a and thresholds.slot_key is not None and view.slot_key(b) > thresholds.slot_key
     )
 
     post = outcome.post_observation_order
@@ -235,7 +243,7 @@ def _reference_diagnostic_sets(instance, outcome, rng, view=None, cano=None):
     core_slots_subset = all(b in clearing_slot_set for b in core_slots if b.advertiser not in observed_a)
 
     ell_sandwich = all(view.user_costs[u] <= ell for u in clearing_users) and all(
-        ell <= view.slot_values[b] for b in clearing_slots
+        ell <= view.slot_value(b) for b in clearing_slots
     )
     opt_user_set = set(opt_users)
     opt_slot_set = set(opt_slots)
@@ -256,18 +264,14 @@ def _reference_diagnostic_sets(instance, outcome, rng, view=None, cano=None):
         clearing_within_optimum=clearing_within,
     )
 
-    obs_cano = canonical_assignment(
-        [u for u in cano.sorted_users if u.mediator in observed_m],
-        [b for b in cano.sorted_slots if b.advertiser in observed_a],
-        view,
-    )
+    obs_cano = canonical_assignment([u for u in cano.sorted_users if u.mediator in observed_m], observed_a, view)
     lo = min(opt_users_observed, opt_slots_observed)
     hi = max(opt_users_observed, opt_slots_observed)
     if not lo <= obs_cano.size <= hi:
         raise AssertionError("observed canonical size escaped the min/max sandwich")
     if not all(view.user_costs[u] <= ell for u in opt_users):
         raise AssertionError("an offline-optimal user cost exceeds ell")
-    if not all(ell <= view.slot_values[b] for b in opt_slots):
+    if not all(ell <= view.slot_value(b) for b in opt_slots):
         raise AssertionError("ell exceeds an offline-optimal slot value")
 
     return DiagnosticSets(
@@ -342,12 +346,12 @@ def test_diagnostics_match_the_reference_with_thresholds_on_entity_keys():
         slots = [b for b in cano.sorted_slots if b.advertiser not in observed]
         for _ in range(5):
             u, b = rng.choice(users), rng.choice(slots)
-            if not view.user_keys[u] < view.slot_keys[b]:
+            if not view.user_keys[u] < view.slot_key(b):
                 continue
             at_keys = replace(
                 outcome,
                 alpha=rng.choice([ORGANIC_ALPHA, Fraction(1, 2000), Fraction(1, 40000)]),
-                thresholds=injected_thresholds(view.user_keys[u], view.slot_keys[b]),
+                thresholds=injected_thresholds(view.user_keys[u], view.slot_key(b)),
             )
             want = _reference_diagnostic_sets(inst, at_keys, random.Random(seed))
             assert compute_diagnostic_sets(inst, at_keys, random.Random(seed), optimum=optimum) == want
@@ -374,7 +378,7 @@ def test_tampered_optimum_fails_its_sandwich_asserts():
     with pytest.raises(AssertionError, match="user cost exceeds ell"):
         replace(optimum, ell=max(costs) - 1)
     with pytest.raises(AssertionError, match="ell exceeds"):
-        replace(optimum, ell=max(optimum.view.slot_values.values()) + 1)
+        replace(optimum, ell=max(b.value for b in optimum.view.blocks.values()) + 1)
 
 
 def test_core_length_matches_the_branched_rule():
@@ -412,26 +416,24 @@ def test_pairs_within_is_the_sub_market_canonical_assignment():
         observed = frozenset(out.observed_mediators + out.observed_advertisers)
         subsets += [observed, entities - observed]
     for sub in subsets:
-        users, slots = optimum.pairs_within(sub)
+        got = optimum.pairs_within(sub)
         want = canonical_assignment(
             view.users_of(e for e in inst.entity_ids if e in sub and e.kind == "mediator"),
-            view.slots_of(e for e in inst.entity_ids if e in sub and e.kind == "advertiser"),
+            (e for e in inst.entity_ids if e in sub and e.kind == "advertiser"),
             view,
         )
-        assert len(users) == len(slots) == want.size
-        assert tuple(zip(users, slots)) == want.ordered_pairs
-    assert len(optimum.pairs_within(entities)[0]) == optimum.cano.size == 400
+        assert len(got.ordered_pairs) == got.size == want.size
+        assert got.ordered_pairs == want.ordered_pairs
+    assert optimum.pairs_within(entities).size == optimum.cano.size == 400
 
 
-def _filtered_pairs_within(optimum, entities):
-    """Reference: ``pairs_within`` as a filter over both whole sorted orders,
-    keeping the given entities' refs and counting their profitable prefix."""
-    users = [u for u in optimum.cano.sorted_users if u.mediator in entities]
-    slots = [b for b in optimum.cano.sorted_slots if b.advertiser in entities]
-    size = _profitable_prefix(
-        map(optimum.view.user_keys.__getitem__, users), map(optimum.view.slot_keys.__getitem__, slots)
-    )
-    return users[:size], slots[:size]
+def _filtered_pairs_within(view, sorted_users, sorted_slots, entities):
+    """Reference: ``pairs_within`` as a filter over both whole per-unit sorted
+    orders, keeping the given entities' refs and zipping their profitable
+    prefix with one key per slot."""
+    users = [u for u in sorted_users if u.mediator in entities]
+    slots = [b for b in sorted_slots if b.advertiser in entities]
+    return per_unit_pairs(users, slots, view.user_keys, per_unit_slot_keys(view, view.blocks)), len(users), len(slots)
 
 
 def _overlapping_instance(seed):
@@ -464,16 +466,17 @@ def test_pairs_within_matches_the_filter_on_random_subsets():
     ends = set()
     for inst in instances:
         optimum = offline_optimum(inst)
+        view = optimum.view
+        _, sorted_users, sorted_slots = per_unit_canonical(view.all_users, view.blocks, view)
         subsets = [set(), set(inst.entity_ids), {mediator_id(10**6), *inst.entity_ids[:3]}]
         for _ in range(100):
             keep = rng.random()
             subsets.append({e for e in inst.entity_ids if rng.random() < keep})
         for sub in subsets:
-            users, slots = want = _filtered_pairs_within(optimum, sub)
-            assert optimum.pairs_within(sub) == want
-            sides = (sum(u.mediator in sub for u in optimum.cano.sorted_users),
-                     sum(b.advertiser in sub for b in optimum.cano.sorted_slots))
-            ends.add(len(users) == min(sides))
+            want, *sides = _filtered_pairs_within(view, sorted_users, sorted_slots, sub)
+            got = optimum.pairs_within(sub)
+            assert got.ordered_pairs == want and got.size == len(want)
+            ends.add(len(want) == min(sides))
     assert ends == {True, False}
 
 

@@ -9,18 +9,21 @@ from observeprice import (
     MICRO,
     brute_force_optimal_gft,
     canonical_assignment,
+    ceil_minus_cbrt,
+    compute_thresholds,
     gain_from_trade,
     matched_family,
     optimal_gain,
+    report_view,
     tau,
     true_view,
 )
-from conftest import build_instance, desk_instance, organic_instance
+from conftest import build_instance, desk_instance, organic_instance, per_unit_canonical, random_reports
 
 
 def _canon(inst):
     view = true_view(inst)
-    return canonical_assignment(view.all_users, view.all_slots, view), view
+    return canonical_assignment(view.all_users, view.blocks, view), view
 
 
 def test_zip_stops_at_first_unprofitable_pair():
@@ -73,8 +76,8 @@ def test_pairs_are_cheapest_user_to_highest_slot():
     inst = build_instance([[3, 1]], [(1, 4), (1, 9)], seed=0)
     canon, view = _canon(inst)
     (u0, s0), (u1, s1) = canon.ordered_pairs
-    assert view.user_costs[u0] == 1 and view.slot_values[s0] == 9
-    assert view.user_costs[u1] == 3 and view.slot_values[s1] == 4
+    assert view.user_costs[u0] == 1 and view.slot_value(s0) == 9
+    assert view.user_costs[u1] == 3 and view.slot_value(s1) == 4
 
 
 def test_locations_are_one_indexed():
@@ -102,7 +105,7 @@ def test_equal_cost_and_value_does_not_trade():
     canon, view = _canon(inst)
     u = view.all_users[0]
     s = view.all_slots[0]
-    expected = 1 if view.user_keys[u] < view.slot_keys[s] else 0
+    expected = 1 if view.user_keys[u] < view.slot_key(s) else 0
     assert canon.size == expected
     assert optimal_gain(inst) == 0  # either way the margin is zero
 
@@ -119,7 +122,7 @@ def test_matches_brute_force_on_random_instances():
             seed=trial,
         )
         view = true_view(inst)
-        canon = canonical_assignment(view.all_users, view.all_slots, view)
+        canon = canonical_assignment(view.all_users, view.blocks, view)
         got = gain_from_trade(canon.ordered_pairs, view)
         want = brute_force_optimal_gft(view.all_users, view.all_slots, view)
         assert got == want, f"trial {trial}: canonical {got} != brute force {want}"
@@ -138,10 +141,9 @@ def test_optimal_gain_equals_brute_force_on_subsets():
         meds = [m.id for m in inst.mediators if rng.random() < 0.5]
         ads = [a.id for a in inst.advertisers if rng.random() < 0.5]
         users = view.users_of(meds)
-        slots = view.slots_of(ads)
-        canon = canonical_assignment(users, slots, view)
+        canon = canonical_assignment(users, ads, view)
         got = gain_from_trade(canon.ordered_pairs, view)
-        assert got == brute_force_optimal_gft(users, slots, view)
+        assert got == brute_force_optimal_gft(users, [b for b in view.all_slots if b.advertiser in ads], view)
 
 
 def test_brute_force_caps_problem_size():
@@ -149,3 +151,33 @@ def test_brute_force_caps_problem_size():
     view = true_view(inst)
     with pytest.raises(ValueError):
         brute_force_optimal_gft(view.all_users, view.all_slots, view)
+
+
+def test_block_rule_matches_the_per_unit_rule_on_random_sub_markets():
+    """The profitable prefix over slot blocks against every slot ref sorted
+    by key and zipped: equal pairs, sorted orders, locations and thresholds
+    on random sub-markets of random reports, and equal tau on the truth."""
+    rng = random.Random(2016)
+    sizes = set()
+    for trial in range(400):
+        inst = _tie_heavy_instance(trial) if trial % 2 else desk_instance(trial)
+        view = report_view(inst, random_reports(inst, rng))
+        meds = [m.id for m in inst.mediators if rng.random() < 0.7]
+        ads = [a.id for a in inst.advertisers if rng.random() < 0.7]
+        users = view.users_of(meds)
+        got = canonical_assignment(users, ads, view)
+        pairs, sorted_users, sorted_slots = per_unit_canonical(users, ads, view)
+        assert (got.size, got.ordered_pairs, got.sorted_users, got.sorted_slots) == (
+            len(pairs), pairs, sorted_users, sorted_slots
+        ), trial
+        assert [(got.user_at(k), got.slot_at(k)) for k in range(1, got.size + 1)] == list(pairs)
+        sizes.add((len(pairs) == min(len(users), len(sorted_slots)), len(pairs) > 0))
+        # thresholds at a location picked by a small alpha, from the same pairs
+        alpha, r = rng.choice(((Fraction(1, 10**6), Fraction(1, 2)), (Fraction(1, 1000), Fraction(1, 3))))
+        th = compute_thresholds(view, meds, ads, r, alpha)
+        k = max(0, ceil_minus_cbrt(len(pairs), Fraction(2 * len(pairs)) / r, alpha))
+        want = (None, None) if k == 0 else (view.user_keys[pairs[k - 1][0]], view.slot_key(pairs[k - 1][1]))
+        assert (th.user_key, th.slot_key, th.observed_size) == (*want, len(pairs)), trial
+        truth = true_view(inst)
+        assert tau(inst) == len(per_unit_canonical(truth.all_users, truth.blocks, truth)[0])
+    assert sizes == {(True, True), (False, True), (True, False), (False, False)}

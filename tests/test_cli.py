@@ -122,6 +122,15 @@ def _set(path, value):
     return edit
 
 
+def _rename(path, old, new):
+    """An edit that renames key ``old`` of the object at ``path`` to ``new``."""
+    def edit(doc):
+        for key in path:
+            doc = doc[key]
+        doc[new] = doc.pop(old)
+    return edit
+
+
 def _replace_file(text):
     """An edit that replaces the whole file with ``text``."""
     def edit(doc):
@@ -154,6 +163,12 @@ def _repeat_key(key, copy):
         ("report", _set(["config", "forced_arrival_order"], 5), "config.forced_arrival_order: expected a list"),
         ("report", _set(["config", "alpha"], None), "config.alpha: None is not a fraction"),
         ("report", _set(["config", "alpha"], 0.1), "config.alpha: 0.1 is not a fraction"),
+        ("report", _set(["config", "alpha"], " 1 "), "config.alpha: ' 1 ' is not in canonical form, write '1'"),
+        ("report", _set(["config", "alpha"], "1e0"), "config.alpha: '1e0' is not in canonical form, write '1'"),
+        ("report", _set(["config", "variant"], "nope"), "config.variant: 'nope' is not one of standard, pay_slot_value"),
+        ("report", _set(["config", "forced_observation_count"], True), "config.forced_observation_count: expected an integer or null"),
+        ("report", _rename(["reports", "mediator_costs"], "m0", "m9"), "reports.mediator_costs: unknown entity id 'm9'"),
+        ("report", _rename(["reports", "advertiser_slots"], "a0", "a01"), "reports.advertiser_slots: bad entity id 'a01'"),
         ("report", _set(["schema_version"], 1), "run_report.schema_version: got 1"),
         ("report", _set(["reports", "mediator_costs", "m0", 0], "007"), "reports.mediator_costs[m0][0]: '007' is not in canonical form, write '7'"),
         ("report", _set(["instance", "mediators", 0, "user_costs", 0], ["1"]), "instance.mediators[0].user_costs[0]: ['1'] is not"),
@@ -189,6 +204,29 @@ def test_malformed_files_exit_one_with_field_path(tmp_path, capsys, target, edit
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert where in err
+
+
+def test_run_and_replay_a_report_claiming_capacity_10_12(tmp_path, capsys):
+    """One advertiser reports 10^12 slots at the top value of an organic
+    market priced by real thresholds: run and replay both exit 0, whether
+    the claim is observed (and prices the run) or arrives and trades."""
+    inst_path = _organic_file(tmp_path)
+    reports = _truthful_reports_doc(json.loads(inst_path.read_text()))
+    reports["advertiser_slots"]["a0"] = {"capacity": 10**12, "value": "3"}
+    rep_path = tmp_path / "reports.json"
+    rep_path.write_text(json.dumps(reports) + "\n")
+    seen = set()
+    for seed in range(4):
+        out = tmp_path / f"run{seed}.json"
+        assert main(["run", "--instance", str(inst_path), "--reports", str(rep_path),
+                     "--alpha", "1/70", "--seed", str(seed), "-o", str(out)]) == 0
+        assert main(["replay", str(out)]) == 0
+        outcome = json.loads(out.read_text())["outcome"]
+        assert not outcome["thresholds"]["dummy"]
+        traded = any(t["slot"].startswith("a0:") for e in outcome["events"] for t in e["trades"])
+        seen.add("observed" if "a0" in outcome["observed_advertisers"] else "traded" if traded else "idle")
+    assert {"observed", "traded"} <= seen
+    assert capsys.readouterr().out.count("replay matches recorded outcome exactly") == 4
 
 
 def test_replay_of_a_deeply_nested_outcome_names_the_first_line(tmp_path, capsys):

@@ -14,6 +14,7 @@ from observeprice import (
     ReportProfile,
     TieKey,
     UserRef,
+    SlotBlock,
     SlotRef,
     advertiser_id,
     from_units,
@@ -94,7 +95,7 @@ def test_view_keys_are_pairwise_distinct():
         )
         view = true_view(inst)
         keys = [view.user_keys[u] for u in view.all_users]
-        keys += [view.slot_keys[s] for s in view.all_slots]
+        keys += [view.slot_key(s) for s in view.all_slots]
         assert len(set(keys)) == len(keys)
 
 
@@ -185,8 +186,8 @@ def test_report_view_reflects_misreports():
     inst = build_instance([[1, 2]], [(1, 9)], seed=1)
     deviant = ReportProfile.truthful(inst).with_advertiser_slots(advertiser_id(0), 3, 4)
     view = report_view(inst, deviant)
-    assert len(view.slots_of([advertiser_id(0)])) == 3
-    assert view.slot_values[SlotRef(advertiser_id(0), 0)] == 4
+    assert [b for b in view.all_slots if b.advertiser == advertiser_id(0)] == [SlotRef(advertiser_id(0), j) for j in range(3)]
+    assert view.slot_value(SlotRef(advertiser_id(0), 0)) == 4
 
 
 def test_assignment_rejects_reuse():
@@ -285,11 +286,15 @@ def test_view_build_equals_the_constructor_reference():
     for inst, reports in cases:
         view = _build_view(inst, reports.mediator_costs, reports.advertiser_slots)
         ref = _reference_view(inst, reports.mediator_costs, reports.advertiser_slots)
-        got = (view.user_costs, view.slot_values, view.user_keys, view.slot_keys,
-               view.users_by_mediator, view.slots_by_advertiser)
+        # the per-slot maps, read back from the blocks
+        slots = view.all_slots
+        slots_by_advertiser = {a: tuple(b for b in slots if b.advertiser == a) for a in view.blocks}
+        slot_keys = {b: view.slot_key(b) for b in slots}
+        slot_values = {b: view.slot_value(b) for b in slots}
+        got = (view.user_costs, slot_values, view.user_keys, slot_keys, view.users_by_mediator, slots_by_advertiser)
         assert got == ref
         assert [list(a) for a in got] == [list(b) for b in ref]  # the same insertion order
         users = [*view.user_costs, *view.user_keys, *(u for us in view.users_by_mediator.values() for u in us)]
-        slots = [*view.slot_values, *view.slot_keys, *(b for bs in view.slots_by_advertiser.values() for b in bs)]
         assert all(type(u) is UserRef for u in users) and all(type(b) is SlotRef for b in slots)
-        assert all(type(k) is TieKey for k in (*view.user_keys.values(), *view.slot_keys.values()))
+        assert all(type(k) is TieKey for k in (*view.user_keys.values(), *slot_keys.values()))
+        assert all(type(b) is SlotBlock for b in view.blocks.values())

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from observeprice import (
     MechanismConfig,
     ReportProfile,
+    SlotBlock,
     SlotRef,
     TieKey,
     UserRef,
@@ -20,7 +21,9 @@ from observeprice import (
     derive_r,
     dummy_thresholds,
     injected_thresholds,
+    matched_family,
     mediator_id,
+    report_view,
     run_mechanism,
     sample_observation_count,
     threshold_keys_from_amounts,
@@ -32,11 +35,14 @@ from observeprice.mechanism import MechanismState, Thresholds, _iroot6, at_most_
 from observeprice.serialize import outcome_to_doc
 from conftest import (
     LOCATION_GRID,
+    MICRO,
     ORGANIC_ALPHA,
     build_instance,
     desk_config,
     desk_instance,
     organic_instance,
+    per_unit_run,
+    random_reports,
     worked_example,
 )
 
@@ -195,7 +201,7 @@ def test_dummy_thresholds_have_no_amounts():
     with pytest.raises(ValueError):
         th.charge
     assert not th.user_assignable(TieKey(0, 0, 0))
-    assert not th.slot_assignable(TieKey(10**9, 0, 0))
+    assert th.first_assignable(SlotBlock(10**9, 0, 3, advertiser_id(0))) == 3
 
 
 def test_synthetic_threshold_keys_tie_semantics():
@@ -206,7 +212,7 @@ def test_synthetic_threshold_keys_tie_semantics():
     th = injected_thresholds(user_key, slot_key)
     view = true_view(inst)
     assert th.user_assignable(view.user_keys[UserRef(mediator_id(0), 0)])
-    assert not th.slot_assignable(view.slot_keys[SlotRef(advertiser_id(0), 0)])
+    assert th.first_assignable(view.blocks[advertiser_id(0)]) == 1  # its one slot is not assignable
 
 
 def test_compute_thresholds_frozen_example():
@@ -506,10 +512,85 @@ def test_serving_loop_counters_targets_and_steps(market):
     for entity in arrivals:
         event = state.process_arrival(entity)
         assert event.unassigned_assignable_users == sum(len(q) - state._qpos[m] for m, q in state._queue.items())
-        assert event.unassigned_assignable_slots == sum(len(b) - state._spos[a] for a, b in state._slots.items())
+        assert event.unassigned_assignable_slots == sum(map(len, state._slots.values()))
         for m in state._set_mediators:
             for u in state.assigned_by_mediator.get(m, ()):
                 want = 0 if variant == "skip_user_payment_updates" else state._target_amount(m)
                 assert state.targets[u] == want
         folded.update(event.pay_steps)
     assert folded == {u: x for u, x in state.targets.items() if x != 0}
+
+
+# -- slot blocks against the per-unit rules ------------------------------------------
+
+
+def test_block_serving_matches_the_per_unit_rules():
+    """Runs on slot blocks against the same runs on the per-unit rules
+    (conftest: every slot ref sorted and zipped for the thresholds, every
+    slot filtered against the threshold on arrival): equal outcomes. Desk
+    markets of random reports, with capacities 0, 1 and above the user
+    count, get thresholds injected at keys inside, below and above one
+    advertiser's reported block; organic markets with inflated claims are
+    priced by computed thresholds."""
+    rng = random.Random(12)
+    inside = computed = 0
+    for trial in range(300):
+        inst = desk_instance(trial)
+        reports = random_reports(inst, rng, unit=2 * MICRO)
+        a = rng.choice(inst.advertisers).id
+        value, rank, cap, _ = report_view(inst, reports).blocks[a]
+        j = rng.choice((-3, -1, 0, cap // 2, cap - 1, cap, cap + 2))
+        slot_key = TieKey(value, rank, j)
+        user_key = TieKey(value - rng.randrange(3) * MICRO, rng.randrange(inst.n_entities + 1), rng.randrange(3))
+        if not user_key < slot_key:
+            continue
+        config = MechanismConfig(alpha=Fraction(1), r=Fraction(1, 10), seed=trial, threshold_override=(user_key, slot_key))
+        got = run_mechanism(inst, reports, config)
+        assert got == per_unit_run(inst, reports, config), trial
+        inside += 0 < j + 1 < cap and any(t.slot.advertiser == a for t in got.trades_of())
+    for seed in range(40):
+        inst = organic_instance(seed % 5)
+        reports = ReportProfile.truthful(inst)
+        claims = rng.sample(inst.advertisers, 3)
+        for spec in claims:
+            reports = reports.with_advertiser_slots(spec.id, rng.choice((0, 1, 2, 200)), rng.choice((spec.value, 2 * MICRO)))
+        config = MechanismConfig(alpha=ORGANIC_ALPHA, seed=seed)
+        got = run_mechanism(inst, reports, config)
+        assert got == per_unit_run(inst, reports, config), seed
+        key = got.thresholds.slot_key
+        computed += key is not None and key.within_index > 0
+    assert inside >= 20 and computed >= 5, (inside, computed)
+
+
+def test_a_claim_of_10_12_slots_runs_as_a_claim_of_10_3():
+    """On matched_family(1/160) one advertiser claims 10^3 and then 10^12
+    slots above every value: each run trades and pays the same and is
+    priced the same. A threshold slot inside the claimed block sits at the
+    same depth below the block's top, so its index differs by the
+    difference of the two claims."""
+    alpha = Fraction(1, 160)
+    inst = matched_family(alpha, seed=0)
+    a = inst.advertisers[0].id
+    top = max(spec.value for spec in inst.advertisers) + 1
+    truthful = ReportProfile.truthful(inst)
+    seen = set()
+    for seed in range(6):
+        config = MechanismConfig(alpha=alpha, seed=seed)
+        small, huge = (run_mechanism(inst, truthful.with_advertiser_slots(a, cap, top), config) for cap in (10**3, 10**12))
+        assert huge.trades_of() == small.trades_of()
+        assert (huge.charges, huge.receipts, huge.final_targets, huge.gft) == (
+            small.charges, small.receipts, small.final_targets, small.gft
+        )
+        ts, th = small.thresholds, huge.thresholds
+        assert not ts.is_dummy
+        assert (th.user_key, th.location, th.observed_size) == (ts.user_key, ts.location, ts.observed_size)
+        if ts.slot_key.entity_rank == inst.rank(a):
+            assert th.slot_key[:2] == ts.slot_key[:2]
+            assert 10**12 - th.slot_key.within_index == 10**3 - ts.slot_key.within_index
+            seen.add("priced inside the claim")
+        else:
+            assert th.slot_key == ts.slot_key
+        if any(t.slot.advertiser == a for t in small.trades_of()):
+            seen.add("the claim trades")
+    assert seen == {"priced inside the claim", "the claim trades"}
+

@@ -1,12 +1,13 @@
 """Text codecs for instances, reports, configs, outcomes, and replayable runs."""
 
+import copy
 import hashlib
 import json
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from observeprice import (
@@ -35,6 +36,7 @@ from observeprice.serialize import (
     reports_from_doc,
     reports_to_doc,
     reports_to_text,
+    run_report_to_doc,
 )
 from conftest import build_instance, desk_config, desk_instance, organic_instance, replay_corpus, ORGANIC_ALPHA
 
@@ -496,3 +498,100 @@ def test_list_readers_name_the_bad_element(read, bad, message):
     with pytest.raises(ParseError) as err:
         read(bad)
     assert str(err.value) == message
+
+
+# -- reader fuzz ---------------------------------------------------------------------
+
+
+def _fuzz_documents():
+    """Valid documents to mutate: an instance, a reports profile, and two run
+    reports (a desk run priced by injected thresholds, an organic run by
+    computed ones, with one advertiser claiming three slots more)."""
+    desk = desk_instance(7)
+    desk_run = (desk, ReportProfile.truthful(desk), desk_config(desk, seed=3))
+    organic = organic_instance(0)
+    claim = ReportProfile.truthful(organic).with_advertiser_slots(organic.advertisers[0].id, 4, 2 * 10**6)
+    organic_run = (organic, claim, MechanismConfig(alpha=ORGANIC_ALPHA, seed=1))
+    docs = {"instance": json.loads(instance_to_text(desk)), "reports": reports_to_doc(claim)}
+    for name, (inst, reports, config) in (("desk report", desk_run), ("organic report", organic_run)):
+        docs[name] = run_report_to_doc(inst, reports, config, run_mechanism(inst, reports, config))
+    return docs
+
+
+_FUZZ_DOCS = _fuzz_documents()
+_SWAPS = (None, True, False, 0, 1, 1.5, "", "x", "1", "m0", "1/2", [], {}, ["1"], {"m0": []})
+_NUMBERS = (10**12, 10**30, 2**63, 1e308, -1, -(10**30), -0.0, "-1", "9" * 60, "1" + "0" * 5000, "m" + "9" * 5000)
+
+
+def _places(node, part, out):
+    """Every ``(container, key)`` under ``node``, filed by the top-level key ``part``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        out.setdefault(part, []).append((node, key))
+        _places(child, part, out)
+    return out
+
+
+def _claim_capacities(doc):
+    """Set every reported capacity the document still holds to 10^12, or, in
+    an instance, every true capacity."""
+    part = doc.get("reports", doc)
+    if isinstance(part, dict):
+        specs = part.get("advertisers") if isinstance(part.get("advertisers"), list) else []
+        slots = part.get("advertiser_slots") if isinstance(part.get("advertiser_slots"), dict) else {}
+        for spec in [*specs, *slots.values()]:
+            if isinstance(spec, dict):
+                spec["capacity"] = 10**12
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A valid document after one to three edits: a deletion, a value of
+    another type, or a huge or negative number, each at a place drawn
+    uniformly within a part drawn uniformly (the top level, or one of its
+    keys), or every reported capacity set to 10^12."""
+    name = draw(st.sampled_from(sorted(_FUZZ_DOCS)))
+    doc = copy.deepcopy(_FUZZ_DOCS[name])
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(("delete", "swap", "number", "capacity")))
+        if edit == "capacity":
+            _claim_capacities(doc)
+            continue
+        places = {None: [(doc, key) for key in doc]}
+        for key, child in doc.items():
+            _places(child, key, places)
+        parent, key = draw(st.sampled_from(places[draw(st.sampled_from(list(places)))]))
+        if edit == "delete":
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(draw(st.sampled_from(_SWAPS if edit == "swap" else _NUMBERS)))
+    return name, doc
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_mutated_documents())
+def test_readers_meet_mutated_documents_with_parse_error_or_success(case):
+    """Every reader, and replay of a run report it reads, either succeeds or
+    raises ``ParseError``; replay may also raise the ``ValueError`` of the
+    run's own input checks (the mechanism's standing assumptions, reports
+    covering the instance, forced orders and counts), which the CLI reports
+    with exit 1 as it does a ``ParseError``. Nothing else escapes."""
+    name, doc = case
+    text = json.dumps(doc)
+    try:
+        if name == "instance":
+            instance_from_text(text)
+        elif name == "reports":
+            reports_from_text(text)
+        else:
+            report = run_report_from_text(text)
+            try:
+                ok, message = replay_run_report(report)
+            except ValueError:
+                pass
+            else:
+                assert isinstance(ok, bool) and message
+    except ParseError:
+        pass
+

@@ -552,7 +552,7 @@ def test_experiments_with_shared_views_match_per_run_rebuilds():
     alpha, n = Fraction(1, 80), 20
     inst = matched_family(alpha, seed=0)
     view = true_view(inst)
-    cano = canonical_assignment(view.all_users, view.all_slots, view)
+    cano = canonical_assignment(view.all_users, view.blocks, view)
     optimum = offline_optimum(inst)
     opt = optimal_gain(inst)
     ratios, reachable, events, concentrations = [], [], 0, 0
@@ -561,19 +561,19 @@ def test_experiments_with_shared_views_match_per_run_rebuilds():
         observed_m, observed_a = set(out.observed_mediators), set(out.observed_advertisers)
         post = canonical_assignment(
             [u for u in view.all_users if u.mediator not in observed_m],
-            [b for b in view.all_slots if b.advertiser not in observed_a],
+            [a for a in view.blocks if a not in observed_a],
             view,
         )
-        gain = sum(view.slot_values[b] - view.user_costs[u] for u, b in post.ordered_pairs)
+        gain = sum(view.slot_value(b) - view.user_costs[u] for u, b in post.ordered_pairs)
         ratios.append(float(Fraction(out.gft, opt)))
         reachable.append(float(Fraction(out.gft, gain)) if gain else 1.0)
         diag = compute_diagnostic_sets(inst, out, random.Random(seed ^ 0x9E3779B9))
         shared = compute_diagnostic_sets(inst, out, random.Random(seed ^ 0x9E3779B9), optimum=optimum)
         assert shared == diag, seed
-        obs = canonical_assignment(view.users_of(out.observed_mediators), view.slots_of(out.observed_advertisers), view)
+        obs = canonical_assignment(view.users_of(out.observed_mediators), out.observed_advertisers, view)
         filtered = canonical_assignment(
             [u for u in cano.sorted_users if u.mediator in observed_m],
-            [b for b in cano.sorted_slots if b.advertiser in observed_a],
+            [b.advertiser for b in cano.sorted_blocks if b.advertiser in observed_a],
             view,
         )
         assert filtered == obs, seed
