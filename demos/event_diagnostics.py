@@ -46,6 +46,6 @@ print(f"\none run at alpha = {alpha}: tau = {diag.tau}, "
 print(f"  ell (optimum's edge value) = {money_to_text(diag.ell)}")
 print(f"  core prefix length = {len(diag.core_users)}")
 print(f"  clearing sets: {len(diag.clearing_users)} users, {len(diag.clearing_slots)} slots")
-print(f"  executed trades: {len(outcome.assignment)}")
+print(f"  executed trades: {len(outcome.trades_of())}")
 print(f"  event flags: concentration = {diag.flags.concentration}, "
       f"full event = {diag.flags.event}")

@@ -6,6 +6,9 @@ Every run serializes to a self-contained JSON report: the instance, the
 reports the mechanism saw, the full configuration, and the outcome. Anyone
 can re-run the report and compare outcomes byte for byte. A report is one
 line of compact JSON; `python -m json.tool report.json` prints it indented.
+The outcome records only what the run decided: the arrival order, how many
+arrivals were observed, the thresholds, the event log and the gain from
+trade. Charges, receipts and final pay targets are folds of the event log.
 """
 
 import json
@@ -43,7 +46,12 @@ config = MechanismConfig(alpha=Fraction(1, 70), seed=3)
 outcome = run_mechanism(instance, reports, config)
 text = run_report_to_text(instance, reports, config, outcome)
 print(f"report is {len(text.encode())} bytes of compact JSON, "
-      f"records {len(outcome.assignment)} trades, GfT {money_to_text(outcome.gft)}")
+      f"records {len(outcome.trades_of())} trades, GfT {money_to_text(outcome.gft)}")
+recorded = json.loads(text)["outcome"]
+print(f"the outcome holds {', '.join(recorded)}")
+charged = sum(money_from_text(t["charge"]) for e in recorded["events"] for t in e["trades"])
+assert charged == sum(outcome.charges.values())
+print(f"advertisers were charged {money_to_text(charged)} in all, summed from the recorded trades")
 
 # 2. Replaying the parsed report re-runs the mechanism from the recorded
 #    configuration; the fresh outcome must match the recorded one exactly.

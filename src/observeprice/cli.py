@@ -39,16 +39,16 @@ def _money_dist(text: str, option: str) -> generate.DistSpec:
     line like any other amount the reader rejects."""
     parts = text.split(":")
     kind = parts[0]
-    if kind == "constant" and len(parts) == 2:
-        return generate.constant(serialize.money_from_text(parts[1], option))
-    if kind == "uniform" and len(parts) == 3:
-        return generate.uniform(serialize.money_from_text(parts[1], option), serialize.money_from_text(parts[2], option))
-    if kind == "lognormal" and len(parts) in (3, 4):
-        shift = serialize.money_from_text(parts[3], option) if len(parts) == 4 else 0
-        try:
+    try:
+        if kind == "constant" and len(parts) == 2:
+            return generate.constant(serialize.money_from_text(parts[1], option))
+        if kind == "uniform" and len(parts) == 3:
+            return generate.uniform(serialize.money_from_text(parts[1], option), serialize.money_from_text(parts[2], option))
+        if kind == "lognormal" and len(parts) in (3, 4):
+            shift = serialize.money_from_text(parts[3], option) if len(parts) == 4 else 0
             return generate.lognormal(float(parts[1]), float(parts[2]), shift)
-        except ValueError as exc:
-            raise serialize.ParseError(f"{option}: {exc}") from exc
+    except ValueError as exc:
+        raise serialize.ParseError(f"{option}: {exc}") from exc
     raise serialize.ParseError(
         f"{option}: {text!r}: expected constant:AMOUNT, uniform:LOW:HIGH, or lognormal:MU:SIGMA[:SHIFT]"
     )
@@ -100,17 +100,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_reports(args: argparse.Namespace, instance) -> ReportProfile:
-    if args.reports is None:
-        return ReportProfile.truthful(instance)
-    reports = serialize.reports_from_text(_read(args.reports))
-    reports.check_covers(instance)
-    return reports
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     instance = serialize.instance_from_text(_read(args.instance))
-    reports = _load_reports(args, instance)
+    if args.reports is None:
+        reports = ReportProfile.truthful(instance)
+    else:  # the run checks that they cover the instance
+        reports = serialize.reports_from_text(_read(args.reports))
     config = MechanismConfig(alpha=args.alpha, r=args.r, seed=args.seed, variant=args.variant)
     outcome = run_mechanism(instance, reports, config)
     _write(args.output, serialize.run_report_to_text(instance, reports, config, outcome))

@@ -61,6 +61,8 @@ def constant(value: int) -> DistSpec:
 
 
 def uniform(low: int, high: int) -> DistSpec:
+    if low > high:
+        raise ValueError("empty uniform range: low is above high")
     return DistSpec("uniform", low=low, high=high)
 
 

@@ -189,6 +189,11 @@ class Instance:
         return tau(self)
 
 
+class RunInputError(ValueError):
+    """An input a run refuses; the message leads with the part at fault:
+    ``instance``, ``reports.<part>`` or ``config.<field>``."""
+
+
 def random_tie_order(entity_ids: Sequence[EntityId], rng: random.Random) -> tuple[EntityId, ...]:
     """Uniform tie order. Draw this before looking at any report."""
     order = list(entity_ids)
@@ -228,10 +233,15 @@ class ReportProfile:
         )
 
     def check_covers(self, instance: Instance) -> None:
-        if set(self.mediator_costs) != {m.id for m in instance.mediators} or set(
-            self.advertiser_slots
-        ) != {a.id for a in instance.advertisers}:
-            raise ValueError("report profile must cover exactly the instance's entities")
+        """A ``RunInputError`` naming the first id missing from the profile, or else the first extra one."""
+        for part, reported, ids in (
+            ("mediator_costs", self.mediator_costs, {m.id for m in instance.mediators}),
+            ("advertiser_slots", self.advertiser_slots, {a.id for a in instance.advertisers}),
+        ):
+            if reported.keys() != ids:
+                missing, extra = sorted(ids - reported.keys()), sorted(reported.keys() - ids)
+                problem = f"no report for {missing[0]}" if missing else f"{extra[0]} is not in the instance"
+                raise RunInputError(f"reports.{part}: {problem}")
 
     def with_user_cost(self, user: UserRef, cost: Money) -> "ReportProfile":
         """The profile with one reported user cost changed; ``ValueError`` if
@@ -341,24 +351,6 @@ def true_view(instance: Instance) -> MarketView:
 def report_view(instance: Instance, reports: ReportProfile) -> MarketView:
     reports.check_covers(instance)
     return _build_view(instance, reports.mediator_costs, reports.advertiser_slots)
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """A set of user-slot pairs with no user and no slot repeated."""
-
-    pairs: tuple[tuple[UserRef, SlotRef], ...]
-
-    def __post_init__(self) -> None:
-        users = [p for p, _ in self.pairs]
-        slots = [b for _, b in self.pairs]
-        if len(set(users)) != len(users):
-            raise ValueError("assignment repeats a user")
-        if len(set(slots)) != len(slots):
-            raise ValueError("assignment repeats a slot")
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
 
 def gain_from_trade(pairs: Iterable[tuple[UserRef, SlotRef]], view: MarketView) -> Money:

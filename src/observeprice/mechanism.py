@@ -27,12 +27,12 @@ from typing import NamedTuple, Optional, Sequence
 
 from .canonical import canonical_assignment
 from .market import (
-    Assignment,
     EntityId,
     Instance,
     MarketView,
     Money,
     ReportProfile,
+    RunInputError,
     SlotBlock,
     SlotRef,
     TieKey,
@@ -169,7 +169,7 @@ def dummy_thresholds(observed_size: int = 0) -> Thresholds:
 
 
 def injected_thresholds(user_key: TieKey, slot_key: TieKey) -> Thresholds:
-    """Test-only override of step 2. Flagged on the outcome."""
+    """Test-only override of step 2, flagged ``injected``."""
     return Thresholds(user_key, slot_key, None, 0, injected=True)
 
 
@@ -236,7 +236,7 @@ class MechanismConfig:
     r: Optional[Fraction] = None  # default: derive_r(alpha)
     seed: int = 0
     # Test-only injection points. Production runs leave all three at None;
-    # outcomes record whether any was used.
+    # a run report's config records whether any was used.
     threshold_override: Optional[tuple[TieKey, TieKey]] = None
     forced_arrival_order: Optional[tuple[EntityId, ...]] = None
     forced_observation_count: Optional[int] = None
@@ -246,37 +246,64 @@ class MechanismConfig:
     def resolved_r(self) -> Fraction:
         r = derive_r(self.alpha) if self.r is None else Fraction(self.r)
         if not 0 < r <= Fraction(1, 2):
-            raise ValueError("r must be in (0, 1/2]")
+            raise RunInputError("config.r: must be in (0, 1/2]")
         return r
 
 
 @dataclass
 class MechanismOutcome:
+    """What one run decided. The event log is its only record of trades and
+    payments: the ledgers, the observed split and the executed pairs are
+    read-only folds of ``events`` and ``arrival_order``."""
+
     alpha: Fraction
     r: Fraction
-    seed: int
-    variant: str
-    injected_thresholds: bool
-    forced_arrival: bool
-    forced_observation: bool
     arrival_order: tuple[EntityId, ...]
     observation_count: int
-    observed_mediators: tuple[EntityId, ...]
-    observed_advertisers: tuple[EntityId, ...]
     thresholds: Thresholds
     events: tuple[ArrivalEvent, ...]
-    assignment: Assignment
-    charges: dict[EntityId, Money]  # per advertiser
-    receipts: dict[EntityId, Money]  # per mediator
-    final_targets: dict[UserRef, Money]
-    gft: Money  # of the executed assignment, in the amounts the run was priced on
+    gft: Money  # of the executed trades, in the amounts the run was priced on
 
     @property
     def post_observation_order(self) -> tuple[EntityId, ...]:
         return self.arrival_order[self.observation_count :]
 
+    @property
+    def observed_mediators(self) -> tuple[EntityId, ...]:
+        return tuple(e for e in self.arrival_order[: self.observation_count] if e.kind == "mediator")
+
+    @property
+    def observed_advertisers(self) -> tuple[EntityId, ...]:
+        return tuple(e for e in self.arrival_order[: self.observation_count] if e.kind == "advertiser")
+
     def trades_of(self) -> list[Trade]:
         return [t for e in self.events for t in e.trades]
+
+    @property
+    def charges(self) -> dict[EntityId, Money]:
+        """Total charged per advertiser, in order of first trade."""
+        charges: dict[EntityId, Money] = {}
+        for t in self.trades_of():
+            charges[t.slot.advertiser] = charges.get(t.slot.advertiser, 0) + t.charge
+        return charges
+
+    @property
+    def receipts(self) -> dict[EntityId, Money]:
+        """Total received per mediator, in order of first trade."""
+        receipts: dict[EntityId, Money] = {}
+        for t in self.trades_of():
+            receipts[t.user.mediator] = receipts.get(t.user.mediator, 0) + t.payment
+        return receipts
+
+    @property
+    def final_targets(self) -> dict[UserRef, Money]:
+        """Each traded user's last cumulative pay target, in order of trade."""
+        targets: dict[UserRef, Money] = {}
+        for e in self.events:
+            for t in e.trades:
+                targets.setdefault(t.user, 0)
+            targets.update(e.pay_steps)
+        return targets
 
 
 class MechanismState:
@@ -299,7 +326,6 @@ class MechanismState:
         self.thresholds = thresholds
         self.variant = variant
         self.observed = set(observed)
-        self.arrived: set[EntityId] = set()
         # Per-mediator queue of assignable users, cheapest key first; only the
         # pointer moves, the membership is fixed at arrival.
         self._queue: dict[EntityId, list[UserRef]] = {}
@@ -315,9 +341,6 @@ class MechanismState:
         self._aptr = 0
         self.assigned_by_mediator: dict[EntityId, list[UserRef]] = {}
         self.targets: dict[UserRef, Money] = {}
-        self.charges: dict[EntityId, Money] = {}
-        self.receipts: dict[EntityId, Money] = {}
-        self.pairs: list[tuple[UserRef, SlotRef]] = []
         self.events: list[ArrivalEvent] = []
 
     # -- pools ---------------------------------------------------------------
@@ -375,22 +398,18 @@ class MechanismState:
         self._idle_slots -= 1
         charge = self.thresholds.charge
         payment = charge if self.variant == "pay_slot_value" else self.thresholds.payment
-        self.charges[a] = self.charges.get(a, 0) + charge
-        self.receipts[m] = self.receipts.get(m, 0) + payment
         self.assigned_by_mediator.setdefault(m, []).append(user)
         self.targets.setdefault(user, 0)
-        self.pairs.append((user, slot))
         trades.append(Trade(user, slot, charge, payment))
         # The newly assigned user is paid immediately; her mediator's other
         # assigned users ride along on the same rule.
         self._raise_targets(m, steps)
 
     def process_arrival(self, entity: EntityId) -> ArrivalEvent:
-        if entity in self.arrived:
+        if entity in self._queue or entity in self._slots:
             raise ValueError(f"{entity} already arrived")
         if entity in self.observed:
             raise ValueError(f"{entity} was observed; observed entities do not arrive again")
-        self.arrived.add(entity)
         trades: list[Trade] = []
         steps: list[tuple[UserRef, Money]] = []
 
@@ -438,7 +457,8 @@ def run_mechanism(
     """One full run: arrival order, observation, thresholds, serving loop.
 
     The true instance must satisfy the standing assumptions for config.alpha;
-    reports are arbitrary type-valid claims.
+    reports are arbitrary type-valid claims. An input the run refuses is a
+    ``RunInputError``.
 
     ``view`` lets a caller that reruns one report profile build its view
     once: it must be exactly ``report_view(instance, reports)``, which the run
@@ -448,16 +468,16 @@ def run_mechanism(
     if reports is None and view is None:
         raise ValueError("run_mechanism needs reports or their view")
     alpha = Fraction(config.alpha)
-    r = config.resolved_r()
-    check = validate_instance(instance, alpha)
+    check = validate_instance(instance, alpha)  # alpha outside [1/tau, 1] fails, so derive_r accepts the rest
     if not check.ok:
-        raise ValueError("instance fails mechanism assumptions: " + "; ".join(check.violations))
+        raise RunInputError("instance: " + "; ".join(check.violations))
+    r = config.resolved_r()
 
     rng = random.Random(config.seed)
     if config.forced_arrival_order is not None:
         arrival = list(config.forced_arrival_order)
         if len(arrival) != instance.n_entities or set(arrival) != set(instance.entity_ids):
-            raise ValueError("forced_arrival_order must be a permutation of the instance's entities")
+            raise RunInputError("config.forced_arrival_order: not a permutation of the instance's entities")
     else:
         arrival = list(instance.entity_ids)
         rng.shuffle(arrival)
@@ -466,7 +486,7 @@ def run_mechanism(
     if config.forced_observation_count is not None:
         t = config.forced_observation_count
         if not 0 <= t <= n:
-            raise ValueError("forced_observation_count outside 0..n")
+            raise RunInputError(f"config.forced_observation_count: {t} is outside 0..{n}")
     else:
         t = sample_observation_count(n, r, rng)
 
@@ -477,8 +497,10 @@ def run_mechanism(
     if view is None:
         view = report_view(instance, reports)
     if config.threshold_override is not None:
-        user_key, slot_key = config.threshold_override
-        thresholds = injected_thresholds(user_key, slot_key)
+        try:
+            thresholds = injected_thresholds(*config.threshold_override)
+        except ValueError as exc:
+            raise RunInputError(f"config.threshold_override: {exc}") from None
     else:
         thresholds = compute_thresholds(view, observed_m, observed_a, r, alpha)
 
@@ -486,27 +508,14 @@ def run_mechanism(
     for entity in arrival[t:]:
         state.process_arrival(entity)
 
-    assignment = Assignment(tuple(state.pairs))
-    gft = gain_from_trade(assignment.pairs, view)
     return MechanismOutcome(
         alpha=alpha,
         r=r,
-        seed=config.seed,
-        variant=config.variant,
-        injected_thresholds=config.threshold_override is not None,
-        forced_arrival=config.forced_arrival_order is not None,
-        forced_observation=config.forced_observation_count is not None,
         arrival_order=tuple(arrival),
         observation_count=t,
-        observed_mediators=observed_m,
-        observed_advertisers=observed_a,
         thresholds=thresholds,
         events=tuple(state.events),
-        assignment=assignment,
-        charges=dict(state.charges),
-        receipts=dict(state.receipts),
-        final_targets=dict(state.targets),
-        gft=gft,
+        gft=gain_from_trade(((x.user, x.slot) for e in state.events for x in e.trades), view),
     )
 
 

@@ -19,6 +19,10 @@ once per document, build ref texts (``m0:1``) and text-keyed sorts from
 them, and a run report shares one such memo across its parts; replay reads
 each amount text of the instance and the reports it re-runs once, and
 reads the reports' ids from the instance's id map.
+
+An outcome document (schema 4) holds only what the run decided, nothing
+the report's config holds and nothing that folds from the arrival prefix
+or the events (the observed split, the executed pairs and the ledgers).
 """
 
 from __future__ import annotations
@@ -35,11 +39,12 @@ from .market import (
     MediatorSpec,
     Money,
     ReportProfile,
+    RunInputError,
     TieKey,
 )
-from .mechanism import VARIANTS, MechanismConfig, MechanismOutcome, Thresholds, run_mechanism
+from .mechanism import VARIANTS, MechanismConfig, MechanismOutcome, run_mechanism
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 class ParseError(Exception):
@@ -114,10 +119,10 @@ def _need(doc: dict, key: str, path: str, kind: type | None = None) -> Any:
 def _header(doc: dict, kind: str, path: str) -> None:
     version = _need(doc, "schema_version", path)
     if version != SCHEMA_VERSION:
-        raise ParseError(f"{path}.schema_version: got {version!r}, this reader understands {SCHEMA_VERSION}")
+        raise ParseError(f"{path}.schema_version: got {version!r:.40}, this reader understands {SCHEMA_VERSION}")
     got = _need(doc, "kind", path)
     if got != kind:
-        raise ParseError(f"{path}.kind: expected {kind!r}, got {got!r}")
+        raise ParseError(f"{path}.kind: expected {kind!r}, got {got!r:.40}")
 
 
 def _entity_from_text(text: Any, path: str) -> EntityId:
@@ -408,32 +413,19 @@ def config_from_doc(doc: dict, path: str = "config") -> MechanismConfig:
 # -- outcome -----------------------------------------------------------------
 
 
-def _thresholds_to_doc(t: Thresholds, texts: _Texts) -> dict:
-    return {
-        "dummy": t.is_dummy,
-        "user_key": None if t.user_key is None else _key_to_doc(t.user_key, texts),
-        "slot_key": None if t.slot_key is None else _key_to_doc(t.slot_key, texts),
-        "location": t.location,
-        "observed_size": t.observed_size,
-        "injected": t.injected,
-    }
-
-
 def _outcome_doc(outcome: MechanismOutcome, texts: _Texts) -> dict:
     text = texts.__getitem__
+    t = outcome.thresholds
     return {
-        "alpha": fraction_to_text(outcome.alpha),
         "r": fraction_to_text(outcome.r),
-        "seed": outcome.seed,
-        "variant": outcome.variant,
-        "injected_thresholds": outcome.injected_thresholds,
-        "forced_arrival": outcome.forced_arrival,
-        "forced_observation": outcome.forced_observation,
         "arrival_order": list(map(text, outcome.arrival_order)),
         "observation_count": outcome.observation_count,
-        "observed_mediators": list(map(text, outcome.observed_mediators)),
-        "observed_advertisers": list(map(text, outcome.observed_advertisers)),
-        "thresholds": _thresholds_to_doc(outcome.thresholds, texts),
+        "thresholds": {
+            "user_key": None if t.user_key is None else _key_to_doc(t.user_key, texts),
+            "slot_key": None if t.slot_key is None else _key_to_doc(t.slot_key, texts),
+            "location": t.location,
+            "observed_size": t.observed_size,
+        },
         "events": [
             {
                 "arrival": text(e.arrival),
@@ -447,10 +439,6 @@ def _outcome_doc(outcome: MechanismOutcome, texts: _Texts) -> dict:
             }
             for e in outcome.events
         ],
-        "assignment": [[text(u), text(b)] for u, b in outcome.assignment.pairs],
-        "charges": {a: text(x) for a, x in _by_text(texts, outcome.charges)},
-        "receipts": {m: text(x) for m, x in _by_text(texts, outcome.receipts)},
-        "final_targets": {text(u): text(x) for u, x in sorted(outcome.final_targets.items())},
         "gft": text(outcome.gft),
     }
 
@@ -539,12 +527,16 @@ def replay_run_report(doc: dict) -> tuple[bool, str]:
 
     The verdict compares the compact texts of both outcomes; on a mismatch
     the message names the first differing JSON path and both values there.
+    An input the run refuses is a ``ParseError`` at the part at fault.
     """
     amounts, known = _Amounts(), {}
     instance = _read_instance(doc["instance"], amounts, known, "instance")
     reports = _read_reports(doc["reports"], amounts, "reports", known)
     config = config_from_doc(doc["config"])
-    fresh = outcome_to_doc(run_mechanism(instance, reports, config))
+    try:
+        fresh = outcome_to_doc(run_mechanism(instance, reports, config))
+    except RunInputError as exc:
+        raise ParseError(str(exc)) from exc
     if _ENCODER.encode(doc["outcome"]) == _ENCODER.encode(fresh):
         return True, "replay matches recorded outcome exactly"
     path, recorded, now = _first_difference(doc["outcome"], fresh, "outcome")

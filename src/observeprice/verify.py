@@ -178,10 +178,7 @@ def check_budget_balance(outcome: MechanismOutcome) -> CheckResult:
     its trades and pay steps.
     """
     fails = []
-    total_charges = sum(outcome.charges.values())
-    total_receipts = sum(outcome.receipts.values())
-    if total_charges < total_receipts:
-        fails.append(f"total charges {total_charges} < total mediator receipts {total_receipts}")
+    total_charges = 0
     receipts_so_far: dict[EntityId, Money] = {}
     paid: dict[UserRef, Money] = {}
     owed: dict[EntityId, Money] = {}
@@ -189,6 +186,7 @@ def check_budget_balance(outcome: MechanismOutcome) -> CheckResult:
         for t in event.trades:
             if t.charge < t.payment:
                 fails.append(f"event {i}: trade charges {t.charge} but pays {t.payment}")
+            total_charges += t.charge
             receipts_so_far[t.user.mediator] = receipts_so_far.get(t.user.mediator, 0) + t.payment
         for user, target in event.pay_steps:
             owed[user.mediator] = owed.get(user.mediator, 0) + target - paid.get(user, 0)
@@ -199,6 +197,9 @@ def check_budget_balance(outcome: MechanismOutcome) -> CheckResult:
                 fails.append(
                     f"event {i}: mediator {m} owes users {owed.get(m, 0)} but has only received {receipts_so_far.get(m, 0)}"
                 )
+    total_receipts = sum(receipts_so_far.values())
+    if total_charges < total_receipts:
+        fails.insert(0, f"total charges {total_charges} < total mediator receipts {total_receipts}")
     return CheckResult(not fails, tuple(fails))
 
 
@@ -215,13 +216,21 @@ def check_surplus_invariant(outcome: MechanismOutcome) -> CheckResult:
 
 
 def check_online_legality(outcome: MechanismOutcome) -> CheckResult:
-    """Every trade involves the entity that just arrived, on exactly one side."""
+    """Every trade involves the entity that just arrived, on exactly one
+    side, and no user and no slot trades twice."""
     fails = []
+    users, slots = set(), set()
     for i, event in enumerate(outcome.events):
         for t in event.trades:
             sides = (t.user.mediator == event.arrival) + (t.slot.advertiser == event.arrival)
             if sides != 1:
                 fails.append(f"event {i}: trade {t.user}->{t.slot} does not involve arrival {event.arrival} on one side")
+            if t.user in users:
+                fails.append(f"event {i}: user {t.user} trades twice")
+            if t.slot in slots:
+                fails.append(f"event {i}: slot {t.slot} trades twice")
+            users.add(t.user)
+            slots.add(t.slot)
     return CheckResult(not fails, tuple(fails))
 
 
@@ -240,7 +249,7 @@ def check_pay_targets_monotone(outcome: MechanismOutcome) -> CheckResult:
 
 
 def check_observed_never_trade(outcome: MechanismOutcome) -> CheckResult:
-    observed = set(outcome.observed_mediators) | set(outcome.observed_advertisers)
+    observed = set(outcome.arrival_order[: outcome.observation_count])
     fails = []
     for t in outcome.trades_of():
         if t.user.mediator in observed or t.slot.advertiser in observed:
@@ -447,7 +456,7 @@ def truthful_sweep(
             view = report_view(instance, truthful)
         outcome = run_mechanism(instance, truthful, config, view=view)
         result.runs += 1
-        result.trades += len(outcome.assignment)
+        result.trades += sum(len(e.trades) for e in outcome.events)
         for name, chk in RUN_CHECKS.items():
             got = chk(outcome)
             if not got.ok:

@@ -513,11 +513,13 @@ def test_ratio_experiment_positive_in_live_regime():
 
 def test_ratio_experiment_rejects_gain_beyond_reachable_market(monkeypatch):
     inst = matched_family(Fraction(1, 80), seed=0)
-    all_mediators = tuple(m.id for m in inst.mediators)
 
     def observe_every_mediator(instance, config, view=None):
+        """The run with every mediator moved into its observed prefix."""
         outcome = truthful_run(instance, config, view=view)
-        return replace(outcome, observed_mediators=all_mediators, gft=outcome.gft + 1)
+        observed = outcome.observed_advertisers + tuple(m.id for m in instance.mediators)
+        rest = tuple(e for e in outcome.arrival_order if e not in frozenset(observed))
+        return replace(outcome, arrival_order=observed + rest, observation_count=len(observed), gft=outcome.gft + 1)
 
     monkeypatch.setattr(analysis, "truthful_run", observe_every_mediator)
     with pytest.raises(AssertionError, match="no gain left unobserved"):

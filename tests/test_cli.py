@@ -170,6 +170,7 @@ def _repeat_key(key, copy):
         ("report", _rename(["reports", "mediator_costs"], "m0", "m9"), "reports.mediator_costs: unknown entity id 'm9'"),
         ("report", _rename(["reports", "advertiser_slots"], "a0", "a01"), "reports.advertiser_slots: bad entity id 'a01'"),
         ("report", _set(["schema_version"], 1), "run_report.schema_version: got 1"),
+        ("report", lambda doc: doc["reports"]["mediator_costs"].clear(), "reports.mediator_costs: no report for m0"),
         ("report", _set(["reports", "mediator_costs", "m0", 0], "007"), "reports.mediator_costs[m0][0]: '007' is not in canonical form, write '7'"),
         ("report", _set(["instance", "mediators", 0, "user_costs", 0], ["1"]), "instance.mediators[0].user_costs[0]: ['1'] is not"),
         ("instance", _set(["mediators", 0, "user_costs", 0], "1.5\n"), "instance.mediators[0].user_costs[0]: '1.5\\n' is not"),
@@ -222,9 +223,10 @@ def test_run_and_replay_a_report_claiming_capacity_10_12(tmp_path, capsys):
                      "--alpha", "1/70", "--seed", str(seed), "-o", str(out)]) == 0
         assert main(["replay", str(out)]) == 0
         outcome = json.loads(out.read_text())["outcome"]
-        assert not outcome["thresholds"]["dummy"]
+        assert outcome["thresholds"]["user_key"] is not None
         traded = any(t["slot"].startswith("a0:") for e in outcome["events"] for t in e["trades"])
-        seen.add("observed" if "a0" in outcome["observed_advertisers"] else "traded" if traded else "idle")
+        observed = outcome["arrival_order"][: outcome["observation_count"]]
+        seen.add("observed" if "a0" in observed else "traded" if traded else "idle")
     assert {"observed", "traded"} <= seen
     assert capsys.readouterr().out.count("replay matches recorded outcome exactly") == 4
 
@@ -252,11 +254,11 @@ def test_replay_of_a_schema_2_report_exits_one(tmp_path, capsys):
     report.write_text(json.dumps(doc, indent=2) + "\n")
     with pytest.raises(ParseError) as err:
         run_report_from_text(report.read_text())
-    assert str(err.value) == "run_report.schema_version: got 2, this reader understands 3"
+    assert str(err.value) == "run_report.schema_version: got 2, this reader understands 4"
     capsys.readouterr()
     assert main(["replay", str(report)]) == 1
     out, err = capsys.readouterr()
-    assert (out, err) == ("", "error: run_report.schema_version: got 2, this reader understands 3\n")
+    assert (out, err) == ("", "error: run_report.schema_version: got 2, this reader understands 4\n")
 
 
 @pytest.mark.parametrize(
@@ -275,6 +277,22 @@ def test_money_specs_reject_spellings_the_writer_never_writes(tmp_path, capsys, 
     assert main(argv + ["-o", str(tmp_path / "x.json")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("option", ["--cost", "--value"])
+def test_money_specs_reject_an_empty_uniform_range(tmp_path, capsys, option):
+    argv = ["generate", "--mediators", "3", "--advertisers", "3", "--alpha", "1", option, "uniform:2:1"]
+    assert main(argv + ["-o", str(tmp_path / "x.json")]) == 1
+    assert capsys.readouterr().err == f"error: {option}: empty uniform range: low is above high\n"
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("option", ["--users", "--capacity"])
+def test_count_specs_reject_an_empty_uniform_range(capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--mediators", "3", "--advertisers", "3", "--alpha", "1", option, "uniform:3:1"])
+    assert exc.value.code == 2
+    assert f"argument {option}: empty uniform range: low is above high" in capsys.readouterr().err
 
 
 def test_verify_passes_on_truthful_standard(tmp_path, capsys):

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from observeprice import (
-    Assignment,
     EntityId,
     Instance,
     MediatorSpec,
@@ -188,15 +187,6 @@ def test_report_view_reflects_misreports():
     view = report_view(inst, deviant)
     assert [b for b in view.all_slots if b.advertiser == advertiser_id(0)] == [SlotRef(advertiser_id(0), j) for j in range(3)]
     assert view.slot_value(SlotRef(advertiser_id(0), 0)) == 4
-
-
-def test_assignment_rejects_reuse():
-    u0, u1 = UserRef(mediator_id(0), 0), UserRef(mediator_id(0), 1)
-    s0, s1 = SlotRef(advertiser_id(0), 0), SlotRef(advertiser_id(0), 1)
-    with pytest.raises(ValueError):
-        Assignment(((u0, s0), (u0, s1)))
-    with pytest.raises(ValueError):
-        Assignment(((u0, s0), (u1, s0)))
 
 
 def test_gain_from_trade_sums_margins():

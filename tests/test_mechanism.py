@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from observeprice import (
     MechanismConfig,
     ReportProfile,
+    RunInputError,
     SlotBlock,
     SlotRef,
     TieKey,
@@ -397,7 +398,7 @@ def test_all_observed_run_trades_nothing():
     )
     out = truthful_run(inst, config)
     assert out.events == ()
-    assert len(out.assignment) == 0
+    assert out.trades_of() == []
     assert out.gft == 0
 
 
@@ -428,7 +429,7 @@ def test_skip_updates_variant_never_pays_users():
     instance, config = worked_example()
     out = truthful_run(instance, config.__class__(**{**config.__dict__, "variant": "skip_user_payment_updates"}))
     assert set(out.final_targets.values()) == {0}  # assigned but never paid
-    assert len(out.assignment) == 2  # trades still happen
+    assert len(out.trades_of()) == 2  # trades still happen
 
 
 def test_config_validates_r_and_variant():
@@ -466,9 +467,13 @@ def test_forced_observation_count_bounds():
 
 def test_reports_must_cover_instance():
     inst = build_instance([[1], [2]], [(1, 9), (1, 9)], seed=0)
-    partial = ReportProfile({mediator_id(0): (1,)}, {advertiser_id(0): (1, 9), advertiser_id(1): (1, 9)})
-    with pytest.raises(ValueError):
+    truthful = ReportProfile.truthful(inst)
+    partial = ReportProfile({mediator_id(0): (1,)}, truthful.advertiser_slots)
+    with pytest.raises(RunInputError, match=r"^reports\.mediator_costs: no report for m1$"):
         run_mechanism(inst, partial, MechanismConfig(alpha=Fraction(1)))
+    extra = truthful.with_advertiser_slots(advertiser_id(5), 1, 9)
+    with pytest.raises(RunInputError, match=r"^reports\.advertiser_slots: a5 is not in the instance$"):
+        run_mechanism(inst, extra, MechanismConfig(alpha=Fraction(1)))
 
 
 # -- engine properties -------------------------------------------------------------

@@ -244,13 +244,13 @@ def test_replay_detects_config_drift():
 
 
 def test_outcome_doc_covers_every_structured_piece():
+    """An outcome document holds what the run decided and nothing else: the
+    ledgers, the executed pairs and the observed split fold from it."""
     inst = organic_instance(4)
     out = truthful_run(inst, MechanismConfig(alpha=ORGANIC_ALPHA, seed=0))
     doc = outcome_to_doc(out)
-    for key in ("arrival_order", "observed_mediators", "observed_advertisers",
-                "thresholds", "events", "assignment", "charges", "receipts",
-                "final_targets", "gft"):
-        assert key in doc
+    assert list(doc) == ["r", "arrival_order", "observation_count", "thresholds", "events", "gft"]
+    assert list(doc["thresholds"]) == ["user_key", "slot_key", "location", "observed_size"]
     assert len(doc["arrival_order"]) == inst.n_entities
 
 
@@ -300,8 +300,8 @@ def _bump_pay_step(outcome):
     step[1] = money_to_text(money_from_text(step[1]) + 1)
 
 
-def _injected_as_int(outcome):
-    outcome["injected_thresholds"] = int(outcome["injected_thresholds"])
+def _size_as_bool(outcome):
+    outcome["thresholds"]["observed_size"] = bool(outcome["thresholds"]["observed_size"])
 
 
 def _count_as_float(outcome):
@@ -326,7 +326,7 @@ def _drop_event(outcome):
 TAMPERS = {
     "gft+1": _bump_gft,
     "pay-step-amount": _bump_pay_step,
-    "injected-as-int": _injected_as_int,
+    "size-as-bool": _size_as_bool,
     "count-as-float": _count_as_float,
     "swapped-keys": _swap_two_keys,
     "extra-key": _extra_key,
@@ -355,9 +355,9 @@ TAMPERED_AT = {
         'outcome.events[3].pay_steps[0][1]: recorded "5.676161" vs fresh "5.67616"',
         'outcome.events[15].pay_steps[0][1]: recorded "0.030452" vs fresh "0.030451"',
     ),
-    "injected-as-int": ("outcome.injected_thresholds: recorded 1 vs fresh true", "outcome.injected_thresholds: recorded 0 vs fresh false"),
+    "size-as-bool": ("outcome.thresholds.observed_size: recorded false vs fresh 0", "outcome.thresholds.observed_size: recorded true vs fresh 40"),
     "count-as-float": ("outcome.observation_count: recorded 1.0 vs fresh 1", "outcome.observation_count: recorded 83.0 vs fresh 83"),
-    "swapped-keys": ('outcome: recorded key "seed" vs fresh key "r"',) * 2,
+    "swapped-keys": ('outcome: recorded key "observation_count" vs fresh key "arrival_order"',) * 2,
     "extra-key": ('outcome.note: recorded "edited" vs fresh nothing',) * 2,
     "dropped-event": ("outcome.events[4]: recorded nothing vs fresh an object", "outcome.events[76]: recorded nothing vs fresh an object"),
     "outcome-as-list": ("outcome: recorded a list vs fresh an object",) * 2,
@@ -388,8 +388,8 @@ def test_replay_verdicts_equal_the_indented_comparison_on_tampered_reports(tampe
     "edit, where",
     [
         (lambda o: o["events"][0].pop("trades"), 'outcome.events[0]: recorded key "pay_steps" vs fresh key "trades"'),
-        (lambda o: o["assignment"].append(["m0:0", "a0:0"]), "outcome.assignment[2]: recorded a list vs fresh nothing"),
-        (lambda o: o["assignment"][0].pop(), 'outcome.assignment[0][1]: recorded nothing vs fresh "a0:0"'),
+        (lambda o: o["events"][3]["pay_steps"].append(["m2:1", "7"]), "outcome.events[3].pay_steps[3]: recorded a list vs fresh nothing"),
+        (lambda o: o["events"][3]["pay_steps"][0].pop(), 'outcome.events[3].pay_steps[0][1]: recorded nothing vs fresh "5.67616"'),
         (lambda o: o.update(gft=None), 'outcome.gft: recorded null vs fresh "14.506202"'),
     ],
     ids=["missing-key", "longer-list", "shorter-pair", "null-amount"],
@@ -407,13 +407,69 @@ def test_replay_names_the_first_differing_path(edit, where):
 
 
 def _as_schema_2(text):
-    """The text the schema-2 writer wrote for the document ``text`` holds:
-    ``json.dumps(doc, indent=2)`` with every ``schema_version`` at 2."""
+    """The text the schema-2 writer wrote for the schema-3 document ``text``
+    holds: ``json.dumps(doc, indent=2)`` with every ``schema_version`` at 2."""
     doc = json.loads(text)
     for part in (doc, doc.get("instance"), doc.get("reports")):
         if part is not None:
             part["schema_version"] = 2
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _user_order(ref):
+    """``UserRef`` order from a ref text: mediator index, then user index."""
+    mediator, index = ref.split(":")
+    return int(mediator[1:]), int(index)
+
+
+def _outcome_as_schema_3(outcome, config):
+    """The schema-3 outcome document, in its key order, rebuilt from a
+    schema-4 one: alpha, seed, variant and the injected and forced flags from
+    the config, the observed split from the arrival prefix, and the executed
+    pairs, charges, receipts and final targets folded from the events."""
+    observed = outcome["arrival_order"][: outcome["observation_count"]]
+    injected = config["threshold_override"] is not None
+    pairs, charges, receipts, targets = [], {}, {}, {}
+    for event in outcome["events"]:
+        for t in event["trades"]:
+            pairs.append([t["user"], t["slot"]])
+            advertiser, mediator = t["slot"].split(":")[0], t["user"].split(":")[0]
+            charges[advertiser] = charges.get(advertiser, 0) + money_from_text(t["charge"])
+            receipts[mediator] = receipts.get(mediator, 0) + money_from_text(t["payment"])
+            targets.setdefault(t["user"], 0)
+        targets.update((user, money_from_text(x)) for user, x in event["pay_steps"])
+    return {
+        "alpha": config["alpha"],
+        "r": outcome["r"],
+        "seed": config["seed"],
+        "variant": config["variant"],
+        "injected_thresholds": injected,
+        "forced_arrival": config["forced_arrival_order"] is not None,
+        "forced_observation": config["forced_observation_count"] is not None,
+        "arrival_order": outcome["arrival_order"],
+        "observation_count": outcome["observation_count"],
+        "observed_mediators": [e for e in observed if e.startswith("m")],
+        "observed_advertisers": [e for e in observed if e.startswith("a")],
+        "thresholds": {"dummy": outcome["thresholds"]["user_key"] is None, **outcome["thresholds"], "injected": injected},
+        "events": outcome["events"],
+        "assignment": pairs,
+        "charges": {a: money_to_text(x) for a, x in sorted(charges.items())},
+        "receipts": {m: money_to_text(x) for m, x in sorted(receipts.items())},
+        "final_targets": {u: money_to_text(targets[u]) for u in sorted(targets, key=_user_order)},
+        "gft": outcome["gft"],
+    }
+
+
+def _as_schema_3(text):
+    """The text the schema-3 writer wrote for the schema-4 document ``text``
+    holds: every ``schema_version`` at 3 and a run report's outcome rebuilt."""
+    doc = json.loads(text)
+    for part in (doc, doc.get("instance"), doc.get("reports")):
+        if part is not None:
+            part["schema_version"] = 3
+    if doc["kind"] == "run_report":
+        doc["outcome"] = _outcome_as_schema_3(doc["outcome"], doc["config"])
+    return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 def _without_versions(doc):
@@ -431,13 +487,24 @@ def _corpus_texts():
         yield from (instance_to_text(inst), reports_to_text(reports), run_report_to_text(inst, reports, cfg, outcome))
 
 
-def test_schema_3_texts_hold_the_schema_2_documents():
-    """Each schema-3 text reads as the same document the schema-2 writer
-    wrote, apart from ``schema_version``: re-spelling every text in the
-    schema-2 form reproduces the sha256 pinned over the schema-2 writer's
-    bytes, and reading both spellings gives equal documents."""
+def test_schema_4_texts_rebuild_the_schema_3_bytes():
+    """Schema 4 drops from an outcome only what the report's config, the
+    arrival prefix and the event log already hold: re-adding it reproduces
+    the sha256 pinned over the schema-3 writer's bytes."""
     digest = hashlib.sha256()
     for text in _corpus_texts():
+        digest.update(_as_schema_3(text).encode())
+    assert digest.hexdigest() == "38745fbf607bfae931cba4fea3e77752704d11c084155b165ffbe28a689de974"
+
+
+def test_schema_3_texts_hold_the_schema_2_documents():
+    """Each schema-3 text, rebuilt from the schema-4 writer's, reads as the
+    same document the schema-2 writer wrote, apart from ``schema_version``:
+    re-spelling every text in the schema-2 form reproduces the sha256 pinned
+    over the schema-2 writer's bytes, and reading both spellings gives equal
+    documents."""
+    digest = hashlib.sha256()
+    for text in map(_as_schema_3, _corpus_texts()):
         old = _as_schema_2(text)
         digest.update(old.encode())
         assert _without_versions(json.loads(old)) == _without_versions(json.loads(text))
@@ -451,7 +518,7 @@ def test_writer_keeps_its_bytes_on_the_replay_corpus():
     for text in _corpus_texts():
         assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"
         digest.update(text.encode())
-    assert digest.hexdigest() == "38745fbf607bfae931cba4fea3e77752704d11c084155b165ffbe28a689de974"
+    assert digest.hexdigest() == "865bf5982dfb49fd1216c7ee4f611a28ffa8c002344ff41d6bc8686fa8dcdee2"
 
 
 def _small_instance():
@@ -573,10 +640,10 @@ def _mutated_documents(draw):
 @given(_mutated_documents())
 def test_readers_meet_mutated_documents_with_parse_error_or_success(case):
     """Every reader, and replay of a run report it reads, either succeeds or
-    raises ``ParseError``; replay may also raise the ``ValueError`` of the
-    run's own input checks (the mechanism's standing assumptions, reports
-    covering the instance, forced orders and counts), which the CLI reports
-    with exit 1 as it does a ``ParseError``. Nothing else escapes."""
+    raises ``ParseError``; the run's own input checks (the mechanism's
+    standing assumptions, reports covering the instance, forced orders and
+    counts) reach replay's caller as a ``ParseError`` too. Nothing else
+    escapes."""
     name, doc = case
     text = json.dumps(doc)
     try:
@@ -585,13 +652,51 @@ def test_readers_meet_mutated_documents_with_parse_error_or_success(case):
         elif name == "reports":
             reports_from_text(text)
         else:
-            report = run_report_from_text(text)
-            try:
-                ok, message = replay_run_report(report)
-            except ValueError:
-                pass
-            else:
-                assert isinstance(ok, bool) and message
+            ok, message = replay_run_report(run_report_from_text(text))
+            assert isinstance(ok, bool) and message
     except ParseError:
         pass
 
+
+def _replay_edited(edit):
+    """Replay of the desk report after ``edit`` of its document."""
+    doc = copy.deepcopy(_FUZZ_DOCS["desk report"])
+    edit(doc)
+    return replay_run_report(run_report_from_text(json.dumps(doc)))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["reports"]["mediator_costs"].pop("m1"), "reports.mediator_costs: no report for m1"),
+        (lambda d: d["reports"]["advertiser_slots"].pop("a2"), "reports.advertiser_slots: no report for a2"),
+        (lambda d: d["instance"]["advertisers"][0].update(capacity=10**12), "instance: a0: capacity 1000000000000 > alpha*tau = 3"),
+        (lambda d: d["config"].update(forced_observation_count=10), "config.forced_observation_count: 10 is outside 0..6"),
+        (lambda d: d["config"].update(forced_arrival_order=["m0"]), "config.forced_arrival_order: not a permutation of the instance's entities"),
+        (lambda d: d["config"].update(r="1"), "config.r: must be in (0, 1/2]"),
+        (lambda d: d["config"]["threshold_override"]["user_key"].update(amount="8"),
+         "config.threshold_override: threshold user key must order below the slot key"),
+    ],
+    ids=["missing-mediator", "missing-advertiser", "failed-assumption", "forced-count", "forced-order", "r", "override-order"],
+)
+def test_replay_names_the_part_of_the_report_a_run_refuses(edit, message):
+    with pytest.raises(ParseError) as err:
+        _replay_edited(edit)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("schema_version", "instance.schema_version: got '1{zeros}, this reader understands 4"),
+        ("kind", "instance.kind: expected 'instance', got '1{zeros}"),
+    ],
+)
+def test_header_errors_cut_the_value_they_echo(field, message):
+    """A 5,001-character value is echoed as its first 40 characters, as
+    ``_need`` echoes one."""
+    doc = json.loads(instance_to_text(desk_instance(3)))
+    doc[field] = "1" + "0" * 5000
+    with pytest.raises(ParseError) as err:
+        instance_from_text(json.dumps(doc))
+    assert str(err.value) == message.format(zeros="0" * 38)

@@ -50,6 +50,11 @@ def _worked_run(variant="standard"):
     return instance, truthful_run(instance, replace(config, variant=variant))
 
 
+def _with_trades(out, index, trades):
+    """``out`` with the trades of event ``index`` replaced."""
+    return replace(out, events=out.events[:index] + (replace(out.events[index], trades=trades),) + out.events[index + 1 :])
+
+
 # -- utilities --------------------------------------------------------------------
 
 
@@ -114,10 +119,13 @@ def test_run_checks_pass_on_truthful_runs():
 
 
 def test_budget_balance_catches_underfunded_totals():
+    """One trade paying its mediator 10^9 leaves the totals underfunded."""
     instance, out = _worked_run()
-    tampered = replace(out, receipts={mediator_id(0): 10**9})
+    first, second = out.events[1].trades
+    tampered = _with_trades(out, 1, (first._replace(payment=10**9), second))
     got = check_budget_balance(tampered)
     assert not got.ok
+    assert got.failures[0] == f"total charges 12 < total mediator receipts {10**9 + 4}"
 
 
 def test_budget_balance_catches_per_trade_subsidy():
@@ -169,6 +177,23 @@ def test_surplus_invariant_flags_idle_pairs():
     assert not check_surplus_invariant(tampered).ok
 
 
+def test_online_legality_flags_a_repeated_user():
+    instance, out = _worked_run()
+    assert check_online_legality(out).ok
+    first, second = out.events[1].trades
+    tampered = _with_trades(out, 1, (first, second._replace(user=first.user)))
+    got = check_online_legality(tampered)
+    assert got.failures == ("event 1: user m0:0 trades twice",)
+
+
+def test_online_legality_flags_a_repeated_slot():
+    instance, out = _worked_run()
+    first, second = out.events[1].trades
+    tampered = _with_trades(out, 1, (first, second._replace(slot=first.slot)))
+    got = check_online_legality(tampered)
+    assert got.failures == ("event 1: slot a0:0 trades twice",)
+
+
 def test_online_legality_flags_unrelated_trades():
     instance, out = _worked_run()
     trade_event = out.events[1]
@@ -193,9 +218,14 @@ def test_pay_monotone_flags_decreasing_targets():
 
 
 def test_observed_never_trade_flags_planted_observation():
+    """The worked run observes nothing; one more observed arrival puts m0,
+    its first arrival and a trader, in the observed prefix."""
     instance, out = _worked_run()
-    tampered = replace(out, observed_mediators=(mediator_id(0),))
-    assert not check_observed_never_trade(tampered).ok
+    assert out.observation_count == 0 and out.arrival_order[0] == mediator_id(0)
+    tampered = replace(out, observation_count=1)
+    assert tampered.observed_mediators == (mediator_id(0),)
+    got = check_observed_never_trade(tampered)
+    assert got.failures == ("observed entity traded: m0:0->a0:0", "observed entity traded: m0:1->a0:1")
 
 
 # -- misreports ----------------------------------------------------------------------
