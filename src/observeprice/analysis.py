@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, AbstractSet, Mapping, Optional, Sequence
+from typing import AbstractSet, Mapping, Optional, Sequence
 
 from .canonical import CanonicalAssignment, canonical_assignment, sorted_canonical_assignment
 from .market import EntityId, Instance, MarketView, Money, SlotRef, TieKey, UserRef, gain_from_trade, true_view
@@ -37,10 +38,6 @@ from .mechanism import (
     ceil_minus_cbrt,
     truthful_run,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
-
 
 def analytic_bound(alpha: float, r: float) -> float:
     """Analytic competitive-ratio lower bound for given alpha and r (raw)."""
@@ -389,7 +386,7 @@ class RatioPoint:
     r: Fraction
     tau: int
     seeds: int
-    ratios: np.ndarray  # one empirical ratio per seed
+    ratios: tuple[float, ...]  # one empirical ratio per seed
     mean: float
     std_error: float
     quantiles: tuple[float, float, float]  # 10/50/90
@@ -417,8 +414,6 @@ def competitive_ratio_experiment(
     true view, and each run's reachable optimum is its ``pairs_within`` the
     entities the run left unobserved.
     """
-    import numpy as np  # only this experiment needs it; keeps the package import light
-
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     results = []
@@ -429,38 +424,39 @@ def competitive_ratio_experiment(
         if opt <= 0:
             raise ValueError(f"alpha={alpha}: optimum gain is {opt}, ratio undefined; pick another instance")
         entities = frozenset(instance.entity_ids)
-        ratios = np.empty(n_seeds)
-        reachable_ratios = np.empty(n_seeds)
+        ratios: list[float] = []
+        reachable_ratios: list[float] = []
         r_used = None
         for i in range(n_seeds):
             config = MechanismConfig(alpha=alpha, r=r, seed=base_seed + i)
             outcome = truthful_run(instance, config, view=view)
             r_used = outcome.r
-            ratios[i] = float(Fraction(outcome.gft, opt))
+            ratios.append(float(Fraction(outcome.gft, opt)))
             unobserved = entities.difference(outcome.observed_mediators, outcome.observed_advertisers)
             reachable = gain_from_trade(optimum.pairs_within(unobserved).ordered_pairs, view)
             if reachable > 0:
-                reachable_ratios[i] = float(Fraction(outcome.gft, reachable))
+                reachable_ratios.append(float(Fraction(outcome.gft, reachable)))
             elif outcome.gft == 0:
-                reachable_ratios[i] = 1.0
+                reachable_ratios.append(1.0)
             else:
                 raise AssertionError(
                     f"alpha={alpha} seed={base_seed + i}: gft {outcome.gft} with no gain left unobserved"
                 )
         raw = analytic_bound(float(alpha), float(r_used))
+        deciles = statistics.quantiles(ratios, n=10, method="inclusive") if n_seeds > 1 else ratios * 9
         results.append(
             RatioPoint(
                 alpha=Fraction(alpha),
                 r=r_used,
                 tau=optimum.cano.size,
                 seeds=n_seeds,
-                ratios=ratios,
-                mean=float(np.mean(ratios)),
-                std_error=float(np.std(ratios, ddof=1) / math.sqrt(n_seeds)) if n_seeds > 1 else 0.0,
-                quantiles=tuple(float(q) for q in np.quantile(ratios, (0.1, 0.5, 0.9))),
+                ratios=tuple(ratios),
+                mean=statistics.fmean(ratios),
+                std_error=statistics.stdev(ratios) / math.sqrt(n_seeds) if n_seeds > 1 else 0.0,
+                quantiles=(deciles[0], deciles[4], deciles[8]),
                 bound_raw=raw,
                 bound_clamped=clamp01(raw),
-                mean_vs_reachable=float(np.mean(reachable_ratios)),
+                mean_vs_reachable=statistics.fmean(reachable_ratios),
             )
         )
     return results

@@ -113,6 +113,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.runs < 1:
+        raise ValueError(f"--runs must be >= 1, got {args.runs}")
+    if args.deviations < 0:
+        raise ValueError(f"--deviations must be >= 0, got {args.deviations}")
     instance = serialize.instance_from_text(_read(args.instance))
     configs = [
         MechanismConfig(alpha=args.alpha, r=args.r, seed=args.seed + i, variant=args.engine_variant)

@@ -3,13 +3,17 @@
 Entities (mediators and advertisers) arrive one by one in uniformly random
 order. The mechanism observes a Binomial(n, r) prefix without trading, prices
 all later trades off one canonical pair of the observed sub-market, and then
-serves each arriving entity greedily: every trade charges the advertiser the
-threshold slot value and pays the mediator the threshold user cost. At each
-trade the mediator's assigned users have their cumulative payment raised to
-the mediator's cheapest still unassigned assignable cost (or to the threshold
-cost once none remain). That amount moves only when the mediator trades, so
-raising it there keeps every target current, and each arrival's event records
-only the raises it made.
+serves each arrival greedily: every trade charges the advertiser the
+threshold slot value and pays the mediator the threshold user cost.
+Arrived entities with supply left wait in one line, in arrival order; since
+serving stops only when one side runs out, they are all of one kind, and an
+arrival trades with the front of the line while both have supply. A
+mediator's assignable users form a queue, cheapest first, and its assigned
+users are the queue's prefix. They are all owed one cumulative amount: the
+cost of the mediator's cheapest unassigned assignable user, or the threshold
+cost once none remain. It moves only when the mediator trades, so the run
+keeps one amount per mediator, and each arrival's event records only the
+raises it made.
 
 All money flows are exact integers. The threshold location involves a cube
 root, so location and sign decisions are made with a float fast path that is
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -217,10 +222,12 @@ class Trade(NamedTuple):
 class ArrivalEvent:
     """Everything that happened while serving one post-observation arrival.
 
-    Targets are raised at each trade, and the event records only those
-    raises: ``pay_steps`` holds each (user, new cumulative target) in the
-    order made. Folding the steps of every event up to this one gives the
-    full pay vector after it; a user with no step is owed 0.
+    ``pay_steps`` holds each (user, new cumulative target) in the order
+    made. A trade that moves its mediator's one amount steps every assigned
+    user to it, oldest first; otherwise only the user just assigned steps,
+    from 0 to the unchanged amount, and not at all when that is 0. Folding
+    the steps of every event up to this one gives the full pay vector after
+    it; a user with no step is owed 0.
     """
 
     arrival: EntityId
@@ -326,71 +333,47 @@ class MechanismState:
         self.thresholds = thresholds
         self.variant = variant
         self.observed = set(observed)
-        # Per-mediator queue of assignable users, cheapest key first; only the
-        # pointer moves, the membership is fixed at arrival.
+        # Per-mediator queue of assignable users, cheapest key first; the
+        # assigned users are the prefix before the pointer.
         self._queue: dict[EntityId, list[UserRef]] = {}
         self._qpos: dict[EntityId, int] = {}
         # Per-advertiser assignable slot indices; a trade takes the lowest.
         self._slots: dict[EntityId, range] = {}
+        # The one cumulative pay target of each traded mediator's assigned users.
+        self._target: dict[EntityId, Money] = {}
+        # Arrived entities with supply left, in arrival order; all of one kind.
+        self._waiting: deque[EntityId] = deque()
         # Assignable users and slots that have arrived and are not yet traded.
         self._idle_users = 0
         self._idle_slots = 0
-        self._set_mediators: list[EntityId] = []  # sigma, mediators in arrival order
-        self._set_advertisers: list[EntityId] = []
-        self._mptr = 0
-        self._aptr = 0
-        self.assigned_by_mediator: dict[EntityId, list[UserRef]] = {}
-        self.targets: dict[UserRef, Money] = {}
         self.events: list[ArrivalEvent] = []
 
-    # -- pools ---------------------------------------------------------------
-
-    def _next_user(self, m: EntityId) -> Optional[UserRef]:
-        q, i = self._queue[m], self._qpos[m]
-        return q[i] if i < len(q) else None
-
-    def _earliest_advertiser_with_slots(self) -> Optional[EntityId]:
-        while self._aptr < len(self._set_advertisers):
-            a = self._set_advertisers[self._aptr]
-            if self._slots[a]:
-                return a
-            self._aptr += 1
-        return None
-
-    def _earliest_mediator_with_users(self) -> Optional[EntityId]:
-        while self._mptr < len(self._set_mediators):
-            m = self._set_mediators[self._mptr]
-            if self._next_user(m) is not None:
-                return m
-            self._mptr += 1
-        return None
+    def _has_supply(self, entity: EntityId) -> bool:
+        if entity.kind == "mediator":
+            return self._qpos[entity] < len(self._queue[entity])
+        return bool(self._slots[entity])
 
     # -- payment rule ----------------------------------------------------------
 
-    def _target_amount(self, m: EntityId) -> Money:
-        """Cumulative pay owed to each of m's assigned users right now."""
-        nxt = self._next_user(m)
-        if nxt is None:
-            return self.thresholds.payment
-        return self.view.user_costs[nxt]
-
     def _raise_targets(self, m: EntityId, steps: list[tuple[UserRef, Money]]) -> None:
+        """Recompute m's one amount after a trade and emit the steps it owes."""
         if self.variant == "skip_user_payment_updates":
             return
-        amount = self._target_amount(m)
-        for u in self.assigned_by_mediator[m]:
-            old = self.targets[u]
-            if amount != old:
-                if amount < old:
-                    raise AssertionError("pay target decreased; engine invariant broken")
-                self.targets[u] = amount
-                steps.append((u, amount))
+        q, i = self._queue[m], self._qpos[m]
+        amount = self.view.user_costs[q[i]] if i < len(q) else self.thresholds.payment
+        old = self._target.get(m, 0)
+        if amount != old:
+            if amount < old:
+                raise AssertionError("pay target decreased; engine invariant broken")
+            self._target[m] = amount
+            steps.extend((u, amount) for u in q[:i])
+        elif amount:
+            steps.append((q[i - 1], amount))
 
     # -- trades ----------------------------------------------------------------
 
     def _execute(self, m: EntityId, a: EntityId, trades: list[Trade], steps: list[tuple[UserRef, Money]]) -> None:
-        user = self._next_user(m)
-        assert user is not None
+        user = self._queue[m][self._qpos[m]]
         slot = SlotRef(a, self._slots[a][0])  # IndexError when a has no slot left
         self._qpos[m] += 1
         self._slots[a] = self._slots[a][1:]
@@ -398,8 +381,6 @@ class MechanismState:
         self._idle_slots -= 1
         charge = self.thresholds.charge
         payment = charge if self.variant == "pay_slot_value" else self.thresholds.payment
-        self.assigned_by_mediator.setdefault(m, []).append(user)
-        self.targets.setdefault(user, 0)
         trades.append(Trade(user, slot, charge, payment))
         # The newly assigned user is paid immediately; her mediator's other
         # assigned users ride along on the same rule.
@@ -419,23 +400,22 @@ class MechanismState:
             self._queue[entity] = users
             self._qpos[entity] = 0
             self._idle_users += len(users)
-            self._set_mediators.append(entity)
-            while self._next_user(entity) is not None:
-                a = self._earliest_advertiser_with_slots()
-                if a is None:
-                    break
-                self._execute(entity, a, trades, steps)
         else:
             block = self.view.blocks[entity]
             first = self.thresholds.first_assignable(block)
             self._slots[entity] = range(first, block.capacity)
             self._idle_slots += block.capacity - first  # len() of a range stops at sys.maxsize
-            self._set_advertisers.append(entity)
-            while self._slots[entity]:
-                m = self._earliest_mediator_with_users()
-                if m is None:
-                    break
-                self._execute(m, entity, trades, steps)
+        waiting = self._waiting
+        while waiting and waiting[0].kind != entity.kind and self._has_supply(entity):
+            front = waiting[0]
+            if entity.kind == "mediator":
+                self._execute(entity, front, trades, steps)
+            else:
+                self._execute(front, entity, trades, steps)
+            if not self._has_supply(front):
+                waiting.popleft()
+        if self._has_supply(entity):
+            waiting.append(entity)
 
         event = ArrivalEvent(
             arrival=entity,

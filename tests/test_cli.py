@@ -350,6 +350,24 @@ def test_verify_fails_on_broken_payment_variant(tmp_path, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--runs", "0"], "--runs must be >= 1, got 0"),
+        (["--runs", "-3", "--deviations", "2"], "--runs must be >= 1, got -3"),
+        (["--deviations", "-1"], "--deviations must be >= 0, got -1"),
+    ],
+    ids=["zero-runs", "negative-runs", "negative-deviations"],
+)
+def test_verify_that_would_check_nothing_exits_one(tmp_path, capsys, options, message):
+    inst = _organic_file(tmp_path)
+    code = main(["verify", "--instance", str(inst), "--alpha", "1/70", "--seed", "1", *options])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert "PASS" not in out
+
+
 def test_experiment_events_csv(tmp_path):
     out = tmp_path / "events.csv"
     code = main(["experiment", "events", "--alphas", "1/10",

@@ -1,7 +1,10 @@
 """Mechanism engine: observation sampling, thresholds, matching, payments."""
 
+import hashlib
+import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -32,7 +35,7 @@ from observeprice import (
     truthful_run,
 )
 from observeprice.analysis import _abs_dev_within_cbrt
-from observeprice.mechanism import MechanismState, Thresholds, _iroot6, at_most_cbrt
+from observeprice.mechanism import VARIANTS, MechanismState, Thresholds, _iroot6, at_most_cbrt
 from observeprice.serialize import outcome_to_doc
 from conftest import (
     LOCATION_GRID,
@@ -507,38 +510,60 @@ def _served_markets(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(_served_markets())
 def test_serving_loop_counters_targets_and_steps(market):
-    """After every arrival: the idle counts equal a recount of the queues, and
-    every arrived mediator's assigned users already sit at its current target
-    (so no refresh outside a trade could raise one); at the end the pay steps
-    fold to exactly the nonzero final targets."""
+    """The serving and pay rules read from the outside, against a ledger the
+    test keeps of each arrived entity's assignable supply left (users by key,
+    slots by index). Each trade takes the mediator's cheapest user left, the
+    advertiser's lowest slot left, and as counterparty the earliest arrival
+    of its kind with supply left; after every arrival no mediator and
+    advertiser both have supply, the idle counts equal a recount of the
+    ledger, every pay step raises its user's folded target, and every traded
+    user of a mediator sits at one amount: the cost of the mediator's
+    cheapest user left, else the threshold payment (0 when the variant skips
+    payment updates)."""
     instance, thresholds, observed, arrivals, variant = market
-    state = MechanismState(true_view(instance), thresholds, observed, variant=variant)
-    folded = {}
+    view = true_view(instance)
+    state = MechanismState(view, thresholds, observed, variant=variant)
+    supply, traded, folded = {}, {}, {}
     for entity in arrivals:
+        if entity.kind == "mediator":
+            users = [u for u in view.users_by_mediator[entity] if thresholds.user_assignable(view.user_keys[u])]
+            supply[entity] = sorted(users, key=view.user_keys.__getitem__)
+        else:
+            slots = (SlotRef(entity, j) for j in range(view.blocks[entity].capacity))
+            supply[entity] = [b for b in slots if thresholds.slot_key is not None and view.slot_key(b) > thresholds.slot_key]
         event = state.process_arrival(entity)
-        assert event.unassigned_assignable_users == sum(len(q) - state._qpos[m] for m, q in state._queue.items())
-        assert event.unassigned_assignable_slots == sum(map(len, state._slots.values()))
-        for m in state._set_mediators:
-            for u in state.assigned_by_mediator.get(m, ()):
-                want = 0 if variant == "skip_user_payment_updates" else state._target_amount(m)
-                assert state.targets[u] == want
-        folded.update(event.pay_steps)
-    assert folded == {u: x for u, x in state.targets.items() if x != 0}
+        for t in event.trades:
+            m, a = t.user.mediator, t.slot.advertiser
+            assert entity in (m, a)
+            other = a if entity == m else m
+            assert other == next(e for e in supply if e.kind == other.kind and supply[e])
+            assert (t.user, t.slot) == (supply[m].pop(0), supply[a].pop(0))
+            traded.setdefault(m, []).append(t.user)
+        left = {kind: sum(len(s) for e, s in supply.items() if e.kind == kind) for kind in ("mediator", "advertiser")}
+        assert (event.unassigned_assignable_users, event.unassigned_assignable_slots) == (left["mediator"], left["advertiser"])
+        assert 0 in left.values()
+        for u, amount in event.pay_steps:
+            assert u.mediator in traded and amount > folded.get(u, 0)
+            folded[u] = amount
+        for m, users in traded.items():
+            if variant == "skip_user_payment_updates":
+                want = 0
+            else:
+                want = view.user_costs[supply[m][0]] if supply[m] else thresholds.payment
+            assert [folded.get(u, 0) for u in users] == [want] * len(users)
 
 
 # -- slot blocks against the per-unit rules ------------------------------------------
 
 
-def test_block_serving_matches_the_per_unit_rules():
-    """Runs on slot blocks against the same runs on the per-unit rules
-    (conftest: every slot ref sorted and zipped for the thresholds, every
-    slot filtered against the threshold on arrival): equal outcomes. Desk
-    markets of random reports, with capacities 0, 1 and above the user
-    count, get thresholds injected at keys inside, below and above one
-    advertiser's reported block; organic markets with inflated claims are
-    priced by computed thresholds."""
+def _block_serving_markets():
+    """Desk markets of random reports, with capacities 0, 1 and above the
+    user count, with thresholds injected at keys inside, below and above one
+    advertiser's reported block; then organic markets with inflated claims,
+    priced by computed thresholds. Yields ``(instance, reports, config, a)``,
+    where ``a`` is the advertiser whose block the injected slot key is
+    placed against, and None under computed thresholds."""
     rng = random.Random(12)
-    inside = computed = 0
     for trial in range(300):
         inst = desk_instance(trial)
         reports = random_reports(inst, rng, unit=2 * MICRO)
@@ -547,24 +572,47 @@ def test_block_serving_matches_the_per_unit_rules():
         j = rng.choice((-3, -1, 0, cap // 2, cap - 1, cap, cap + 2))
         slot_key = TieKey(value, rank, j)
         user_key = TieKey(value - rng.randrange(3) * MICRO, rng.randrange(inst.n_entities + 1), rng.randrange(3))
-        if not user_key < slot_key:
-            continue
-        config = MechanismConfig(alpha=Fraction(1), r=Fraction(1, 10), seed=trial, threshold_override=(user_key, slot_key))
-        got = run_mechanism(inst, reports, config)
-        assert got == per_unit_run(inst, reports, config), trial
-        inside += 0 < j + 1 < cap and any(t.slot.advertiser == a for t in got.trades_of())
+        if user_key < slot_key:
+            config = MechanismConfig(alpha=Fraction(1), r=Fraction(1, 10), seed=trial, threshold_override=(user_key, slot_key))
+            yield inst, reports, config, a
     for seed in range(40):
         inst = organic_instance(seed % 5)
         reports = ReportProfile.truthful(inst)
         claims = rng.sample(inst.advertisers, 3)
         for spec in claims:
             reports = reports.with_advertiser_slots(spec.id, rng.choice((0, 1, 2, 200)), rng.choice((spec.value, 2 * MICRO)))
-        config = MechanismConfig(alpha=ORGANIC_ALPHA, seed=seed)
+        yield inst, reports, MechanismConfig(alpha=ORGANIC_ALPHA, seed=seed), None
+
+
+def test_block_serving_matches_the_per_unit_rules():
+    """Runs on slot blocks against the same runs on the per-unit rules
+    (conftest: every slot ref sorted and zipped for the thresholds, every
+    slot filtered against the threshold on arrival): equal outcomes, on the
+    markets of ``_block_serving_markets``."""
+    inside = computed = 0
+    for inst, reports, config, a in _block_serving_markets():
         got = run_mechanism(inst, reports, config)
-        assert got == per_unit_run(inst, reports, config), seed
-        key = got.thresholds.slot_key
-        computed += key is not None and key.within_index > 0
+        assert got == per_unit_run(inst, reports, config), config.seed
+        if a is None:
+            key = got.thresholds.slot_key
+            computed += key is not None and key.within_index > 0
+        else:
+            j, cap = config.threshold_override[1].within_index, report_view(inst, reports).blocks[a].capacity
+            inside += 0 < j + 1 < cap and any(t.slot.advertiser == a for t in got.trades_of())
     assert inside >= 20 and computed >= 5, (inside, computed)
+
+
+def test_misreport_runs_keep_their_bytes():
+    """sha256 over the compact outcome documents of every market of
+    ``_block_serving_markets`` (random and inflated reports, injected and
+    computed thresholds) under each engine variant: a differential pin of
+    the serving loop on misreported reports."""
+    digest = hashlib.sha256()
+    for inst, reports, config, _ in _block_serving_markets():
+        for variant in VARIANTS:
+            outcome = run_mechanism(inst, reports, replace(config, variant=variant))
+            digest.update(json.dumps(outcome_to_doc(outcome), separators=(",", ":")).encode())
+    assert digest.hexdigest() == "38f1a083b2c464b09e8ac5abdc9d0a47820e92c855a547eee0e1b168c3243529"
 
 
 def test_a_claim_of_10_12_slots_runs_as_a_claim_of_10_3():

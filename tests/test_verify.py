@@ -3,6 +3,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from statistics import fmean
 
 import pytest
 
@@ -577,8 +578,6 @@ def test_experiments_with_shared_views_match_per_run_rebuilds():
     """Ratios, reachable mean and event counts on the criterion-9/10 instance
     equal the loop that rebuilt the view, re-sorted the unobserved and the
     observed market and rebuilt the diagnostics' optimum on every run."""
-    import numpy as np
-
     alpha, n = Fraction(1, 80), 20
     inst = matched_family(alpha, seed=0)
     view = true_view(inst)
@@ -613,7 +612,7 @@ def test_experiments_with_shared_views_match_per_run_rebuilds():
 
     (point,) = competitive_ratio_experiment([(alpha, inst)], n_seeds=n)
     assert list(point.ratios) == ratios
-    assert point.mean_vs_reachable == float(np.mean(reachable))
+    assert point.mean_vs_reachable == fmean(reachable)
     result = event_frequency_experiment(inst, alpha, n_seeds=n)
     assert (result.event_count, result.concentration_count) == (events, concentrations)
     assert 0 < point.mean < point.mean_vs_reachable < 1
