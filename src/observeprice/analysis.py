@@ -30,12 +30,13 @@ from fractions import Fraction
 from typing import AbstractSet, Mapping, Optional, Sequence
 
 from .canonical import CanonicalAssignment, canonical_assignment, sorted_canonical_assignment
-from .market import EntityId, Instance, MarketView, Money, SlotRef, TieKey, UserRef, gain_from_trade, true_view
+from .market import EntityId, Instance, MarketView, Money, SlotRef, TieKey, UserRef, true_view
 from .mechanism import (
     MechanismConfig,
     MechanismOutcome,
     at_most_cbrt,
     ceil_minus_cbrt,
+    derive_r,
     truthful_run,
 )
 
@@ -185,7 +186,7 @@ def offline_optimum(instance: Instance) -> OfflineOptimum:
         opt_users=opt_users,
         opt_slots=opt_slots,
         ell=view.slot_value(opt_slots[-1]),
-        gain=gain_from_trade(cano.ordered_pairs, view),
+        gain=cano.gain(view),
         opt_users_per_mediator=per_mediator,
         opt_slots_per_advertiser=per_advertiser,
         user_keys=[view.user_keys[u] for u in cano.sorted_users],
@@ -349,16 +350,17 @@ def event_frequency_experiment(
     """Monte Carlo frequency of the concentration event on truthful runs.
 
     The offline optimum, with the true view, is prepared once and shared by
-    every run and its diagnostics.
+    every run and its diagnostics; ``r``, when None, is derived once.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     optimum = offline_optimum(instance)
+    r_point = derive_r(alpha) if r is None else r
     event_count = 0
     conc_count = 0
     r_used = None
     for i in range(n_seeds):
-        config = MechanismConfig(alpha=alpha, r=r, seed=base_seed + i)
+        config = MechanismConfig(alpha=alpha, r=r_point, seed=base_seed + i)
         outcome = truthful_run(instance, config, view=optimum.view)
         r_used = outcome.r
         diag = compute_diagnostic_sets(instance, outcome, random.Random((base_seed + i) ^ 0x9E3779B9), optimum=optimum)
@@ -410,9 +412,10 @@ def competitive_ratio_experiment(
     whose optimum gain is zero raises ``ValueError``: instance validation
     passes it when tau >= 1 but amounts tie, and its ratio is undefined.
 
-    Per point, the offline optimum is prepared once: every run shares its
-    true view, and each run's reachable optimum is its ``pairs_within`` the
-    entities the run left unobserved.
+    Per point, the offline optimum is prepared once and ``r``, when None,
+    derived once: every run shares its true view and rate, and each run's
+    reachable optimum is the gain of its ``pairs_within`` the entities the
+    run left unobserved, summed per block.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
@@ -424,16 +427,17 @@ def competitive_ratio_experiment(
         if opt <= 0:
             raise ValueError(f"alpha={alpha}: optimum gain is {opt}, ratio undefined; pick another instance")
         entities = frozenset(instance.entity_ids)
+        r_point = derive_r(alpha) if r is None else r
         ratios: list[float] = []
         reachable_ratios: list[float] = []
         r_used = None
         for i in range(n_seeds):
-            config = MechanismConfig(alpha=alpha, r=r, seed=base_seed + i)
+            config = MechanismConfig(alpha=alpha, r=r_point, seed=base_seed + i)
             outcome = truthful_run(instance, config, view=view)
             r_used = outcome.r
             ratios.append(float(Fraction(outcome.gft, opt)))
             unobserved = entities.difference(outcome.observed_mediators, outcome.observed_advertisers)
-            reachable = gain_from_trade(optimum.pairs_within(unobserved).ordered_pairs, view)
+            reachable = optimum.pairs_within(unobserved).gain(view)
             if reachable > 0:
                 reachable_ratios.append(float(Fraction(outcome.gft, reachable)))
             elif outcome.gft == 0:

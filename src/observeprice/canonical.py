@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .market import EntityId, Instance, MarketView, Money, SlotBlock, SlotRef, UserRef, gain_from_trade, true_view
+from .market import EntityId, Instance, MarketView, Money, SlotBlock, SlotRef, UserRef, true_view
 
 
 def _slot(blocks: Sequence[tuple], ends: Sequence[int], i: int) -> tuple[tuple, int]:
@@ -58,6 +58,18 @@ class CanonicalAssignment:
         block, j = _slot(self.sorted_blocks, self.slot_ends, location - 1)
         return SlotRef(block.advertiser, j)
 
+    def gain(self, view: MarketView) -> Money:
+        """Gain from trade of the pairs, summed per block: each block's value
+        times the slots it gives the prefix, less the prefix users' costs in
+        ``view``. Equals ``gain_from_trade(self.ordered_pairs, view)``."""
+        total, start = 0, 0
+        for block, end in zip(self.sorted_blocks, self.slot_ends):
+            if start >= self.size:
+                break
+            total += block.value * (min(end, self.size) - start)
+            start = end
+        return total - sum(map(view.user_costs.__getitem__, self.sorted_users[: self.size]))
+
     def _slots(self) -> Iterator[SlotRef]:
         return (tuple.__new__(SlotRef, (b.advertiser, j)) for b in self.sorted_blocks for j in reversed(range(b.capacity)))
 
@@ -97,8 +109,7 @@ def tau(instance: Instance) -> int:
 def optimal_gain(instance: Instance) -> Money:
     """Gain from trade of the canonical assignment on the true market."""
     view = true_view(instance)
-    cano = canonical_assignment(view.all_users, view.blocks, view)
-    return gain_from_trade(cano.ordered_pairs, view)
+    return canonical_assignment(view.all_users, view.blocks, view).gain(view)
 
 
 def brute_force_optimal_gft(

@@ -354,8 +354,9 @@ def report_view(instance: Instance, reports: ReportProfile) -> MarketView:
 
 
 def gain_from_trade(pairs: Iterable[tuple[UserRef, SlotRef]], view: MarketView) -> Money:
-    """Exact sum of slot value minus user cost over ``(user, slot)`` pairs, the
-    one place a gain from trade is summed. A user or slot the view does not
+    """Exact sum of slot value minus user cost over arbitrary ``(user, slot)``
+    pairs, such as a run's trades; a canonical assignment sums its own per
+    block (``CanonicalAssignment.gain``). A user or slot the view does not
     hold is a ``ValueError`` naming it."""
     try:
         return sum(view.slot_value(b) - view.user_costs[u] for u, b in pairs)

@@ -7,9 +7,11 @@ serves each arrival greedily: every trade charges the advertiser the
 threshold slot value and pays the mediator the threshold user cost.
 Arrived entities with supply left wait in one line, in arrival order; since
 serving stops only when one side runs out, they are all of one kind, and an
-arrival trades with the front of the line while both have supply. A
-mediator's assignable users form a queue, cheapest first, and its assigned
-users are the queue's prefix. They are all owed one cumulative amount: the
+arrival trades with the front of the line while both have supply, in runs:
+one run pairs the next min(users left, slots left) users and slots of the
+arrival and one counterparty, in order. A mediator's assignable users form
+a queue, cheapest first, and its assigned users are the queue's prefix.
+They are all owed one cumulative amount: the
 cost of the mediator's cheapest unassigned assignable user, or the threshold
 cost once none remain. It moves only when the mediator trades, so the run
 keeps one amount per mediator, and each arrival's event records only the
@@ -111,15 +113,25 @@ def ceil_minus_cbrt(total: int, coeff: Fraction, alpha: Fraction) -> int:
 def sample_observation_count(n_entities: int, r: Fraction, rng: random.Random) -> int:
     """Binomial(n, r) drawn as n independent Bernoulli(r) trials.
 
-    Each trial is exact for rational r (no float thresholding), so replaying
-    a seed reproduces the draw bit for bit and each entity independently lands
-    in the observed prefix with probability r.
+    Each trial is exact for rational r = num/den (no float thresholding): it
+    draws ``rng.getrandbits(den.bit_length())`` until the word is below den,
+    and succeeds when that word is below num. These are exactly the draws
+    ``rng.randrange(den)`` makes, so replaying a seed reproduces the count and
+    leaves the generator in the same state, and each entity independently
+    lands in the observed prefix with probability r.
     """
     r = Fraction(r)
     if not 0 <= r <= 1:
         raise ValueError("r must be in [0, 1]")
     num, den = r.numerator, r.denominator
-    return sum(1 for _ in range(n_entities) if rng.randrange(den) < num)
+    getrandbits, k = rng.getrandbits, den.bit_length()
+    count = 0
+    for _ in range(n_entities):
+        x = getrandbits(k)
+        while x >= den:
+            x = getrandbits(k)
+        count += x < num
+    return count
 
 
 @dataclass(frozen=True)
@@ -155,9 +167,6 @@ class Thresholds:
         if self.slot_key is None:
             raise ValueError("dummy thresholds have no charge amount")
         return self.slot_key.amount
-
-    def user_assignable(self, key: TieKey) -> bool:
-        return self.user_key is not None and key < self.user_key
 
     def first_assignable(self, block: SlotBlock) -> int:
         """The first index of ``block`` whose slot key ``(value, rank, j)`` exceeds
@@ -333,12 +342,12 @@ class MechanismState:
         self.thresholds = thresholds
         self.variant = variant
         self.observed = set(observed)
-        # Per-mediator queue of assignable users, cheapest key first; the
-        # assigned users are the prefix before the pointer.
+        # Per-mediator queue of assignable users, cheapest key first.
         self._queue: dict[EntityId, list[UserRef]] = {}
-        self._qpos: dict[EntityId, int] = {}
-        # Per-advertiser assignable slot indices; a trade takes the lowest.
-        self._slots: dict[EntityId, range] = {}
+        # Per arrived entity, [next, end): a mediator's unassigned queue
+        # positions, an advertiser's assignable slot indices not yet traded.
+        # A trade takes the first of each.
+        self._supply: dict[EntityId, list[int]] = {}
         # The one cumulative pay target of each traded mediator's assigned users.
         self._target: dict[EntityId, Money] = {}
         # Arrived entities with supply left, in arrival order; all of one kind.
@@ -348,82 +357,73 @@ class MechanismState:
         self._idle_slots = 0
         self.events: list[ArrivalEvent] = []
 
-    def _has_supply(self, entity: EntityId) -> bool:
-        if entity.kind == "mediator":
-            return self._qpos[entity] < len(self._queue[entity])
-        return bool(self._slots[entity])
-
     # -- payment rule ----------------------------------------------------------
 
-    def _raise_targets(self, m: EntityId, steps: list[tuple[UserRef, Money]]) -> None:
-        """Recompute m's one amount after a trade and emit the steps it owes."""
-        if self.variant == "skip_user_payment_updates":
-            return
-        q, i = self._queue[m], self._qpos[m]
+    def _raise_target(self, q: list[UserRef], i: int, old: Money, steps: list[tuple[UserRef, Money]]) -> Money:
+        """The pay rule after the trade that assigns ``q[i - 1]``: the
+        mediator's one amount, from ``old``, with the steps it owes."""
         amount = self.view.user_costs[q[i]] if i < len(q) else self.thresholds.payment
-        old = self._target.get(m, 0)
         if amount != old:
             if amount < old:
                 raise AssertionError("pay target decreased; engine invariant broken")
-            self._target[m] = amount
-            steps.extend((u, amount) for u in q[:i])
+            steps.extend(zip(q[:i], [amount] * i))
         elif amount:
             steps.append((q[i - 1], amount))
+        return amount
 
     # -- trades ----------------------------------------------------------------
 
-    def _execute(self, m: EntityId, a: EntityId, trades: list[Trade], steps: list[tuple[UserRef, Money]]) -> None:
-        user = self._queue[m][self._qpos[m]]
-        slot = SlotRef(a, self._slots[a][0])  # IndexError when a has no slot left
-        self._qpos[m] += 1
-        self._slots[a] = self._slots[a][1:]
-        self._idle_users -= 1
-        self._idle_slots -= 1
-        charge = self.thresholds.charge
-        payment = charge if self.variant == "pay_slot_value" else self.thresholds.payment
-        trades.append(Trade(user, slot, charge, payment))
-        # The newly assigned user is paid immediately; her mediator's other
-        # assigned users ride along on the same rule.
-        self._raise_targets(m, steps)
-
     def process_arrival(self, entity: EntityId) -> ArrivalEvent:
-        if entity in self._queue or entity in self._slots:
+        supply = self._supply
+        if entity in supply:
             raise ValueError(f"{entity} already arrived")
         if entity in self.observed:
             raise ValueError(f"{entity} was observed; observed entities do not arrive again")
+        view, thresholds, kind = self.view, self.thresholds, entity.kind
         trades: list[Trade] = []
         steps: list[tuple[UserRef, Money]] = []
 
-        if entity.kind == "mediator":
-            users = [u for u in self.view.users_by_mediator[entity] if self.thresholds.user_assignable(self.view.user_keys[u])]
-            users.sort(key=lambda u: self.view.user_keys[u])
+        if kind == "mediator":
+            key, keys = thresholds.user_key, view.user_keys
+            users = [] if key is None else [u for u in view.users_by_mediator[entity] if keys[u] < key]
+            users.sort(key=keys.__getitem__)
             self._queue[entity] = users
-            self._qpos[entity] = 0
+            mine = supply[entity] = [0, len(users)]
             self._idle_users += len(users)
         else:
-            block = self.view.blocks[entity]
-            first = self.thresholds.first_assignable(block)
-            self._slots[entity] = range(first, block.capacity)
-            self._idle_slots += block.capacity - first  # len() of a range stops at sys.maxsize
+            block = view.blocks[entity]
+            mine = supply[entity] = [thresholds.first_assignable(block), block.capacity]
+            self._idle_slots += block.capacity - mine[0]
         waiting = self._waiting
-        while waiting and waiting[0].kind != entity.kind and self._has_supply(entity):
-            front = waiting[0]
-            if entity.kind == "mediator":
-                self._execute(entity, front, trades, steps)
-            else:
-                self._execute(front, entity, trades, steps)
-            if not self._has_supply(front):
-                waiting.popleft()
-        if self._has_supply(entity):
+        if mine[0] < mine[1] and waiting and waiting[0].kind != kind:
+            # Trade with the front of the line in runs: each run pairs the
+            # next min(users left, slots left) users and slots in order.
+            new = tuple.__new__
+            charge = thresholds.charge
+            payment = charge if self.variant == "pay_slot_value" else thresholds.payment
+            pays = self.variant != "skip_user_payment_updates"
+            while mine[0] < mine[1] and waiting:
+                front = waiting[0]
+                theirs = supply[front]
+                n = min(mine[1] - mine[0], theirs[1] - theirs[0])
+                m, a, m_supply, a_supply = (entity, front, mine, theirs) if kind == "mediator" else (front, entity, theirs, mine)
+                q, i, j = self._queue[m], m_supply[0], a_supply[0]
+                trades += [new(Trade, (u, new(SlotRef, (a, j + k)), charge, payment)) for k, u in enumerate(q[i : i + n])]
+                if pays:
+                    target = self._target.get(m, 0)
+                    for k in range(i + 1, i + n + 1):
+                        target = self._raise_target(q, k, target, steps)
+                    self._target[m] = target
+                m_supply[0] += n
+                a_supply[0] += n
+                self._idle_users -= n
+                self._idle_slots -= n
+                if theirs[0] == theirs[1]:
+                    waiting.popleft()
+        if mine[0] < mine[1]:
             waiting.append(entity)
 
-        event = ArrivalEvent(
-            arrival=entity,
-            trades=tuple(trades),
-            pay_steps=tuple(steps),
-            unassigned_assignable_users=self._idle_users,
-            unassigned_assignable_slots=self._idle_slots,
-        )
+        event = ArrivalEvent(entity, tuple(trades), tuple(steps), self._idle_users, self._idle_slots)
         self.events.append(event)
         return event
 

@@ -20,6 +20,7 @@ from observeprice import (
     compute_diagnostic_sets,
     event_frequency_experiment,
     event_probability_bound,
+    gain_from_trade,
     injected_thresholds,
     GeneratorConfig,
     MICRO,
@@ -29,6 +30,7 @@ from observeprice import (
     uniform,
     analytic_bound,
     offline_optimum,
+    optimal_gain,
     run_mechanism,
     ReportProfile,
     true_view,
@@ -219,7 +221,7 @@ def _reference_diagnostic_sets(instance, outcome, rng, view=None, cano=None):
     clearing_users = tuple(
         u
         for u in view.all_users
-        if u.mediator not in observed_m and thresholds.user_assignable(view.user_keys[u])
+        if u.mediator not in observed_m and thresholds.user_key is not None and view.user_keys[u] < thresholds.user_key
     )
     clearing_slots = tuple(
         b
@@ -433,6 +435,23 @@ def test_pairs_within_is_the_sub_market_canonical_assignment():
         assert len(got.ordered_pairs) == got.size == want.size
         assert got.ordered_pairs == want.ordered_pairs
     assert optimum.pairs_within(entities).size == optimum.cano.size == 400
+
+
+def test_canonical_gain_sums_per_block_what_the_pairs_sum():
+    """``CanonicalAssignment.gain`` against ``gain_from_trade`` over the
+    ordered pairs: on the optimum of each criterion-9 grid instance and on
+    the reachable sub-market of each of its 500 seeds."""
+    for alpha in (Fraction(1, 5), Fraction(1, 20), Fraction(1, 80)):
+        inst = matched_family(alpha, seed=0)
+        optimum = offline_optimum(inst)
+        view = optimum.view
+        want = gain_from_trade(optimum.cano.ordered_pairs, view)
+        assert optimum.gain == optimum.cano.gain(view) == optimal_gain(inst) == want > 0
+        entities = frozenset(inst.entity_ids)
+        for seed in range(500):
+            out = truthful_run(inst, MechanismConfig(alpha=alpha, seed=seed), view=view)
+            reachable = optimum.pairs_within(entities.difference(out.observed_mediators, out.observed_advertisers))
+            assert reachable.gain(view) == gain_from_trade(reachable.ordered_pairs, view), (alpha, seed)
 
 
 def _filtered_pairs_within(view, sorted_users, sorted_slots, entities):

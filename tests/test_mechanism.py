@@ -35,7 +35,7 @@ from observeprice import (
     truthful_run,
 )
 from observeprice.analysis import _abs_dev_within_cbrt
-from observeprice.mechanism import VARIANTS, MechanismState, Thresholds, _iroot6, at_most_cbrt
+from observeprice.mechanism import VARIANTS, ArrivalEvent, MechanismState, Thresholds, Trade, _iroot6, at_most_cbrt
 from observeprice.serialize import outcome_to_doc
 from conftest import (
     LOCATION_GRID,
@@ -47,6 +47,7 @@ from conftest import (
     organic_instance,
     per_unit_run,
     random_reports,
+    reference_serving_run,
     worked_example,
 )
 
@@ -93,6 +94,24 @@ def test_sample_observation_count_deterministic_and_unbiased():
     rng = random.Random(0)
     total = sum(sample_observation_count(30, r, rng) for _ in range(2000))
     assert abs(total / 2000 - 10) < 0.3
+
+
+def _reference_observation_count(n, r, rng):
+    """One ``randrange`` per trial: the draws the count must make."""
+    num, den = r.numerator, r.denominator
+    return sum(1 for _ in range(n) if rng.randrange(den) < num)
+
+
+@pytest.mark.parametrize("r", [Fraction(0), Fraction(1, 10), Fraction(1, 2), Fraction(1), Fraction(123457, 10**6)])
+def test_sample_observation_count_draws_what_randrange_draws(r):
+    """The count and the generator state after it equal the reference's,
+    so every later draw of a run (the thresholds' inputs, the trailing
+    block) is the same too."""
+    for n in (0, 1, 6, 160, 2560):
+        for seed in range(50):
+            got, want = random.Random(seed), random.Random(seed)
+            assert sample_observation_count(n, r, got) == _reference_observation_count(n, r, want), (n, seed)
+            assert got.getstate() == want.getstate(), (n, seed)
 
 
 def test_sample_observation_count_extremes():
@@ -204,7 +223,8 @@ def test_dummy_thresholds_have_no_amounts():
         th.payment
     with pytest.raises(ValueError):
         th.charge
-    assert not th.user_assignable(TieKey(0, 0, 0))
+    inst = build_instance([[4]], [(1, 6)], seed=0)
+    assert MechanismState(true_view(inst), th, set()).process_arrival(mediator_id(0)).unassigned_assignable_users == 0
     assert th.first_assignable(SlotBlock(10**9, 0, 3, advertiser_id(0))) == 3
 
 
@@ -215,7 +235,7 @@ def test_synthetic_threshold_keys_tie_semantics():
     user_key, slot_key = threshold_keys_from_amounts(4, 6, inst)
     th = injected_thresholds(user_key, slot_key)
     view = true_view(inst)
-    assert th.user_assignable(view.user_keys[UserRef(mediator_id(0), 0)])
+    assert view.user_keys[UserRef(mediator_id(0), 0)] < th.user_key
     assert th.first_assignable(view.blocks[advertiser_id(0)]) == 1  # its one slot is not assignable
 
 
@@ -526,7 +546,7 @@ def test_serving_loop_counters_targets_and_steps(market):
     supply, traded, folded = {}, {}, {}
     for entity in arrivals:
         if entity.kind == "mediator":
-            users = [u for u in view.users_by_mediator[entity] if thresholds.user_assignable(view.user_keys[u])]
+            users = [u for u in view.users_by_mediator[entity] if thresholds.user_key is not None and view.user_keys[u] < thresholds.user_key]
             supply[entity] = sorted(users, key=view.user_keys.__getitem__)
         else:
             slots = (SlotRef(entity, j) for j in range(view.blocks[entity].capacity))
@@ -647,3 +667,66 @@ def test_a_claim_of_10_12_slots_runs_as_a_claim_of_10_3():
             seen.add("the claim trades")
     assert seen == {"priced inside the claim", "the claim trades"}
 
+
+
+# -- runs of trades against the one-trade-at-a-time loop ---------------------------------
+
+
+def _serving_corpus():
+    """``(instance, reports, config)`` runs for the serving-loop differential:
+    desk runs with injected thresholds, organic runs, matched_family at 1/20
+    and 1/80, random misreports (one advertiser claiming 10^12 slots in every
+    fourth), a 10^12-slot claim on matched_family(1/160), and forced arrival
+    orders and observation counts under injected and computed thresholds."""
+    rng = random.Random(15)
+    cases = []
+    for s in range(40):
+        inst = desk_instance(s)
+        cases.append((inst, ReportProfile.truthful(inst), desk_config(inst, seed=s)))
+    for s in range(3):
+        inst = organic_instance(s)
+        cases.extend((inst, ReportProfile.truthful(inst), MechanismConfig(alpha=ORGANIC_ALPHA, seed=k)) for k in range(3))
+    for alpha in (Fraction(1, 20), Fraction(1, 80)):
+        for s in range(3):
+            inst = matched_family(alpha, seed=s)
+            cases.append((inst, ReportProfile.truthful(inst), MechanismConfig(alpha=alpha, seed=s)))
+    for s in range(40):
+        inst = desk_instance(500 + s)
+        reports = random_reports(inst, rng, unit=2 * MICRO)
+        if s % 4 == 0:
+            reports = reports.with_advertiser_slots(rng.choice(inst.advertisers).id, 10**12, 10 * MICRO)
+        cases.append((inst, reports, desk_config(inst, seed=s)))
+    inst = matched_family(Fraction(1, 160), seed=0)
+    top = max(spec.value for spec in inst.advertisers) + 1
+    claim = ReportProfile.truthful(inst).with_advertiser_slots(inst.advertisers[0].id, 10**12, top)
+    cases.extend((inst, claim, MechanismConfig(alpha=Fraction(1, 160), seed=k)) for k in range(3))
+    for s in range(20):
+        inst = desk_instance(700 + s) if s % 2 else organic_instance(s)
+        order = list(inst.entity_ids)
+        rng.shuffle(order)
+        config = desk_config(inst, seed=s) if s % 2 else MechanismConfig(alpha=ORGANIC_ALPHA, seed=s)
+        forced = replace(config, forced_arrival_order=tuple(order), forced_observation_count=rng.randrange(len(order) // 2 + 1))
+        cases.append((inst, ReportProfile.truthful(inst), forced))
+    return cases
+
+
+def test_serving_runs_match_the_one_trade_at_a_time_loop():
+    """Every run of ``_serving_corpus`` under each engine variant, served in
+    runs of trades, against the same run served one trade per call by
+    ``conftest.ReferenceMechanismState``: equal outcomes, so equal event logs
+    in every field, built of the same tuple types. The corpus must trade in
+    runs of two or more with one counterparty, and with two or more
+    counterparties in one arrival."""
+    long_runs = counterparties = 0
+    for inst, reports, config in _serving_corpus():
+        for variant in VARIANTS:
+            c = replace(config, variant=variant)
+            got = run_mechanism(inst, reports, c)
+            assert got == reference_serving_run(inst, reports, c), (c.seed, variant)
+            for event in got.events:
+                assert type(event) is ArrivalEvent
+                assert all(type(t) is Trade and type(t.slot) is SlotRef for t in event.trades)
+                pairs = [(t.user.mediator, t.slot.advertiser) for t in event.trades]
+                long_runs += any(p == q for p, q in zip(pairs, pairs[1:]))
+                counterparties += len(set(pairs)) > 1
+    assert long_runs >= 20 and counterparties >= 20, (long_runs, counterparties)

@@ -1,6 +1,7 @@
 """Utility accounting, run invariants, and deviation machinery."""
 
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from statistics import fmean
@@ -40,7 +41,8 @@ from observeprice import (
     truthful_sweep,
     utility_trajectory,
 )
-from observeprice import verify
+from observeprice import analysis, verify
+from observeprice.mechanism import MechanismState
 from observeprice.serialize import outcome_to_doc
 from observeprice.verify import RUN_CHECKS, deviation_test
 from conftest import ORGANIC_ALPHA, desk_config, desk_instance, organic_instance, worked_example, zero_user_instance
@@ -616,3 +618,51 @@ def test_experiments_with_shared_views_match_per_run_rebuilds():
     result = event_frequency_experiment(inst, alpha, n_seeds=n)
     assert (result.event_count, result.concentration_count) == (events, concentrations)
     assert 0 < point.mean < point.mean_vs_reachable < 1
+
+
+# -- call boundaries ------------------------------------------------------------------
+
+
+def _calls_through(monkeypatch, fn, method_of=None):
+    """Count the calls through every binding of ``fn`` in the package, the
+    way ``perfbench`` marks them: every module attribute bound to it, or for
+    a method, its attribute on the class ``method_of``."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    if method_of is not None:
+        bindings = [(method_of, fn.__name__)]
+    else:
+        modules = [m for name, m in sys.modules.items() if name == "observeprice" or name.startswith("observeprice.")]
+        bindings = [(m, key) for m in modules for key, value in vars(m).items() if value is fn]
+    for space, key in bindings:
+        monkeypatch.setattr(space, key, counted)
+    return calls
+
+
+def test_runs_keep_the_call_boundaries_perfbench_marks(monkeypatch):
+    """perfbench cuts items at these calls, so each must stay one per unit of
+    work: one ``verify.run_mechanism`` call per run of an incentive sweep
+    (its seeds plus its deviation pairs), one ``analysis.truthful_run`` call
+    per seed of each experiment, and one ``process_arrival`` call per
+    post-observation arrival of a run."""
+    inst = desk_instance(5)
+    runs = _calls_through(monkeypatch, verify.run_mechanism)
+    result = incentive_sweep([(inst, desk_config(inst, 0))], 4, 3, random.Random(5))
+    assert result.deviation_pairs > 0
+    assert len(runs) == result.runs == 3 + result.deviation_pairs
+
+    alpha = Fraction(1, 80)
+    matched = matched_family(alpha, seed=0)
+    seeds = _calls_through(monkeypatch, analysis.truthful_run)
+    competitive_ratio_experiment([(alpha, matched)], n_seeds=4)
+    assert len(seeds) == 4
+    event_frequency_experiment(matched, alpha, n_seeds=3)
+    assert len(seeds) == 4 + 3
+
+    arrivals = _calls_through(monkeypatch, MechanismState.process_arrival, method_of=MechanismState)
+    outcome = truthful_run(matched, MechanismConfig(alpha=alpha, seed=2))
+    assert outcome.trades_of() and len(arrivals) == len(outcome.post_observation_order) == len(outcome.events)
