@@ -8,11 +8,14 @@ and the marginal retained slot value ``ell``. It then evaluates the
 concentration event those proofs condition on, so Monte Carlo sweeps can
 compare the event's empirical frequency against its analytic lower bound.
 
-Everything that depends only on the instance (the true view, the optimum,
-``ell``, per-entity optimum counts, the sorted keys) is prepared once in an
-``OfflineOptimum``; a diagnostic pass then reads only what its run observed
-and which prefix of each sorted order its thresholds cleared, and decides
-every cube-root bound in integers.
+Everything that depends only on the instance (the true view with its
+sorted users and blocks, the optimum, ``ell``, per-entity optimum counts) is
+prepared once in an ``OfflineOptimum``; a diagnostic pass then reads only
+what its run observed and which prefix of each sorted order its thresholds
+cleared, found by bisecting the sorted users and the sorted blocks, and
+decides every cube-root bound in integers. Every sub-market optimum, the
+observed one and the one left reachable, filters the view's orders
+(``canonical_within``).
 
 Experiments report raw and zero-clamped analytic bounds side by side; at
 desk scales the bounds are often vacuous and the point of the lab is the
@@ -27,10 +30,11 @@ import statistics
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Mapping, Optional, Sequence
 
-from .canonical import CanonicalAssignment, canonical_assignment, sorted_canonical_assignment
-from .market import EntityId, Instance, MarketView, Money, SlotRef, TieKey, UserRef, true_view
+from .canonical import CanonicalAssignment, canonical_within
+from .market import EntityId, Instance, MarketView, Money, SlotRef, UserRef, true_view
 from .mechanism import (
     MechanismConfig,
     MechanismOutcome,
@@ -135,7 +139,7 @@ class OfflineOptimum:
     """
 
     instance: Instance
-    view: MarketView  # true_view(instance)
+    view: MarketView  # true_view(instance); cano runs over its sorted orders
     cano: CanonicalAssignment  # over the whole true market
     opt_users: tuple[UserRef, ...]  # cano's users, cheapest first
     opt_slots: tuple[SlotRef, ...]  # cano's slots, most valuable first
@@ -143,10 +147,7 @@ class OfflineOptimum:
     gain: Money  # the optimum's gain from trade
     opt_users_per_mediator: Mapping[EntityId, int]  # every mediator, 0 when none of its users is optimal
     opt_slots_per_advertiser: Mapping[EntityId, int]
-    user_keys: list[TieKey]  # keys of cano.sorted_users, increasing
-    slot_keys: list[TieKey]  # keys of cano.sorted_slots, reversed to increasing
-    user_position: Mapping[UserRef, int]  # position in view.all_users
-    slot_position: Mapping[SlotRef, int]  # position in view.all_slots
+    entity_order: Mapping[EntityId, int]  # place of each entity in instance.entity_ids
 
     def __post_init__(self) -> None:
         if not all(self.view.user_costs[u] <= self.ell for u in self.opt_users):
@@ -154,24 +155,15 @@ class OfflineOptimum:
         if not all(self.ell <= self.view.slot_value(b) for b in self.opt_slots):
             raise AssertionError("ell exceeds an offline-optimal slot value")
 
-    def pairs_within(self, entities: AbstractSet[EntityId]) -> CanonicalAssignment:
-        """The canonical assignment of the sub-market of ``entities``: ``cano``'s
-        sorted users and blocks, filtered, so nothing is re-sorted."""
-        return sorted_canonical_assignment(
-            [u for u in self.cano.sorted_users if u.mediator in entities],
-            [b for b in self.cano.sorted_blocks if b.advertiser in entities],
-            self.view,
-        )
-
 
 def offline_optimum(instance: Instance) -> OfflineOptimum:
     """The canonical assignment of ``instance``'s true market and what every
     diagnostic pass reads from it. ``ValueError`` if the optimum is empty."""
     view = true_view(instance)
-    cano = canonical_assignment(view.all_users, view.blocks, view)
+    cano = canonical_within(view)
     if cano.size == 0:
         raise ValueError("tau=0: the offline optimum is empty, nothing to diagnose or measure against")
-    opt_users = tuple(u for u, _ in cano.ordered_pairs)
+    opt_users = cano.sorted_users[: cano.size]
     opt_slots = tuple(b for _, b in cano.ordered_pairs)
     per_mediator = dict.fromkeys(view.users_by_mediator, 0)
     for u in opt_users:
@@ -189,10 +181,7 @@ def offline_optimum(instance: Instance) -> OfflineOptimum:
         gain=cano.gain(view),
         opt_users_per_mediator=per_mediator,
         opt_slots_per_advertiser=per_advertiser,
-        user_keys=[view.user_keys[u] for u in cano.sorted_users],
-        slot_keys=[view.slot_key(b) for b in reversed(cano.sorted_slots)],
-        user_position={u: i for i, u in enumerate(view.all_users)},
-        slot_position={b: i for i, b in enumerate(view.all_slots)},
+        entity_order={e: i for i, e in enumerate(instance.entity_ids)},
     )
 
 
@@ -232,20 +221,41 @@ def compute_diagnostic_sets(
     core_users = opt_users[:core_len]
     core_slots = opt_slots[:core_len]
 
-    observed_m = set(outcome.observed_mediators)
-    observed_a = set(outcome.observed_advertisers)
+    # The two count maps hold every mediator and every advertiser.
+    observed = set(outcome.arrival_order[: outcome.observation_count])
+    observed_m = observed.intersection(optimum.opt_users_per_mediator)
+    observed_a = observed.intersection(optimum.opt_slots_per_advertiser)
     # The keys a threshold clears form a prefix of each sorted order: users
-    # below the cost threshold, slots above the value threshold.
+    # below the cost threshold, found by bisecting their keys, and slots
+    # above the value threshold: the blocks above its (value, rank) clear
+    # whole, found by bisecting the blocks, and the next at most from an
+    # index on.
     thresholds = outcome.thresholds
-    if thresholds.is_dummy:
-        n_users = n_slots = 0
-    else:
-        n_users = bisect_left(optimum.user_keys, thresholds.user_key)
-        n_slots = len(optimum.slot_keys) - bisect_right(optimum.slot_keys, thresholds.slot_key)
+    blocks, ends = cano.sorted_blocks, cano.slot_ends
+    n_users = n_blocks = n_slots = 0
+    if not thresholds.is_dummy:
+        n_users = bisect_left(cano.sorted_users, thresholds.user_key, key=view.user_keys.__getitem__)
+        # A block is above (value, rank, inf) exactly when its (value, rank) is.
+        n_blocks = bisect_left(blocks, True, key=(*thresholds.slot_key[:2], math.inf).__gt__)
+        n_slots = ends[n_blocks - 1] if n_blocks else 0
+        if n_blocks < len(blocks):
+            part = blocks[n_blocks].capacity - thresholds.first_assignable(blocks[n_blocks])
+            n_slots, n_blocks = n_slots + part, n_blocks + (part > 0)
     cleared_users = [u for u in cano.sorted_users[:n_users] if u.mediator not in observed_m]
-    cleared_slots = [b for b in cano.sorted_slots[:n_slots] if b.advertiser not in observed_a]
-    clearing_users = tuple(sorted(cleared_users, key=optimum.user_position.__getitem__))
-    clearing_slots = tuple(sorted(cleared_slots, key=optimum.slot_position.__getitem__))
+    # Each cleared block gives the prefix its slots from end - n_slots on.
+    slots_of = {
+        b.advertiser: range(max(0, end - n_slots), b.capacity)
+        for b, end in zip(blocks[:n_blocks], ends)
+        if b.advertiser not in observed_a
+    }
+    # The clearing lists run in view order: by the entity's place in the
+    # instance, then by index. Users sort as (place, index, ref) triples, so
+    # every comparison runs in C.
+    place = optimum.entity_order.__getitem__
+    keys = zip(map(place, map(itemgetter(0), cleared_users)), map(itemgetter(1), cleared_users), cleared_users)
+    clearing_users = tuple(map(itemgetter(2), sorted(keys)))
+    new = tuple.__new__
+    clearing_slots = tuple(new(SlotRef, (a, j)) for a in sorted(slots_of, key=place) for j in slots_of[a])
 
     post = outcome.post_observation_order
     # 16/r as one int division, which rounds exactly as float(Fraction(16) / r).
@@ -257,27 +267,28 @@ def compute_diagnostic_sets(
     trailing_a = tuple(e for e in trailing if e.kind == "advertiser")
 
     # Exact concentration checks on the observed split.
-    opt_slots_observed = sum(map(optimum.opt_slots_per_advertiser.__getitem__, outcome.observed_advertisers))
-    opt_users_observed = sum(map(optimum.opt_users_per_mediator.__getitem__, outcome.observed_mediators))
+    opt_slots_observed = sum(map(optimum.opt_slots_per_advertiser.__getitem__, observed_a))
+    opt_users_observed = sum(map(optimum.opt_users_per_mediator.__getitem__, observed_m))
     core_slots_observed = sum(1 for b in core_slots if b.advertiser in observed_a)
     core_users_observed = sum(1 for u in core_users if u.mediator in observed_m)
 
     trailing_m_set = set(trailing_m)
     trailing_a_set = set(trailing_a)
-    spare_slots = sum(1 for b in clearing_slots if b.advertiser not in trailing_a_set)
+    spare_slots = sum(len(js) for a, js in slots_of.items() if a not in trailing_a_set)
     spare_users = sum(1 for u in clearing_users if u.mediator not in trailing_m_set)
 
     # The cleared prefix, the core and the optimum are all prefixes of each
     # sorted order, so one holds the unobserved entries of another exactly
-    # when none sits between their two lengths.
+    # when none sits between their two lengths: slots tau..n_slots-1 lie in
+    # the cleared blocks from the one holding slot tau on.
     core_users_subset = all(u.mediator in observed_m for u in cano.sorted_users[n_users:core_len])
-    core_slots_subset = all(b.advertiser in observed_a for b in cano.sorted_slots[n_slots:core_len])
-    clearing_within = all(u.mediator in observed_m for u in cano.sorted_users[tau_:n_users]) and all(
-        b.advertiser in observed_a for b in cano.sorted_slots[tau_:n_slots]
+    core_slots_subset = all(b.advertiser in observed_a for b in core_slots[n_slots:])
+    clearing_within = all(u.mediator in observed_m for u in cano.sorted_users[tau_:n_users]) and (
+        n_slots <= tau_ or all(b.advertiser in observed_a for b in blocks[bisect_right(ends, tau_) : n_blocks])
     )
-    # Cleared lists run in key order: the last is the dearest user, the cheapest slot.
-    ell_sandwich = (not cleared_users or view.user_costs[cleared_users[-1]] <= ell) and (
-        not cleared_slots or ell <= view.slot_value(cleared_slots[-1])
+    # Cleared users run in key order, so the last is the dearest; slots are checked per block.
+    ell_sandwich = (not cleared_users or view.user_costs[cleared_users[-1]] <= ell) and all(
+        ell <= view.blocks[a].value for a in slots_of
     )
 
     flags = EventFlags(
@@ -295,7 +306,7 @@ def compute_diagnostic_sets(
 
     # Always-true sandwich fact, asserted on every diagnostic pass; the
     # instance-level ones were asserted when the optimum was built.
-    observed_size = optimum.pairs_within(observed_m | observed_a).size
+    observed_size = canonical_within(view, observed).size
     lo = min(opt_users_observed, opt_slots_observed)
     hi = max(opt_users_observed, opt_slots_observed)
     if not lo <= observed_size <= hi:
@@ -413,9 +424,10 @@ def competitive_ratio_experiment(
     passes it when tau >= 1 but amounts tie, and its ratio is undefined.
 
     Per point, the offline optimum is prepared once and ``r``, when None,
-    derived once: every run shares its true view and rate, and each run's
-    reachable optimum is the gain of its ``pairs_within`` the entities the
-    run left unobserved, summed per block.
+    derived once: every run shares its true view, with the view's sorted
+    orders, and rate, and each run's reachable optimum is the gain of
+    ``canonical_within`` the entities the run left unobserved, summed per
+    block.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
@@ -436,8 +448,8 @@ def competitive_ratio_experiment(
             outcome = truthful_run(instance, config, view=view)
             r_used = outcome.r
             ratios.append(float(Fraction(outcome.gft, opt)))
-            unobserved = entities.difference(outcome.observed_mediators, outcome.observed_advertisers)
-            reachable = optimum.pairs_within(unobserved).gain(view)
+            unobserved = entities.difference(outcome.arrival_order[: outcome.observation_count])
+            reachable = canonical_within(view, unobserved).gain(view)
             if reachable > 0:
                 reachable_ratios.append(float(Fraction(outcome.gft, reachable)))
             elif outcome.gft == 0:

@@ -4,7 +4,8 @@ The canonical assignment sorts slots by decreasing key and users by
 increasing key, then keeps prefix pairs while the slot key still exceeds the
 user key. Its gain from trade equals the best gain any assignment can reach,
 which the brute-force enumerator below re-derives independently on small
-inputs.
+inputs. A market view sorts its users and blocks once; the canonical
+assignment of any sub-market of whole entities filters those orders.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import AbstractSet, Callable, Iterable, Optional, Sequence
 
 from .market import EntityId, Instance, MarketView, Money, SlotBlock, SlotRef, UserRef, true_view
 
@@ -70,16 +71,10 @@ class CanonicalAssignment:
             start = end
         return total - sum(map(view.user_costs.__getitem__, self.sorted_users[: self.size]))
 
-    def _slots(self) -> Iterator[SlotRef]:
-        return (tuple.__new__(SlotRef, (b.advertiser, j)) for b in self.sorted_blocks for j in reversed(range(b.capacity)))
-
-    @cached_property
-    def sorted_slots(self) -> tuple[SlotRef, ...]:
-        return tuple(self._slots())
-
     @cached_property
     def ordered_pairs(self) -> tuple[tuple[UserRef, SlotRef], ...]:
-        return tuple(zip(self.sorted_users[: self.size], self._slots()))
+        slots = (tuple.__new__(SlotRef, (b.advertiser, j)) for b in self.sorted_blocks for j in reversed(range(b.capacity)))
+        return tuple(zip(self.sorted_users[: self.size], slots))
 
 
 def sorted_canonical_assignment(users: Sequence[UserRef], blocks: Sequence[SlotBlock], view: MarketView) -> CanonicalAssignment:
@@ -91,8 +86,24 @@ def sorted_canonical_assignment(users: Sequence[UserRef], blocks: Sequence[SlotB
     return CanonicalAssignment(_profitable_prefix(lambda i: keys[users[i]], len(users), blocks, ends), users, blocks, ends)
 
 
+def canonical_within(view: MarketView, entities: Optional[AbstractSet[EntityId]] = None) -> CanonicalAssignment:
+    """The canonical assignment of the sub-market of ``entities`` (the whole
+    market when None): the view's sorted users and blocks, filtered to the
+    given mediators and advertisers, so nothing is re-sorted. Ids the view
+    does not hold are ignored."""
+    if entities is None:
+        return sorted_canonical_assignment(view.sorted_users, view.sorted_blocks, view)
+    return sorted_canonical_assignment(
+        [u for u in view.sorted_users if u.mediator in entities],
+        [b for b in view.sorted_blocks if b.advertiser in entities],
+        view,
+    )
+
+
 def canonical_assignment(users: Iterable[UserRef], advertisers: Iterable[EntityId], view: MarketView) -> CanonicalAssignment:
-    """Sort users by key and the advertisers' slot blocks, then pair the profitable prefix."""
+    """Sort users by key and the advertisers' slot blocks, then pair the
+    profitable prefix: for users that are not a whole mediator's, or come in
+    no known order. A sub-market of whole entities is ``canonical_within``."""
     users = sorted(users, key=view.user_keys.__getitem__)
     return sorted_canonical_assignment(users, sorted(map(view.blocks.__getitem__, advertisers), reverse=True), view)
 
@@ -109,7 +120,7 @@ def tau(instance: Instance) -> int:
 def optimal_gain(instance: Instance) -> Money:
     """Gain from trade of the canonical assignment on the true market."""
     view = true_view(instance)
-    return canonical_assignment(view.all_users, view.blocks, view).gain(view)
+    return canonical_within(view).gain(view)
 
 
 def brute_force_optimal_gft(

@@ -10,6 +10,7 @@ while tau scales like 5/alpha, so points differ only in scale.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,7 +53,10 @@ class DistSpec:
         if self.kind == "uniform":
             return rng.randint(self.low, self.high)
         if self.kind == "lognormal":
-            return self.shift + int(rng.lognormvariate(self.mu, self.sigma) * 10**6)
+            try:
+                return self.shift + int(rng.lognormvariate(self.mu, self.sigma) * 10**6)
+            except OverflowError:
+                raise GenerationError(f"lognormal:{self.mu}:{self.sigma} drew an amount too large to represent") from None
         raise ValueError(f"unknown distribution kind {self.kind!r}")
 
 
@@ -67,6 +71,8 @@ def uniform(low: int, high: int) -> DistSpec:
 
 
 def lognormal(mu: float, sigma: float, shift: int = 0) -> DistSpec:
+    if not (math.isfinite(mu) and math.isfinite(sigma)):
+        raise ValueError(f"lognormal MU and SIGMA must be finite, got {mu} and {sigma}")
     return DistSpec("lognormal", mu=mu, sigma=sigma, shift=shift)
 
 

@@ -30,9 +30,9 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import AbstractSet, NamedTuple, Optional
 
-from .canonical import canonical_assignment
+from .canonical import canonical_within
 from .market import (
     EntityId,
     Instance,
@@ -199,20 +199,16 @@ def threshold_keys_from_amounts(cost_amount: Money, value_amount: Money, instanc
     return TieKey(cost_amount, rank, 0), TieKey(value_amount, rank, 0)
 
 
-def compute_thresholds(
-    view: MarketView,
-    observed_mediators: Sequence[EntityId],
-    observed_advertisers: Sequence[EntityId],
-    r: Fraction,
-    alpha: Fraction,
-) -> Thresholds:
-    """Step 2: price off the canonical assignment of the observed sub-market.
+def compute_thresholds(view: MarketView, observed: AbstractSet[EntityId], r: Fraction, alpha: Fraction) -> Thresholds:
+    """Step 2: price off the canonical assignment of the sub-market of the
+    ``observed`` mediators and advertisers, filtered from the view's sorted
+    orders.
 
     The location is k = ceil((1 - 2/r * alpha^(1/3)) * s) for s observed
     canonical pairs, which lies in 1..s whenever it is positive; k <= 0,
     s = 0 included, degenerates to the dummy pair and the run trades nothing.
     """
-    cano = canonical_assignment(view.users_of(observed_mediators), observed_advertisers, view)
+    cano = canonical_within(view, observed)
     s = cano.size
     k = max(0, ceil_minus_cbrt(s, Fraction(2 * s) / r, alpha))
     if k == 0:
@@ -333,7 +329,7 @@ class MechanismState:
         self,
         view: MarketView,
         thresholds: Thresholds,
-        observed: Sequence[EntityId],
+        observed: AbstractSet[EntityId],
         variant: str = "standard",
     ) -> None:
         if variant not in VARIANTS:
@@ -341,7 +337,7 @@ class MechanismState:
         self.view = view
         self.thresholds = thresholds
         self.variant = variant
-        self.observed = set(observed)
+        self.observed = observed  # read only: the run shares it with its thresholds
         # Per-mediator queue of assignable users, cheapest key first.
         self._queue: dict[EntityId, list[UserRef]] = {}
         # Per arrived entity, [next, end): a mediator's unassigned queue
@@ -470,10 +466,7 @@ def run_mechanism(
     else:
         t = sample_observation_count(n, r, rng)
 
-    observed = arrival[:t]
-    observed_m = tuple(e for e in observed if e.kind == "mediator")
-    observed_a = tuple(e for e in observed if e.kind == "advertiser")
-
+    observed = set(arrival[:t])
     if view is None:
         view = report_view(instance, reports)
     if config.threshold_override is not None:
@@ -482,7 +475,7 @@ def run_mechanism(
         except ValueError as exc:
             raise RunInputError(f"config.threshold_override: {exc}") from None
     else:
-        thresholds = compute_thresholds(view, observed_m, observed_a, r, alpha)
+        thresholds = compute_thresholds(view, observed, r, alpha)
 
     state = MechanismState(view, thresholds, observed, variant=config.variant)
     for entity in arrival[t:]:

@@ -263,11 +263,22 @@ def per_unit_first_assignable(thresholds, block):
 
 def per_unit_run(instance, reports, config):
     """``run_mechanism`` with the thresholds' canonical assignment and the
-    serving loop's assignable slots taken from the per-unit rules."""
-    with mock.patch.object(mechanism, "canonical_assignment", PerUnitCanonical), mock.patch.object(
+    serving loop's assignable slots taken from the per-unit rules. The
+    per-unit canonical rule must run once when the run computes its
+    thresholds, and not at all when they are injected."""
+    calls = []
+
+    def per_unit_within(view, entities):
+        calls.append(entities)
+        users = view.users_of(m for m in view.users_by_mediator if m in entities)
+        return PerUnitCanonical(users, [a for a in view.blocks if a in entities], view)
+
+    with mock.patch.object(mechanism, "canonical_within", per_unit_within), mock.patch.object(
         Thresholds, "first_assignable", per_unit_first_assignable
     ):
-        return run_mechanism(instance, reports, config)
+        outcome = run_mechanism(instance, reports, config)
+    assert len(calls) == (config.threshold_override is None)
+    return outcome
 
 
 # -- the one-trade-at-a-time serving loop -------------------------------------------

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -15,7 +16,9 @@ from observeprice import (
     DiagnosticSets,
     EventFlags,
     MechanismConfig,
+    SlotRef,
     canonical_assignment,
+    canonical_within,
     competitive_ratio_experiment,
     compute_diagnostic_sets,
     event_frequency_experiment,
@@ -38,7 +41,7 @@ from observeprice import (
     wilson_interval,
 )
 import observeprice
-from observeprice import analysis
+from observeprice import analysis, canonical, market, mechanism
 from observeprice.analysis import clamp01, competitive_ratio_bound
 from observeprice.mechanism import at_most_cbrt, ceil_minus_cbrt
 from conftest import (
@@ -353,7 +356,7 @@ def test_diagnostics_match_the_reference_with_thresholds_on_entity_keys():
         outcome = truthful_run(inst, MechanismConfig(alpha=ORGANIC_ALPHA, seed=seed), view=optimum.view)
         observed = set(outcome.observed_mediators) | set(outcome.observed_advertisers)
         users = [u for u in cano.sorted_users if u.mediator not in observed]
-        slots = [b for b in cano.sorted_slots if b.advertiser not in observed]
+        slots = [SlotRef(b.advertiser, j) for b in cano.sorted_blocks if b.advertiser not in observed for j in range(b.capacity)]
         for _ in range(5):
             u, b = rng.choice(users), rng.choice(slots)
             if not view.user_keys[u] < view.slot_key(b):
@@ -366,6 +369,49 @@ def test_diagnostics_match_the_reference_with_thresholds_on_entity_keys():
             want = _reference_diagnostic_sets(inst, at_keys, random.Random(seed))
             assert compute_diagnostic_sets(inst, at_keys, random.Random(seed), optimum=optimum) == want
             assert u not in want.clearing_users and b not in want.clearing_slots
+
+
+def test_diagnostics_match_the_reference_with_thresholds_inside_blocks():
+    """The slot threshold at a slot's own key inside a block of several
+    slots, so that block clears from an index on (the slot's advertiser
+    observed or not); the user threshold at an unobserved user's key below
+    it. On matched 1/20 markets (five slots per block, the optimum takes
+    every slot) and on markets whose costs and values overlap (the optimum
+    ends inside the sorted slots, so a partly cleared block can hold its
+    end), priced at their own alpha and at two with a non-empty core. Every
+    ``DiagnosticSets`` field equals the reference's; partly cleared blocks
+    occur before and at or after the optimum's end, and
+    ``clearing_within_optimum`` and ``core_slots_subset`` take both values."""
+    rng = random.Random(11)
+    cases = [(matched_family(Fraction(1, 20), seed=1), Fraction(1, 20))]
+    cases += [(_overlapping_instance(seed), Fraction(1, 5)) for seed in range(3)]
+    seen = set()
+    for inst, alpha in cases:
+        optimum = offline_optimum(inst)
+        view, cano = optimum.view, optimum.cano
+        places = [(b, j) for b in cano.sorted_blocks for j in reversed(range(b.capacity))]
+        for seed in range(10):
+            outcome = truthful_run(inst, MechanismConfig(alpha=alpha, seed=seed), view=view)
+            observed = set(outcome.observed_mediators) | set(outcome.observed_advertisers)
+            users = [u for u in cano.sorted_users if u.mediator not in observed]
+            slots = [(pos, b, j) for pos, (b, j) in enumerate(places) if j < b.capacity - 1]
+            for _ in range(10):
+                pos, block, j = rng.choice(slots)
+                slot_key = view.slot_key(SlotRef(block.advertiser, j))
+                below = [u for u in users if view.user_keys[u] < slot_key]
+                if not below:
+                    continue
+                at_keys = replace(
+                    outcome,
+                    alpha=rng.choice([alpha, Fraction(1, 2000), Fraction(1, 40000)]),
+                    thresholds=injected_thresholds(view.user_keys[rng.choice(below)], slot_key),
+                )
+                want = _reference_diagnostic_sets(inst, at_keys, random.Random(seed))
+                assert compute_diagnostic_sets(inst, at_keys, random.Random(seed), optimum=optimum) == want
+                assert (SlotRef(block.advertiser, j + 1) in want.clearing_slots) == (block.advertiser not in observed)
+                seen |= {("before the end", pos < cano.size), ("within", want.flags.clearing_within_optimum)}
+                seen.add(("core", want.flags.core_slots_subset))
+    assert seen == {(name, flag) for name in ("before the end", "within", "core") for flag in (True, False)}
 
 
 def test_diagnostics_reject_an_optimum_of_another_instance():
@@ -411,7 +457,7 @@ def test_core_length_matches_the_branched_rule():
                 assert diag.core_users == ()  # tau - 6 tau/r * alpha^(1/3) = -2 tau
 
 
-def test_pairs_within_is_the_sub_market_canonical_assignment():
+def test_canonical_within_is_the_sub_market_canonical_assignment():
     """For the observed and the unobserved entities of 20 runs at alpha =
     1/80, and for none and all of them, the filtered prefix pairs up exactly
     as ``canonical_assignment`` re-sorting that sub-market does."""
@@ -426,7 +472,7 @@ def test_pairs_within_is_the_sub_market_canonical_assignment():
         observed = frozenset(out.observed_mediators + out.observed_advertisers)
         subsets += [observed, entities - observed]
     for sub in subsets:
-        got = optimum.pairs_within(sub)
+        got = canonical_within(view, sub)
         want = canonical_assignment(
             view.users_of(e for e in inst.entity_ids if e in sub and e.kind == "mediator"),
             (e for e in inst.entity_ids if e in sub and e.kind == "advertiser"),
@@ -434,7 +480,7 @@ def test_pairs_within_is_the_sub_market_canonical_assignment():
         )
         assert len(got.ordered_pairs) == got.size == want.size
         assert got.ordered_pairs == want.ordered_pairs
-    assert optimum.pairs_within(entities).size == optimum.cano.size == 400
+    assert canonical_within(view, entities).size == canonical_within(view).size == optimum.cano.size == 400
 
 
 def test_canonical_gain_sums_per_block_what_the_pairs_sum():
@@ -450,12 +496,12 @@ def test_canonical_gain_sums_per_block_what_the_pairs_sum():
         entities = frozenset(inst.entity_ids)
         for seed in range(500):
             out = truthful_run(inst, MechanismConfig(alpha=alpha, seed=seed), view=view)
-            reachable = optimum.pairs_within(entities.difference(out.observed_mediators, out.observed_advertisers))
+            reachable = canonical_within(view, entities.difference(out.observed_mediators, out.observed_advertisers))
             assert reachable.gain(view) == gain_from_trade(reachable.ordered_pairs, view), (alpha, seed)
 
 
-def _filtered_pairs_within(view, sorted_users, sorted_slots, entities):
-    """Reference: ``pairs_within`` as a filter over both whole per-unit sorted
+def _filtered_sub_market(view, sorted_users, sorted_slots, entities):
+    """Reference: ``canonical_within`` as a filter over both whole per-unit sorted
     orders, keeping the given entities' refs and zipping their profitable
     prefix with one key per slot."""
     users = [u for u in sorted_users if u.mediator in entities]
@@ -480,7 +526,7 @@ def _overlapping_instance(seed):
     )
 
 
-def test_pairs_within_matches_the_filter_on_random_subsets():
+def test_canonical_within_matches_the_filter_on_random_subsets():
     """Random entity subsets of the criterion-9 grid instances (where every
     value beats every cost, so the prefix ends where a side runs out) and
     of three instances whose costs and values overlap (where it mostly ends
@@ -492,19 +538,49 @@ def test_pairs_within_matches_the_filter_on_random_subsets():
     instances += [_overlapping_instance(seed) for seed in range(3)]
     ends = set()
     for inst in instances:
-        optimum = offline_optimum(inst)
-        view = optimum.view
+        view = true_view(inst)
         _, sorted_users, sorted_slots = per_unit_canonical(view.all_users, view.blocks, view)
         subsets = [set(), set(inst.entity_ids), {mediator_id(10**6), *inst.entity_ids[:3]}]
         for _ in range(100):
             keep = rng.random()
             subsets.append({e for e in inst.entity_ids if rng.random() < keep})
         for sub in subsets:
-            want, *sides = _filtered_pairs_within(view, sorted_users, sorted_slots, sub)
-            got = optimum.pairs_within(sub)
+            want, *sides = _filtered_sub_market(view, sorted_users, sorted_slots, sub)
+            got = canonical_within(view, sub)
             assert got.ordered_pairs == want and got.size == len(want)
             ends.add(len(want) == min(sides))
     assert ends == {True, False}
+
+
+def test_runs_and_experiments_never_re_sort_a_view():
+    """With ``canonical_assignment`` made to raise wherever the package
+    binds it, 20 runs with computed thresholds on one view and both
+    experiments complete; each view sorts its users and its blocks once,
+    so ``market`` calls ``sorted`` twice per view."""
+    alpha = Fraction(1, 80)
+    inst = matched_family(alpha, seed=0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("canonical_assignment re-sorts a sub-market")
+
+    sorts = []
+
+    def counted_sorted(*args, **kwargs):
+        sorts.append(1)
+        return sorted(*args, **kwargs)
+
+    bound = [m for m in (observeprice, canonical, mechanism, analysis) if hasattr(m, "canonical_assignment")]
+    assert bound == [observeprice, canonical]
+    with mock.patch.object(observeprice, "canonical_assignment", refuse), mock.patch.object(
+        canonical, "canonical_assignment", refuse
+    ), mock.patch.object(market, "sorted", counted_sorted, create=True):
+        view = true_view(inst)
+        runs = [truthful_run(inst, MechanismConfig(alpha=alpha, seed=seed), view=view) for seed in range(20)]
+        assert len(sorts) == 2
+        assert all(not out.thresholds.is_dummy for out in runs)
+        competitive_ratio_experiment([(alpha, inst)], n_seeds=20)
+        event_frequency_experiment(inst, alpha, n_seeds=20)
+    assert len(sorts) == 6
 
 
 # -- experiments ------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from observeprice import (
     MICRO,
+    SlotRef,
     brute_force_optimal_gft,
     canonical_assignment,
     ceil_minus_cbrt,
@@ -167,14 +168,15 @@ def test_block_rule_matches_the_per_unit_rule_on_random_sub_markets():
         users = view.users_of(meds)
         got = canonical_assignment(users, ads, view)
         pairs, sorted_users, sorted_slots = per_unit_canonical(users, ads, view)
-        assert (got.size, got.ordered_pairs, got.sorted_users, got.sorted_slots) == (
+        got_slots = tuple(SlotRef(b.advertiser, j) for b in got.sorted_blocks for j in reversed(range(b.capacity)))
+        assert (got.size, got.ordered_pairs, got.sorted_users, got_slots) == (
             len(pairs), pairs, sorted_users, sorted_slots
         ), trial
         assert [(got.user_at(k), got.slot_at(k)) for k in range(1, got.size + 1)] == list(pairs)
         sizes.add((len(pairs) == min(len(users), len(sorted_slots)), len(pairs) > 0))
         # thresholds at a location picked by a small alpha, from the same pairs
         alpha, r = rng.choice(((Fraction(1, 10**6), Fraction(1, 2)), (Fraction(1, 1000), Fraction(1, 3))))
-        th = compute_thresholds(view, meds, ads, r, alpha)
+        th = compute_thresholds(view, {*meds, *ads}, r, alpha)
         k = max(0, ceil_minus_cbrt(len(pairs), Fraction(2 * len(pairs)) / r, alpha))
         want = (None, None) if k == 0 else (view.user_keys[pairs[k - 1][0]], view.slot_key(pairs[k - 1][1]))
         assert (th.user_key, th.slot_key, th.observed_size) == (*want, len(pairs)), trial

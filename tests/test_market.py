@@ -288,3 +288,46 @@ def test_view_build_equals_the_constructor_reference():
         assert all(type(u) is UserRef for u in users) and all(type(b) is SlotRef for b in slots)
         assert all(type(k) is TieKey for k in (*view.user_keys.values(), *slot_keys.values()))
         assert all(type(b) is SlotBlock for b in view.blocks.values())
+
+
+def test_view_orders_equal_a_fresh_sort():
+    """``sorted_users`` and ``sorted_blocks`` against ``sorted`` of the
+    view's keys and blocks, on truthful views and report views whose
+    amounts tie (so ranks decide), with zero-capacity blocks, mediators
+    that report no users and a claim of 10^12 slots. Each order is built
+    once per view."""
+    rng = random.Random(7)
+    cases = []
+    for seed in range(60):
+        inst = desk_instance(seed)
+        truthful = ReportProfile.truthful(inst)
+        cases.append((inst, truthful))
+        reports = truthful
+        for m in inst.mediators:
+            reports = reports.with_mediator_costs(m.id, [rng.randrange(3) * 10**6 for _ in range(rng.randint(0, 3))])
+        for a in inst.advertisers:
+            reports = reports.with_advertiser_slots(a.id, rng.choice((0, 1, 2, 10**12)), rng.randrange(3) * 10**6)
+        cases.append((inst, reports))
+    zero_users = build_instance([[1, 3], []], [(1, 7), (1, 6)], seed=0)
+    cases.append((zero_users, ReportProfile.truthful(zero_users)))
+    seen = set()
+    for inst, reports in cases:
+        view = report_view(inst, reports)
+        assert view.sorted_users == tuple(sorted(view.all_users, key=view.user_keys.__getitem__))
+        assert view.sorted_blocks == tuple(sorted(view.blocks.values(), reverse=True))
+        assert view.sorted_users is view.sorted_users and view.sorted_blocks is view.sorted_blocks
+        costs = [view.user_costs[u] for u in view.all_users]
+        values = [b.value for b in view.blocks.values()]
+        caps = [b.capacity for b in view.blocks.values()]
+        seen |= {
+            name
+            for name, found in (
+                ("cost tie", len(set(costs)) < len(costs)),
+                ("value tie", len(set(values)) < len(values)),
+                ("zero capacity", 0 in caps),
+                ("huge capacity", 10**12 in caps),
+                ("no users", not all(view.users_by_mediator.values())),
+            )
+            if found
+        }
+    assert seen == {"cost tie", "value tie", "zero capacity", "huge capacity", "no users"}

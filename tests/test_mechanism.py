@@ -20,6 +20,7 @@ from observeprice import (
     TieKey,
     UserRef,
     advertiser_id,
+    canonical_assignment,
     ceil_minus_cbrt,
     compute_thresholds,
     derive_r,
@@ -244,7 +245,7 @@ def test_compute_thresholds_frozen_example():
     ceil((1 - 4 * 0.1) * 2) = 2, so the pair is the cost-5 user and a 7-slot."""
     inst = build_instance([[2, 5], [3]], [(2, 7)], seed=0)
     view = true_view(inst)
-    th = compute_thresholds(view, [mediator_id(0)], [advertiser_id(0)], Fraction(1, 2), Fraction(1, 1000))
+    th = compute_thresholds(view, {mediator_id(0), advertiser_id(0)}, Fraction(1, 2), Fraction(1, 1000))
     assert th.payment == 5
     assert th.charge == 7
     assert th.location == 2
@@ -254,7 +255,7 @@ def test_compute_thresholds_frozen_example():
 def test_compute_thresholds_dummy_condition_is_exact():
     inst = build_instance([[2, 5], [3]], [(2, 7)], seed=0)
     view = true_view(inst)
-    args = (view, [mediator_id(0)], [advertiser_id(0)])
+    args = (view, {mediator_id(0), advertiser_id(0)})
     # r**3 <= 8 * alpha exactly at alpha = 1/64 for r = 1/2
     assert compute_thresholds(*args, Fraction(1, 2), Fraction(1, 64)).is_dummy
     assert not compute_thresholds(*args, Fraction(1, 2), Fraction(1, 65)).is_dummy
@@ -264,7 +265,7 @@ def test_compute_thresholds_dummy_condition_is_exact():
 def test_compute_thresholds_empty_observation_is_dummy():
     inst = build_instance([[2, 5]], [(2, 7)], seed=0)
     view = true_view(inst)
-    th = compute_thresholds(view, [], [advertiser_id(0)], Fraction(1, 2), Fraction(1, 1000))
+    th = compute_thresholds(view, {advertiser_id(0)}, Fraction(1, 2), Fraction(1, 1000))
     assert th.is_dummy
     assert th.observed_size == 0
 
@@ -286,14 +287,14 @@ def test_threshold_location_matches_the_branched_rule():
     ads = [a.id for a in inst.advertisers]
     for alpha, r in LOCATION_GRID:
         for s in range(41):
-            th = compute_thresholds(view, meds[:s], ads[:s], r, alpha)
+            th = compute_thresholds(view, {*meds[:s], *ads[:s]}, r, alpha)
             assert th.observed_size == s
             assert th.location == _branched_location(s, r, alpha), (s, r, alpha)
             assert th.is_dummy == (th.location is None)
     # s - 2s/r * alpha^(1/3) is exactly 0 at alpha = 1/64, r = 1/2: dummy
     for s in range(41):
-        assert compute_thresholds(view, meds[:s], ads[:s], Fraction(1, 2), Fraction(1, 64)).is_dummy
-        assert compute_thresholds(view, meds[:s], ads[:s], Fraction(1, 2), Fraction(1, 65)).is_dummy == (s == 0)
+        assert compute_thresholds(view, {*meds[:s], *ads[:s]}, Fraction(1, 2), Fraction(1, 64)).is_dummy
+        assert compute_thresholds(view, {*meds[:s], *ads[:s]}, Fraction(1, 2), Fraction(1, 65)).is_dummy == (s == 0)
 
 
 # -- the worked run --------------------------------------------------------------
@@ -542,7 +543,7 @@ def test_serving_loop_counters_targets_and_steps(market):
     payment updates)."""
     instance, thresholds, observed, arrivals, variant = market
     view = true_view(instance)
-    state = MechanismState(view, thresholds, observed, variant=variant)
+    state = MechanismState(view, thresholds, set(observed), variant=variant)
     supply, traded, folded = {}, {}, {}
     for entity in arrivals:
         if entity.kind == "mediator":
@@ -620,6 +621,52 @@ def test_block_serving_matches_the_per_unit_rules():
             j, cap = config.threshold_override[1].within_index, report_view(inst, reports).blocks[a].capacity
             inside += 0 < j + 1 < cap and any(t.slot.advertiser == a for t in got.trades_of())
     assert inside >= 20 and computed >= 5, (inside, computed)
+
+
+def _sorting_thresholds(view, observed_mediators, observed_advertisers, r, alpha):
+    """``compute_thresholds`` as it was before the view kept its sorted
+    orders: the observed users and blocks sorted on every call. Kept as the
+    reference."""
+    cano = canonical_assignment(view.users_of(observed_mediators), observed_advertisers, view)
+    s = cano.size
+    k = max(0, ceil_minus_cbrt(s, Fraction(2 * s) / r, alpha))
+    if k == 0:
+        return dummy_thresholds(observed_size=s)
+    return Thresholds(view.user_keys[cano.user_at(k)], view.slot_key(cano.slot_at(k)), k, s)
+
+
+def test_thresholds_keep_the_sorting_rule():
+    """``compute_thresholds`` filters the view's sorted orders; the reference
+    sorts the observed sub-market. They return identical ``Thresholds`` on
+    the observed split of every market of ``_block_serving_markets``
+    (misreports, zero-capacity blocks, mediators with no users), priced at
+    its own rate and at two small alphas; on claims of 10^12 slots; on the
+    criterion-9 grid at 20 seeds per alpha; and under forced observation
+    counts 0 and n. A run that computes its thresholds holds the
+    reference's."""
+    runs = [(report_view(inst, reports), run_mechanism(inst, reports, config))
+            for inst, reports, config, _ in _block_serving_markets()]
+    big = matched_family(Fraction(1, 160), seed=0)
+    top = max(spec.value for spec in big.advertisers) + 1
+    for seed in range(6):
+        claim = ReportProfile.truthful(big).with_advertiser_slots(big.advertisers[seed].id, 10**12, top)
+        runs.append((report_view(big, claim), run_mechanism(big, claim, MechanismConfig(alpha=Fraction(1, 160), seed=seed))))
+    for alpha in (Fraction(1, 5), Fraction(1, 20), Fraction(1, 80)):
+        inst = matched_family(alpha, seed=0)
+        view = true_view(inst)
+        runs += [(view, truthful_run(inst, MechanismConfig(alpha=alpha, seed=seed), view=view)) for seed in range(20)]
+        for count in (0, inst.n_entities):
+            runs.append((view, truthful_run(inst, MechanismConfig(alpha=alpha, forced_observation_count=count), view=view)))
+    kinds = set()
+    for view, out in runs:
+        om, oa = out.observed_mediators, out.observed_advertisers
+        for r, alpha in ((out.r, out.alpha), (Fraction(1, 2), Fraction(1, 10**6)), (Fraction(1, 3), Fraction(1, 1000))):
+            want = _sorting_thresholds(view, om, oa, r, alpha)
+            assert compute_thresholds(view, {*om, *oa}, r, alpha) == want
+            kinds.add((want.is_dummy, want.observed_size == 0))
+        if not out.thresholds.injected:
+            assert out.thresholds == _sorting_thresholds(view, om, oa, out.r, out.alpha)
+    assert kinds == {(True, True), (True, False), (False, False)}
 
 
 def test_misreport_runs_keep_their_bytes():
