@@ -232,9 +232,9 @@ def compute_diagnostic_sets(
     # index on.
     thresholds = outcome.thresholds
     blocks, ends = cano.sorted_blocks, cano.slot_ends
-    n_users = n_blocks = n_slots = 0
+    n_users = thresholds.users_below(view)  # cano.sorted_users is view.sorted_users
+    n_blocks = n_slots = 0
     if not thresholds.is_dummy:
-        n_users = bisect_left(cano.sorted_users, thresholds.user_key, key=view.user_keys.__getitem__)
         # A block is above (value, rank, inf) exactly when its (value, rank) is.
         n_blocks = bisect_left(blocks, True, key=(*thresholds.slot_key[:2], math.inf).__gt__)
         n_slots = ends[n_blocks - 1] if n_blocks else 0

@@ -4,7 +4,9 @@ Subcommands: generate an instance, run the mechanism and write a replayable
 report, verify economic properties over seeded sweeps, run the ratio or
 event-frequency experiments to CSV, and replay a recorded report. Exit code 0
 means success, 1 means a verification or replay failure, 2 is argparse usage
-error. OBSERVEPRICE_SEED sets the default seed when --seed is not given.
+error. OBSERVEPRICE_SEED sets the default seed when --seed is not given; it
+is read only by the subcommands that take --seed, and a value that is not
+an integer exits 1.
 """
 
 from __future__ import annotations
@@ -23,7 +25,13 @@ from .market import ReportProfile
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("OBSERVEPRICE_SEED", "0"))
+    """OBSERVEPRICE_SEED, 0 when unset; a ``ValueError`` naming the variable
+    when it is not an integer."""
+    text = os.environ.get("OBSERVEPRICE_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"OBSERVEPRICE_SEED: {text!r} is not an integer") from None
 
 
 def _fraction(text: str) -> Fraction:
@@ -208,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cost", default="uniform:0:1", help="user cost (money spec)")
     p.add_argument("--value", default="uniform:0:2", help="slot value (money spec)")
     p.add_argument("--alpha", type=_fraction, required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None, help="default: OBSERVEPRICE_SEED, else 0")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_generate)
 
@@ -217,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reports", default=None, help="report profile JSON (defaults to truthful)")
     p.add_argument("--alpha", type=_fraction, required=True)
     p.add_argument("--r", type=_fraction, default=None)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None, help="default: OBSERVEPRICE_SEED, else 0")
     p.add_argument("--variant", choices=VARIANTS, default="standard")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_run)
@@ -228,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=_fraction, default=None)
     p.add_argument("--runs", type=int, default=50)
     p.add_argument("--deviations", type=int, default=0, help="misreports per role for the incentive sweep")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None, help="default: OBSERVEPRICE_SEED, else 0")
     p.add_argument("--engine-variant", choices=VARIANTS, default="standard")
     p.set_defaults(func=_cmd_verify)
 
@@ -236,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("ratio", "events"))
     p.add_argument("--alphas", type=lambda s: [_fraction(x) for x in s.split(",")], required=True)
     p.add_argument("--seeds", type=int, default=50)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None, help="default: OBSERVEPRICE_SEED, else 0")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_experiment)
 
@@ -250,6 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) is None:  # replay takes no seed and never reads the variable
+            args.seed = _default_seed()
         return args.func(args)
     except (serialize.ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

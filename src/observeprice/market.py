@@ -163,9 +163,16 @@ class Instance:
         object.__setattr__(self, "_mediators", {m.id: m for m in self.mediators})
         object.__setattr__(self, "_advertisers", {a.id: a for a in self.advertisers})
 
-    @property
+    @cached_property
     def entity_ids(self) -> tuple[EntityId, ...]:
+        """Every mediator id, then every advertiser id; built once, like ``tau``."""
         return tuple(m.id for m in self.mediators) + tuple(a.id for a in self.advertisers)
+
+    @cached_property
+    def largest_entity(self) -> int:
+        """The most users a mediator holds or slots an advertiser brings
+        (0 for an empty market); built once, like ``tau``."""
+        return max([len(m.user_costs) for m in self.mediators] + [a.capacity for a in self.advertisers], default=0)
 
     @property
     def n_entities(self) -> int:
@@ -420,10 +427,13 @@ def validate_instance(instance: Instance, alpha: Fraction) -> ValidationReport:
     p, q = alpha.numerator, alpha.denominator
     if not q <= p * t <= q * t:  # 1/tau <= alpha <= 1
         violations.append(f"alpha={alpha} outside [1/tau, 1] = [1/{t}, 1]")
-    for m in instance.mediators:
-        if len(m.user_costs) * q > p * t:
-            violations.append(f"{m.id}: {len(m.user_costs)} users > alpha*tau = {float(alpha * t):.6g}")
-    for a in instance.advertisers:
-        if a.capacity * q > p * t:
-            violations.append(f"{a.id}: capacity {a.capacity} > alpha*tau = {float(alpha * t):.6g}")
+    # Every entity is within alpha*tau when the largest is, so the entities
+    # are named one by one only when the largest fails.
+    if instance.largest_entity * q > p * t:
+        for m in instance.mediators:
+            if len(m.user_costs) * q > p * t:
+                violations.append(f"{m.id}: {len(m.user_costs)} users > alpha*tau = {float(alpha * t):.6g}")
+        for a in instance.advertisers:
+            if a.capacity * q > p * t:
+                violations.append(f"{a.id}: capacity {a.capacity} > alpha*tau = {float(alpha * t):.6g}")
     return ValidationReport(not violations, t, tuple(violations))

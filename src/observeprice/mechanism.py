@@ -5,6 +5,13 @@ order. The mechanism observes a Binomial(n, r) prefix without trading, prices
 all later trades off one canonical pair of the observed sub-market, and then
 serves each arrival greedily: every trade charges the advertiser the
 threshold slot value and pays the mediator the threshold user cost.
+
+The arrival order is drawn by the package's own Fisher-Yates loop over
+``rng.getrandbits``, word for word the draws ``random.shuffle`` makes, as
+the observation count makes the draws of ``randrange``. Owning the loop
+makes a replayed seed depend on nothing but the generator's bit stream, and
+it saves the stdlib's method call per swap (about 40% of the shuffle).
+
 Arrived entities with supply left wait in one line, in arrival order; since
 serving stops only when one side runs out, they are all of one kind, and an
 arrival trades with the front of the line while both have supply, in runs:
@@ -17,6 +24,12 @@ cost once none remain. It moves only when the mediator trades, so the run
 keeps one amount per mediator, and each arrival's event records only the
 raises it made.
 
+The assignable users of the whole market are a prefix of the view's users in
+key order (``MarketView.sorted_users``). A run cuts that order once at the
+cost threshold and groups the cut by mediator, which keeps each group in key
+order: an arriving mediator looks its queue up, and nothing is filtered or
+sorted per arrival.
+
 All money flows are exact integers. The threshold location involves a cube
 root, so location and sign decisions are made with a float fast path that is
 always verified (and, if needed, corrected) by exact integer comparisons;
@@ -27,8 +40,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import AbstractSet, NamedTuple, Optional
 
@@ -134,6 +148,21 @@ def sample_observation_count(n_entities: int, r: Fraction, rng: random.Random) -
     return count
 
 
+def shuffle(x: list, rng: random.Random) -> None:
+    """Put ``x`` in uniformly random order, in place: Fisher-Yates from the
+    end, the index swapped with position ``n - 1`` drawn as
+    ``rng.getrandbits(n.bit_length())`` words until one is below n. These
+    are exactly the draws ``rng.shuffle(x)`` makes, so a seed gives the same
+    order and leaves the generator in the same state."""
+    getrandbits = rng.getrandbits
+    for n in range(len(x), 1, -1):
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        x[n - 1], x[j] = x[j], x[n - 1]
+
+
 @dataclass(frozen=True)
 class Thresholds:
     """The price pair: trades pay mediators ``payment`` and charge advertisers
@@ -176,6 +205,14 @@ class Thresholds:
         if block[:2] > self.slot_key[:2]:
             return 0
         return min(block.capacity, max(0, self.slot_key.within_index + 1))
+
+    def users_below(self, view: MarketView) -> int:
+        """How many of ``view.sorted_users`` key below the cost threshold, 0
+        under the dummy pair: the market's assignable users are that prefix
+        of the key order."""
+        if self.user_key is None:
+            return 0
+        return bisect_left(view.sorted_users, self.user_key, key=view.user_keys.__getitem__)
 
 
 def dummy_thresholds(observed_size: int = 0) -> Thresholds:
@@ -223,7 +260,7 @@ class Trade(NamedTuple):
     payment: Money  # received by the user's mediator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArrivalEvent:
     """Everything that happened while serving one post-observation arrival.
 
@@ -233,6 +270,18 @@ class ArrivalEvent:
     from 0 to the unchanged amount, and not at all when that is 0. Folding
     the steps of every event up to this one gives the full pay vector after
     it; a user with no step is owed 0.
+
+    One is built per arrival, so the event keeps its fields in slots and
+    its ``__init__`` is written out: it calls the five slots' setters, where
+    the generated one makes five ``object.__setattr__`` calls (about 0.65
+    against 1.3 us). Writing into a ``__dict__`` instead would be as quick to
+    build but makes every later field read slower. The ``__init__`` takes
+    the generated one's positional and keyword arguments, so
+    ``dataclasses.replace`` works, and equality, hash and repr are still
+    generated. A NamedTuple built with one ``tuple.__new__`` would be cheaper
+    again, but ``perfbench/selftest.py`` tampers with an event through
+    ``dataclasses.replace``, which a NamedTuple refuses; that form waits for
+    a tamper that works on both (ROADMAP item A).
     """
 
     arrival: EntityId
@@ -240,6 +289,24 @@ class ArrivalEvent:
     pay_steps: tuple[tuple[UserRef, Money], ...]  # chronological raises of cumulative pay targets
     unassigned_assignable_users: int
     unassigned_assignable_slots: int
+
+    def __init__(
+        self,
+        arrival: EntityId,
+        trades: tuple[Trade, ...],
+        pay_steps: tuple[tuple[UserRef, Money], ...],
+        unassigned_assignable_users: int,
+        unassigned_assignable_slots: int,
+    ) -> None:
+        set_arrival, set_trades, set_pay_steps, set_users, set_slots = _EVENT_SETTERS
+        set_arrival(self, arrival)
+        set_trades(self, trades)
+        set_pay_steps(self, pay_steps)
+        set_users(self, unassigned_assignable_users)
+        set_slots(self, unassigned_assignable_slots)
+
+
+_EVENT_SETTERS = tuple(getattr(ArrivalEvent, f.name).__set__ for f in fields(ArrivalEvent))
 
 
 @dataclass(frozen=True)
@@ -338,8 +405,13 @@ class MechanismState:
         self.thresholds = thresholds
         self.variant = variant
         self.observed = observed  # read only: the run shares it with its thresholds
-        # Per-mediator queue of assignable users, cheapest key first.
+        # Per-mediator queue of assignable users, cheapest key first: the
+        # view's sorted users cut at the cost threshold, grouped by mediator.
+        # A mediator with no assignable user has no queue.
         self._queue: dict[EntityId, list[UserRef]] = {}
+        queue = self._queue.setdefault
+        for u in view.sorted_users[: thresholds.users_below(view)]:
+            queue(u.mediator, []).append(u)
         # Per arrived entity, [next, end): a mediator's unassigned queue
         # positions, an advertiser's assignable slot indices not yet traded.
         # A trade takes the first of each.
@@ -380,12 +452,10 @@ class MechanismState:
         steps: list[tuple[UserRef, Money]] = []
 
         if kind == "mediator":
-            key, keys = thresholds.user_key, view.user_keys
-            users = [] if key is None else [u for u in view.users_by_mediator[entity] if keys[u] < key]
-            users.sort(key=keys.__getitem__)
-            self._queue[entity] = users
-            mine = supply[entity] = [0, len(users)]
-            self._idle_users += len(users)
+            if entity not in view.users_by_mediator:
+                raise KeyError(entity)  # as an unknown advertiser's block lookup does
+            mine = supply[entity] = [0, len(self._queue.get(entity, ()))]
+            self._idle_users += mine[1]
         else:
             block = view.blocks[entity]
             mine = supply[entity] = [thresholds.first_assignable(block), block.capacity]
@@ -424,6 +494,32 @@ class MechanismState:
         return event
 
 
+def draw_arrivals(instance: Instance, config: MechanismConfig, r: Fraction) -> tuple[tuple[EntityId, ...], int]:
+    """Step 1: the run's arrival order and observation count, both drawn from
+    ``random.Random(config.seed)``. The order comes first, a ``shuffle`` of
+    ``instance.entity_ids``; then the Binomial(n, r) count of the observed
+    prefix, ``sample_observation_count``. A forced order or count replaces
+    its draw once it is checked; under a forced order the count takes the
+    generator's first words."""
+    rng = random.Random(config.seed)
+    if config.forced_arrival_order is not None:
+        arrival = list(config.forced_arrival_order)
+        if len(arrival) != instance.n_entities or set(arrival) != set(instance.entity_ids):
+            raise RunInputError("config.forced_arrival_order: not a permutation of the instance's entities")
+    else:
+        arrival = list(instance.entity_ids)
+        shuffle(arrival, rng)
+
+    n = len(arrival)
+    if config.forced_observation_count is not None:
+        t = config.forced_observation_count
+        if not 0 <= t <= n:
+            raise RunInputError(f"config.forced_observation_count: {t} is outside 0..{n}")
+    else:
+        t = sample_observation_count(n, r, rng)
+    return tuple(arrival), t
+
+
 def run_mechanism(
     instance: Instance,
     reports: Optional[ReportProfile],
@@ -448,24 +544,7 @@ def run_mechanism(
     if not check.ok:
         raise RunInputError("instance: " + "; ".join(check.violations))
     r = config.resolved_r()
-
-    rng = random.Random(config.seed)
-    if config.forced_arrival_order is not None:
-        arrival = list(config.forced_arrival_order)
-        if len(arrival) != instance.n_entities or set(arrival) != set(instance.entity_ids):
-            raise RunInputError("config.forced_arrival_order: not a permutation of the instance's entities")
-    else:
-        arrival = list(instance.entity_ids)
-        rng.shuffle(arrival)
-
-    n = len(arrival)
-    if config.forced_observation_count is not None:
-        t = config.forced_observation_count
-        if not 0 <= t <= n:
-            raise RunInputError(f"config.forced_observation_count: {t} is outside 0..{n}")
-    else:
-        t = sample_observation_count(n, r, rng)
-
+    arrival, t = draw_arrivals(instance, config, r)
     observed = set(arrival[:t])
     if view is None:
         view = report_view(instance, reports)
@@ -484,7 +563,7 @@ def run_mechanism(
     return MechanismOutcome(
         alpha=alpha,
         r=r,
-        arrival_order=tuple(arrival),
+        arrival_order=arrival,
         observation_count=t,
         thresholds=thresholds,
         events=tuple(state.events),

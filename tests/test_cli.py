@@ -448,3 +448,34 @@ def test_usage_errors_exit_two():
         main(["generate", "--mediators", "2", "--advertisers", "2",
               "--alpha", "1", "--users", "lognormal:0:1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--mediators", "3", "--advertisers", "3", "--alpha", "1"],
+        ["run", "--instance", "{inst}", "--alpha", "1"],
+        ["verify", "--instance", "{inst}", "--alpha", "1", "--runs", "1"],
+        ["experiment", "ratio", "--alphas", "1/5", "--seeds", "2"],
+    ],
+    ids=["generate", "run", "verify", "experiment"],
+)
+def test_a_malformed_env_seed_exits_one_where_a_seed_is_read(tmp_path, capsys, monkeypatch, argv):
+    argv = [a.format(inst=_generate(tmp_path)) for a in argv]
+    monkeypatch.setenv("OBSERVEPRICE_SEED", "abc")
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: OBSERVEPRICE_SEED: 'abc' is not an integer\n"
+    assert captured.out == ""
+    assert main(argv + ["--seed", "1"]) == 0  # an explicit --seed never reads the variable
+
+
+def test_replay_ignores_a_malformed_env_seed(tmp_path, capsys, monkeypatch):
+    inst = _generate(tmp_path)
+    report = tmp_path / "report.json"
+    assert main(["run", "--instance", str(inst), "--alpha", "1", "--seed", "3", "-o", str(report)]) == 0
+    monkeypatch.setenv("OBSERVEPRICE_SEED", "abc")
+    assert main(["replay", str(report)]) == 0
+    captured = capsys.readouterr()
+    assert "matches" in captured.out and captured.err == ""

@@ -1,10 +1,11 @@
 """Mechanism engine: observation sampling, thresholds, matching, payments."""
 
+import dataclasses
 import hashlib
 import json
 import math
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,17 @@ from observeprice import (
     truthful_run,
 )
 from observeprice.analysis import _abs_dev_within_cbrt
-from observeprice.mechanism import VARIANTS, ArrivalEvent, MechanismState, Thresholds, Trade, _iroot6, at_most_cbrt
+from observeprice.mechanism import (
+    VARIANTS,
+    ArrivalEvent,
+    MechanismState,
+    Thresholds,
+    Trade,
+    _iroot6,
+    at_most_cbrt,
+    draw_arrivals,
+    shuffle,
+)
 from observeprice.serialize import outcome_to_doc
 from conftest import (
     LOCATION_GRID,
@@ -46,6 +57,7 @@ from conftest import (
     desk_config,
     desk_instance,
     organic_instance,
+    ReferenceMechanismState,
     per_unit_run,
     random_reports,
     reference_serving_run,
@@ -113,6 +125,38 @@ def test_sample_observation_count_draws_what_randrange_draws(r):
             got, want = random.Random(seed), random.Random(seed)
             assert sample_observation_count(n, r, got) == _reference_observation_count(n, r, want), (n, seed)
             assert got.getstate() == want.getstate(), (n, seed)
+
+
+def test_shuffle_draws_what_random_shuffle_draws():
+    """The owned shuffle gives the order ``random.Random.shuffle`` gives and
+    leaves the generator in the same state, at every size from 0 to 300."""
+    for n in range(301):
+        for seed in range(12):
+            got, want = random.Random(seed * 1009 + n), random.Random(seed * 1009 + n)
+            mine, theirs = list(range(n)), list(range(n))
+            shuffle(mine, got)
+            want.shuffle(theirs)
+            assert mine == theirs, (n, seed)
+            assert got.getstate() == want.getstate(), (n, seed)
+
+
+def test_draw_arrivals_is_the_shuffle_then_the_count():
+    """A run's order is ``shuffle`` of the entity ids and its count the next
+    draws of the same generator; a forced order leaves the count the
+    generator's first draws, and forced values come back as given."""
+    inst = matched_family(Fraction(1, 20), seed=0)
+    r = Fraction(1, 2)
+    for seed in range(20):
+        rng = random.Random(seed)
+        order = list(inst.entity_ids)
+        shuffle(order, rng)
+        count = sample_observation_count(len(order), r, rng)
+        assert draw_arrivals(inst, MechanismConfig(alpha=Fraction(1, 20), seed=seed), r) == (tuple(order), count)
+        forced = MechanismConfig(alpha=Fraction(1, 20), seed=seed, forced_arrival_order=tuple(reversed(order)))
+        first = sample_observation_count(len(order), r, random.Random(seed))
+        assert draw_arrivals(inst, forced, r) == (tuple(reversed(order)), first)
+        both = replace(forced, forced_observation_count=seed)
+        assert draw_arrivals(inst, both, r) == (tuple(reversed(order)), seed)
 
 
 def test_sample_observation_count_extremes():
@@ -777,3 +821,108 @@ def test_serving_runs_match_the_one_trade_at_a_time_loop():
                 long_runs += any(p == q for p, q in zip(pairs, pairs[1:]))
                 counterparties += len(set(pairs)) > 1
     assert long_runs >= 20 and counterparties >= 20, (long_runs, counterparties)
+
+
+# -- serving queues cut from the view's sorted users ---------------------------------
+
+
+def _queue_markets():
+    """``(instance, thresholds, observed, arrivals, variant)`` cases whose
+    mediators hold 0 to 4 users at costs 0..3, so costs tie within and across
+    mediators and some mediators have no users. The cost threshold is put at
+    a key of the longest mediator's list, at a key tied in amount with users
+    of other entities, or the pair is dummy; every case runs under each
+    engine variant."""
+    rng = random.Random(17)
+    for trial in range(120):
+        costs = [[rng.randrange(4) for _ in range(rng.randrange(5))] for _ in range(rng.randint(2, 5))]
+        costs[0].append(rng.randrange(4))
+        slots = [(rng.randint(1, 4), rng.randrange(2, 6)) for _ in range(rng.randint(2, 4))]
+        inst = build_instance(costs, slots, seed=trial)
+        view = true_view(inst)
+        longest = max(view.users_by_mediator.values(), key=len)
+        keys = [view.user_keys[u] for u in longest]
+        keys += [TieKey(rng.randrange(4), rng.randrange(inst.n_entities + 1), rng.randrange(3)) for _ in range(2)]
+        for user_key in rng.sample(keys, 3) + [None]:
+            if user_key is None:
+                thresholds = dummy_thresholds()
+            else:
+                slot_key = TieKey(user_key.amount + rng.randrange(3), rng.randrange(inst.n_entities + 1), rng.randrange(-1, 3))
+                if not user_key < slot_key:
+                    slot_key = TieKey(user_key.amount + 1, *slot_key[1:])
+                thresholds = Thresholds(user_key, slot_key, None, 0, injected=True)
+            order = list(inst.entity_ids)
+            rng.shuffle(order)
+            t = rng.randrange(len(order) // 2 + 1)
+            for variant in VARIANTS:
+                yield inst, thresholds, set(order[:t]), order[t:], variant
+
+
+def test_serving_queues_match_the_per_arrival_filter_and_sort():
+    """``MechanismState`` cuts its queues from the view's sorted users once;
+    ``conftest.ReferenceMechanismState`` filters and sorts each arriving
+    mediator's users. Both serve every case of ``_queue_markets`` to equal
+    event logs. The corpus must cut inside a mediator's list, tie costs
+    across mediators below the threshold, serve mediators with no users and
+    dummy thresholds."""
+    inside = ties = empty = dummy = 0
+    for inst, thresholds, observed, arrivals, variant in _queue_markets():
+        view = true_view(inst)
+        got = MechanismState(view, thresholds, observed, variant=variant)
+        want = ReferenceMechanismState(view, thresholds, observed, variant=variant)
+        for entity in arrivals:
+            assert got.process_arrival(entity) == want.process_arrival(entity), (inst, thresholds, variant)
+        cut = thresholds.users_below(view)
+        below = [u for u in view.all_users if thresholds.user_key is not None and view.user_keys[u] < thresholds.user_key]
+        assert cut == len(below)
+        costs = [view.user_costs[u] for u in below]
+        inside += any(0 < sum(u.mediator == m for u in below) < len(us) for m, us in view.users_by_mediator.items())
+        ties += any(costs.count(c) > 1 and len({u.mediator for u in below if view.user_costs[u] == c}) > 1 for c in costs)
+        empty += any(not view.users_by_mediator[e] for e in arrivals if e.kind == "mediator")
+        dummy += thresholds.is_dummy
+    assert min(inside, ties, empty, dummy) >= 300, (inside, ties, empty, dummy)
+
+
+def test_an_entity_the_view_does_not_hold_cannot_arrive():
+    """An unknown mediator or advertiser is a ``KeyError`` under dummy and
+    real thresholds alike, though a mediator's queue is only looked up."""
+    inst, _ = worked_example()
+    view = true_view(inst)
+    for thresholds in (dummy_thresholds(), Thresholds(TieKey(4, 99, 0), TieKey(6, 99, 0), None, 0)):
+        for entity in (mediator_id(9), advertiser_id(9)):
+            with pytest.raises(KeyError):
+                MechanismState(view, thresholds, set()).process_arrival(entity)
+
+
+def test_arrival_event_keeps_the_dataclass_contract():
+    """The written-out ``__init__`` keeps what the generated one gave: the
+    event is frozen, takes keywords, works with ``dataclasses.replace``, and
+    its equality, hash and repr are those of the generated dataclass."""
+
+    @dataclasses.dataclass(frozen=True)
+    class Generated:
+        arrival: object
+        trades: tuple
+        pay_steps: tuple
+        unassigned_assignable_users: int
+        unassigned_assignable_slots: int
+
+    user, slot = UserRef(mediator_id(0), 1), SlotRef(advertiser_id(2), 0)
+    args = (mediator_id(0), (Trade(user, slot, 7, 4),), ((user, 4),), 2, 0)
+    event = ArrivalEvent(*args)
+    assert event == ArrivalEvent(**dict(zip([f.name for f in dataclasses.fields(ArrivalEvent)], args)))
+    assert [f.name for f in dataclasses.fields(ArrivalEvent)] == [f.name for f in dataclasses.fields(Generated)]
+    assert [getattr(event, f.name) for f in dataclasses.fields(event)] == list(args)
+    assert hash(event) == hash(Generated(*args)) == hash(ArrivalEvent(*args))
+    name, _, fields = repr(event).partition("(")
+    assert name == "ArrivalEvent" and fields == repr(Generated(*args)).partition("(")[2]
+    assert event != ArrivalEvent(*args[:3], 3, 0)
+    with pytest.raises(FrozenInstanceError):
+        event.trades = ()
+    with pytest.raises(FrozenInstanceError):
+        del event.arrival
+    moved = replace(event, unassigned_assignable_slots=5)
+    assert type(moved) is ArrivalEvent and moved.unassigned_assignable_slots == 5
+    assert replace(moved, unassigned_assignable_slots=0) == event
+    with pytest.raises(TypeError):
+        ArrivalEvent(*args[:4])
