@@ -62,14 +62,26 @@ def _money_dist(text: str, option: str) -> generate.DistSpec:
     )
 
 
+def _count(text: str) -> int:
+    """A non-negative integer. A negative count is refused here, where
+    argparse names the option, not after the generator's futile draws."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{text!r}: a count cannot be negative")
+    return n
+
+
 def _count_dist(text: str) -> generate.DistSpec:
     parts = text.split(":")
     kind = parts[0]
     try:
         if kind == "constant" and len(parts) == 2:
-            return generate.constant(int(parts[1]))
+            return generate.constant(_count(parts[1]))
         if kind == "uniform" and len(parts) == 3:
-            return generate.uniform(int(parts[1]), int(parts[2]))
+            return generate.uniform(_count(parts[1]), _count(parts[2]))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
     raise argparse.ArgumentTypeError(f"{text!r}: expected constant:N or uniform:LOW:HIGH with integer counts")
@@ -209,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="sample a market instance and write it as JSON")
-    p.add_argument("--mediators", type=int, required=True)
-    p.add_argument("--advertisers", type=int, required=True)
+    p.add_argument("--mediators", type=_count, required=True)
+    p.add_argument("--advertisers", type=_count, required=True)
     p.add_argument("--users", type=_count_dist, default=generate.constant(3), help="users per mediator (count spec)")
     p.add_argument("--capacity", type=_count_dist, default=generate.constant(2))
     p.add_argument("--cost", default="uniform:0:1", help="user cost (money spec)")

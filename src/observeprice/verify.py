@@ -14,11 +14,12 @@ money, regardless of what was reported:
 With truthful reports these definitions collapse to the plain ledger flows.
 
 Utilities change only at trades and pay steps, so ``utility_steps`` derives
-every player's trajectory from one fold over the event log, in
-O(events + trades + pay steps); trajectories, final utilities and the
-sweeps' continuous-IR checks all read that fold, and one rule
-(``_first_drops``) finds each player's first drop for the sweep and for
-``check_continuous_ir`` alike.
+every player's trajectory from one fold over the event log; trajectories,
+final utilities and the sweeps' continuous-IR checks all read that fold, and
+one rule (``_first_drops``) finds each player's first drop for the sweep and
+for ``check_continuous_ir`` alike. The fold and the run checks pay per trade
+and per pay step: an arrival that changed nothing costs one test (the fold
+still yields an empty step for it, so steps and events stay one to one).
 
 Every truthfulness verdict, in ``incentive_sweep`` and ``deviation_test``,
 comes from one twin path (``_twins``): a misreport runs under the seeds of
@@ -64,6 +65,9 @@ def utility_steps(outcome: MechanismOutcome, instance: Instance) -> Iterator[dic
     undelivered: dict[EntityId, list[Money]] = {}  # a mediator's unused true costs, dearest first
     won: dict[EntityId, int] = {}
     for event in outcome.events:
+        if not event.trades and not event.pay_steps:
+            yield {}
+            continue
         changed: list[object] = []
         for t in event.trades:
             user, m, a = t.user, t.user.mediator, t.slot.advertiser
@@ -183,6 +187,8 @@ def check_budget_balance(outcome: MechanismOutcome) -> CheckResult:
     paid: dict[UserRef, Money] = {}
     owed: dict[EntityId, Money] = {}
     for i, event in enumerate(outcome.events):
+        if not event.trades and not event.pay_steps:
+            continue
         for t in event.trades:
             if t.charge < t.payment:
                 fails.append(f"event {i}: trade charges {t.charge} but pays {t.payment}")
@@ -249,11 +255,13 @@ def check_pay_targets_monotone(outcome: MechanismOutcome) -> CheckResult:
 
 
 def check_observed_never_trade(outcome: MechanismOutcome) -> CheckResult:
-    observed = set(outcome.arrival_order[: outcome.observation_count])
     fails = []
-    for t in outcome.trades_of():
-        if t.user.mediator in observed or t.slot.advertiser in observed:
-            fails.append(f"observed entity traded: {t.user}->{t.slot}")
+    trades = outcome.trades_of()
+    if trades:
+        observed = set(outcome.arrival_order[: outcome.observation_count])
+        for t in trades:
+            if t.user.mediator in observed or t.slot.advertiser in observed:
+                fails.append(f"observed entity traded: {t.user}->{t.slot}")
     return CheckResult(not fails, tuple(fails))
 
 
@@ -445,7 +453,10 @@ def truthful_sweep(
 ) -> tuple[SweepResult, list[MechanismOutcome]]:
     """Run truthfully and check IR for every player plus all run invariants.
 
-    Consecutive runs on the same ``Instance`` object share one view.
+    Consecutive runs on the same ``Instance`` object share one view. Players
+    are counted once per viewed instance (users plus entities) for
+    ``trajectories``, and listed with ``all_players`` only for a run in which
+    some player's utility drops, to order its ``continuous_ir`` lines.
     """
     result = SweepResult()
     outcomes = []
@@ -454,6 +465,7 @@ def truthful_sweep(
         if instance is not viewed:
             viewed, truthful = instance, ReportProfile.truthful(instance)
             view = report_view(instance, truthful)
+            n_players = instance.n_entities + sum(len(m.user_costs) for m in instance.mediators)
         outcome = run_mechanism(instance, truthful, config, view=view)
         result.runs += 1
         result.trades += sum(len(e.trades) for e in outcome.events)
@@ -461,10 +473,10 @@ def truthful_sweep(
             got = chk(outcome)
             if not got.ok:
                 result.violations.append(f"{name}: {got.failures[0]}")
+        result.trajectories += n_players
         drops = _first_drops(utility_steps(outcome, instance))
-        players = all_players(instance)
-        result.trajectories += len(players)
-        result.violations.extend(f"continuous_ir: {drops[p]}" for p in players if p in drops)
+        if drops:
+            result.violations.extend(f"continuous_ir: {drops[p]}" for p in all_players(instance) if p in drops)
         if collect_outcomes:
             outcomes.append(outcome)
     return result, outcomes

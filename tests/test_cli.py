@@ -315,6 +315,36 @@ def test_count_specs_reject_an_empty_uniform_range(capsys, option):
     assert f"argument {option}: empty uniform range: low is above high" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        (["--mediators", "-1", "--advertisers", "2"], "argument --mediators: '-1': a count cannot be negative"),
+        (["--mediators", "2", "--advertisers", "-3"], "argument --advertisers: '-3': a count cannot be negative"),
+        (["--mediators", "2", "--advertisers", "2", "--users", "constant:-1"], "argument --users: '-1': a count cannot be negative"),
+        (["--mediators", "2", "--advertisers", "2", "--users", "uniform:-1:3"], "argument --users: '-1': a count cannot be negative"),
+        (["--mediators", "2", "--advertisers", "2", "--capacity", "uniform:-2:-1"], "argument --capacity: '-2': a count cannot be negative"),
+        (["--mediators", "x", "--advertisers", "2"], "argument --mediators: invalid int value: 'x'"),
+        (["--mediators", "2", "--advertisers", "2", "--capacity", "constant:x"], "argument --capacity: invalid int value: 'x'"),
+    ],
+    ids=["mediators", "advertisers", "users-constant", "users-low", "capacity-range", "mediators-not-int", "capacity-not-int"],
+)
+def test_negative_or_non_integer_counts_exit_two_naming_the_option(tmp_path, capsys, counts, message):
+    """Refused when the arguments are parsed, not after the generator's draws."""
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", *counts, "--alpha", "1", "-o", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_count_specs_may_start_at_zero(tmp_path):
+    """Zero is a count: a range from 0 keeps generating."""
+    path = tmp_path / "x.json"
+    argv = ["generate", "--mediators", "3", "--advertisers", "3", "--alpha", "1", "--seed", "4", "-o", str(path)]
+    assert main(argv + ["--users", "uniform:0:3", "--capacity", "uniform:0:3"]) == 0
+    assert json.loads(path.read_text(encoding="utf-8"))["kind"] == "instance"
+
+
 def test_verify_passes_on_truthful_standard(tmp_path, capsys):
     inst = _organic_file(tmp_path)
     code = main(["verify", "--instance", str(inst), "--alpha", "1/70",

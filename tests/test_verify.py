@@ -485,12 +485,17 @@ def _ref_sweep_violations(runs, outcomes):
 
 
 def test_truthful_sweep_violations_match_per_player_rescans():
-    runs = [(inst, config) for inst, reports, config in _differential_runs("skip_user_payment_updates") if reports == ReportProfile.truthful(inst)]
-    result, outcomes = truthful_sweep(runs, collect_outcomes=True)
-    expected = _ref_sweep_violations(runs, outcomes)
-    assert any(v.startswith("continuous_ir") for v in expected)
-    assert result.violations == expected
-    assert result.trajectories == sum(len(all_players(inst)) for inst, _ in runs)
+    """Every variant matches the rescans; of the three, only skipping the pay
+    updates breaks continuous IR."""
+    flagged = {}
+    for variant in VARIANTS:
+        runs = [(inst, config) for inst, reports, config in _differential_runs(variant) if reports == ReportProfile.truthful(inst)]
+        result, outcomes = truthful_sweep(runs, collect_outcomes=True)
+        expected = _ref_sweep_violations(runs, outcomes)
+        assert result.violations == expected, variant
+        assert result.trajectories == sum(len(all_players(inst)) for inst, _ in runs)
+        flagged[variant] = any(v.startswith("continuous_ir") for v in expected)
+    assert flagged == {"standard": False, "skip_user_payment_updates": True, "pay_slot_value": False}
 
 
 def test_truthful_sweep_reports_each_players_first_drop(monkeypatch):
@@ -509,6 +514,69 @@ def test_truthful_sweep_reports_each_players_first_drop(monkeypatch):
     assert "continuous_ir: m0:0: utility drops 3 -> 1 at event 3" in expected
     assert "continuous_ir: m0:1: utility drops 1 -> 0 at event 5" in expected
     assert result.violations == expected
+
+
+def _swept(monkeypatch, instance, config, tampered):
+    """``truthful_sweep``'s violations when its one run returns ``tampered``,
+    checked against the per-player rescans."""
+    monkeypatch.setattr(verify, "run_mechanism", lambda *args, **kwargs: tampered)
+    result, _ = truthful_sweep([(instance, config)])
+    assert result.violations == _ref_sweep_violations([(instance, config)], [tampered])
+    return result.violations
+
+
+def test_an_event_with_only_a_pay_step_is_checked_and_folded(monkeypatch):
+    """Event 3 of the worked run traded nothing and paid nothing; planting two
+    pay steps there (m0:0 down to 3, m0:1 up to 6) leaves m0 owing 9 on 8
+    received and drops m0:0's utility at that event."""
+    instance, config = worked_example()
+    out = truthful_run(instance, config)
+    u0, u1 = UserRef(mediator_id(0), 0), UserRef(mediator_id(0), 1)
+    assert not out.events[3].trades and not out.events[3].pay_steps
+    events = list(out.events)
+    events[3] = replace(events[3], pay_steps=((u0, 3), (u1, 6)))
+    tampered = replace(out, events=tuple(events))
+    assert check_budget_balance(tampered).failures == ("event 3: mediator m0 owes users 9 but has only received 8",)
+    assert list(verify.utility_steps(tampered, instance))[3] == {u0: 2, u1: 3}
+    assert _swept(monkeypatch, instance, config, tampered) == [
+        "budget_balance: event 3: mediator m0 owes users 9 but has only received 8",
+        "pay_targets_monotone: event 3: pay target of m0:0 drops 4 -> 3",
+        "continuous_ir: m0:0: utility drops 3 -> 2 at event 4",
+    ]
+
+
+def test_an_event_with_only_a_trade_is_checked_and_folded(monkeypatch):
+    """Event 4 of the worked run (a1 arrives) traded nothing; planting a trade
+    of m0:2 (true cost 5) to a1 (value 6) that charges 7 and pays 8 is a
+    subsidy and leaves both a1 and m0:2 below zero at that event."""
+    instance, config = worked_example()
+    out = truthful_run(instance, config)
+    assert not out.events[4].trades and not out.events[4].pay_steps
+    first = out.events[1].trades[0]
+    planted = first._replace(user=UserRef(mediator_id(0), 2), slot=first.slot._replace(advertiser=advertiser_id(1)), charge=7, payment=8)
+    tampered = _with_trades(out, 4, (planted,))
+    assert check_budget_balance(tampered).failures == ("event 4: trade charges 7 but pays 8",)
+    assert list(verify.utility_steps(tampered, instance))[4] == {
+        UserRef(mediator_id(0), 2): -5,
+        mediator_id(0): 7,
+        advertiser_id(1): -1,
+    }
+    assert _swept(monkeypatch, instance, config, tampered) == [
+        "budget_balance: event 4: trade charges 7 but pays 8",
+        "continuous_ir: m0:2: utility drops 0 -> -5 at event 5",
+        "continuous_ir: a1: utility drops 0 -> -1 at event 5",
+    ]
+
+
+def test_truthful_sweep_counts_every_player_without_listing_them():
+    """Users and entities both count, a user-less mediator included, and the
+    count follows the instance when the runs switch between instances."""
+    zero, desk = zero_user_instance(), desk_instance(3)
+    assert len(all_players(zero)) == 2 + 4
+    runs = [(zero, MechanismConfig(alpha=Fraction(1), seed=0)), (desk, desk_config(desk, 0)), (zero, MechanismConfig(alpha=Fraction(1), seed=1))]
+    result, _ = truthful_sweep(runs)
+    assert result.ok, result.violations
+    assert result.trajectories == 2 * len(all_players(zero)) + len(all_players(desk))
 
 
 # -- differential: views shared across runs against views rebuilt per run ------------
