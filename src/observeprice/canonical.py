@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import AbstractSet, Callable, Iterable, Optional, Sequence
 
 from .market import EntityId, Instance, MarketView, Money, SlotBlock, SlotRef, UserRef, true_view
@@ -110,11 +110,23 @@ def canonical_assignment(users: Iterable[UserRef], advertisers: Iterable[EntityI
 
 def tau(instance: Instance) -> int:
     """Size of the canonical assignment over the whole true market, counted
-    on the true keys without building the view."""
+    on the true keys without building the view. Users sort on plain ints, as
+    ``MarketView.sorted_users`` does: by mediator rank, then stably by cost;
+    a user's key is rebuilt from its place only where the count probes it."""
     rank = instance.rank
-    user_keys = sorted((c, rank(m.id), i) for m in instance.mediators for i, c in enumerate(m.user_costs))
+    mediators = list(filter(None, map(instance._mediators.get, instance.tie_order)))
+    costs = list(chain.from_iterable(m.user_costs for m in mediators))
+    order = sorted(range(len(costs)), key=costs.__getitem__)
+    ends = list(accumulate(len(m.user_costs) for m in mediators))
+
+    def user_key(i: int) -> tuple[Money, int, int]:
+        at = order[i]
+        b = bisect_right(ends, at)
+        m = mediators[b]
+        return costs[at], rank(m.id), at - ends[b] + len(m.user_costs)
+
     blocks = sorted(((a.value, rank(a.id), a.capacity) for a in instance.advertisers), reverse=True)
-    return _profitable_prefix(user_keys.__getitem__, len(user_keys), blocks, list(accumulate(b[2] for b in blocks)))
+    return _profitable_prefix(user_key, len(costs), blocks, list(accumulate(b[2] for b in blocks)))
 
 
 def optimal_gain(instance: Instance) -> Money:

@@ -41,6 +41,16 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"{text!r} is not a fraction") from exc
 
 
+def _alpha(text: str) -> Fraction:
+    """A fraction in (0, 1]. ``generate`` refuses any other alpha here, where
+    argparse names the option: no instance meets 1/tau <= alpha <= 1 for it,
+    so every draw would fail."""
+    alpha = _fraction(text)
+    if not 0 < alpha <= 1:
+        raise argparse.ArgumentTypeError(f"{text!r}: alpha must be in (0, 1]")
+    return alpha
+
+
 def _money_dist(text: str, option: str) -> generate.DistSpec:
     """The ``--cost``/``--value`` spec ``text``. It is read when the command
     runs, not by argparse, so that a bad amount exits 1 with an ``error:``
@@ -227,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--capacity", type=_count_dist, default=generate.constant(2))
     p.add_argument("--cost", default="uniform:0:1", help="user cost (money spec)")
     p.add_argument("--value", default="uniform:0:2", help="slot value (money spec)")
-    p.add_argument("--alpha", type=_fraction, required=True)
+    p.add_argument("--alpha", type=_alpha, required=True)
     p.add_argument("--seed", type=int, default=None, help="default: OBSERVEPRICE_SEED, else 0")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_generate)

@@ -13,12 +13,22 @@ parsing a document and re-serializing it reproduces the text byte for byte,
 which is what the replay check compares.
 
 Files hold the bytes ``json.dumps(doc, separators=(",", ":")) + "\\n"``
-writes, one line produced by the stdlib's C encoder; ``python -m json.tool``
-prints one indented. The document builders format each id and each amount
-once per document, build ref texts (``m0:1``) and text-keyed sorts from
-them, and a run report shares one such memo across its parts; replay reads
-each amount text of the instance and the reports it re-runs once, and
-reads the reports' ids from the instance's id map.
+writes, one line produced by the stdlib's C encoder, built once without the
+cycle check (every document is a tree); ``python -m json.tool`` prints one
+indented. The document builders format each id and each amount once per
+document (an amount by slicing its digits), build ref texts (``m0:1``) and
+text-keyed sorts from them, and a run report shares one such memo across
+its parts.
+
+The readers take a part of a document whole: C-level maps pull out every
+id, capacity and amount text of the mediators, the advertisers, the
+reported costs or the reported slots, and the texts are checked on joined
+text and parsed together. A part is walked element by element only when
+that read fails; the walk names the first fault with its field path, and
+one that finds none returns the part. Replay parses each amount text of
+the instance and the reports it re-runs once (truthful reports find all of
+theirs among the instance's), and reads the reports' ids from the
+instance's id map.
 
 An outcome document (schema 4) holds only what the run decided, nothing
 the report's config holds and nothing that folds from the arrival prefix
@@ -30,7 +40,9 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any
+from itertools import chain, islice, repeat
+from operator import itemgetter
+from typing import Any, Callable, Sequence
 
 from .market import (
     AdvertiserSpec,
@@ -57,9 +69,16 @@ _MONEY_RE = re.compile(r"(-?)(0|[1-9][0-9]*)(?:\.([0-9]{0,5}[1-9]))?")
 
 
 def money_to_text(amount: Money) -> str:
-    whole, frac = divmod(abs(amount), 1_000_000)
-    text = f"{whole}.{frac:06d}".rstrip("0") if frac else str(whole)
-    return text if amount >= 0 else "-" + text
+    """The amount in whole units: its digits cut six from the right, the
+    fraction without trailing zeros, or no fraction."""
+    text = str(amount)
+    if amount >= 1_000_000:
+        whole, frac = text[:-6], text[-6:].rstrip("0")
+    elif amount >= 0:
+        whole, frac = "0", text.rjust(6, "0").rstrip("0")
+    else:
+        return "-" + money_to_text(-amount)
+    return f"{whole}.{frac}" if frac else whole
 
 
 def _micro(whole: str, frac: str, text: str, path: str) -> int:
@@ -132,24 +151,9 @@ def _entity_from_text(text: Any, path: str) -> EntityId:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-class _Amounts(dict):
-    """Amount of each money text a document holds, parsed on first use, so
-    an amount a run report repeats across its parts is read once."""
-
-    def __missing__(self, text: Any) -> Money:
-        amount = self[text] = money_from_text(text)
-        return amount
-
-
-def _money_list(texts: list, amounts: _Amounts, path: str) -> tuple[Money, ...]:
-    """The amounts ``texts`` spell, read through ``amounts``; an element's
-    path ``path[j]`` is formatted only when that element fails."""
-    try:
-        return tuple(map(amounts.__getitem__, texts))
-    except (ParseError, TypeError):  # TypeError: an element that cannot be a key, such as a list
-        for j, text in enumerate(texts):
-            money_from_text(text, f"{path}[{j}]")
-        raise
+def _money_list(texts: list, path: str) -> tuple[Money, ...]:
+    """The amounts ``texts`` spell, an element's fault named at ``path[j]``."""
+    return tuple(money_from_text(text, f"{path}[{j}]") for j, text in enumerate(texts))
 
 
 def _id_list(texts: list, known: dict[str, EntityId], path: str) -> tuple[EntityId, ...]:
@@ -159,6 +163,98 @@ def _id_list(texts: list, known: dict[str, EntityId], path: str) -> tuple[Entity
         return tuple(map(known.__getitem__, texts))
     except (KeyError, TypeError):
         return tuple(_entity_from_text(text, f"{path}[{i}]") for i, text in enumerate(texts))
+
+
+# -- whole-part reads ------------------------------------------------------------
+#
+# A part read whole falls back to its walk on any failure, so a whole read
+# that is too strict costs time, never a wrong answer or another message.
+
+_ID, _USER_COSTS, _CAPACITY, _VALUE = map(itemgetter, ("id", "user_costs", "capacity", "value"))
+_HEAD, _TAIL = itemgetter(slice(None, 1)), itemgetter(slice(1, None))
+
+
+def _part(whole: Callable, walk: Callable, part: Any, amounts: dict, known: dict | None, path: str) -> Any:
+    """``whole(part, amounts, known)``, or, when that fails, ``walk(part, known, path)``."""
+    try:
+        return whole(part, amounts, known)
+    except (LookupError, TypeError, ValueError):
+        return walk(part, known, path)
+
+
+def _naturals(texts: Sequence[str]) -> bool:
+    """Whether every text is how ``str`` writes an int >= 0: ASCII digits
+    with no leading zero."""
+    digits = "".join(texts)
+    return not texts or (
+        digits.isascii()
+        and digits.isdigit()
+        and "" not in texts
+        and ("," + ",".join(texts)).count(",0") == texts.count("0")
+    )
+
+
+def _parse_amounts(texts: list) -> list[Money]:
+    """The amounts >= 0 that ``texts`` spell, parsed whole: a ``ValueError``
+    or ``TypeError`` unless every text is one ``money_to_text`` writes."""
+    if not texts:
+        return []
+    wholes, dots, fracs = zip(*map(str.partition, texts, repeat(".")))
+    fraction = "".join(fracs)
+    if not (
+        _naturals(wholes)
+        and (fraction.isascii() and fraction.isdigit() or not fraction)
+        and dots.count(".") == len(fracs) - fracs.count("")  # no "." without digits after it
+        and max(map(len, fracs)) <= 6
+        and "0," not in ",".join(fracs) + ","  # no trailing fractional zero
+    ):
+        raise ValueError("not money texts")
+    return list(map(int, map("".join, zip(wholes, map(str.ljust, fracs, repeat(6), repeat("0"))))))
+
+
+def _amounts(texts: list, memo: dict[str, Money]) -> list[Money]:
+    """The amounts ``texts`` spell: from ``memo`` (text -> amount) when it
+    holds them all, else parsed whole and remembered there."""
+    got = list(map(memo.get, texts))
+    if None in got:
+        got = _parse_amounts(texts)
+        memo.update(zip(texts, got))
+    return got
+
+
+def _cut(amounts: list[Money], lists: list) -> list[tuple[Money, ...]]:
+    """``amounts``, read from ``lists`` flattened, cut back into one tuple per list."""
+    flat = iter(amounts)
+    return list(map(tuple, map(islice, repeat(flat), map(len, lists))))
+
+
+def _flat(lists: list) -> list:
+    """The elements of ``lists``, each of which must be a list, in order."""
+    if set(map(type, lists)) - {list}:
+        raise TypeError("not lists")
+    return list(chain.from_iterable(lists))
+
+
+def _capacities(objects: list) -> list[int]:
+    """Every object's ``capacity``, each of which must be an int, not a bool."""
+    capacities = list(map(_CAPACITY, objects))
+    if set(map(type, capacities)) - {int}:
+        raise TypeError("capacities not integers")
+    return capacities
+
+
+def _parse_ids(texts: list, kind: str) -> list[EntityId]:
+    """The ids of ``kind`` that ``texts`` spell, parsed whole: a
+    ``ValueError`` or ``TypeError`` unless each is the text ``str`` writes."""
+    digits = list(map(_TAIL, texts))
+    if set(map(_HEAD, texts)) - {kind[0]} or not _naturals(digits):
+        raise ValueError(f"not {kind} ids")
+    return list(map(tuple.__new__, repeat(EntityId), zip(repeat(kind), map(int, digits))))
+
+
+def _report_ids(keys: list, kind: str, known: dict[str, EntityId] | None) -> list[EntityId]:
+    """The ids reports ``keys`` spell: parsed whole, or looked up in ``known``."""
+    return _parse_ids(keys, kind) if known is None else list(map(known.__getitem__, keys))
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
@@ -186,7 +282,9 @@ def _loads(text: str) -> dict:
     return doc
 
 
-_ENCODER = json.JSONEncoder(separators=(",", ":"))
+# Every document encoded is a tree (built here or read by json.loads), so
+# the cycle check would find nothing.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
 
 def _text(doc: dict) -> str:
@@ -232,24 +330,56 @@ def instance_to_doc(instance: Instance) -> dict:
 
 
 def instance_from_doc(doc: dict, path: str = "instance") -> Instance:
-    return _read_instance(doc, _Amounts(), {}, path)
+    return _read_instance(doc, {}, {}, path)
 
 
-def _read_instance(doc: dict, amounts: _Amounts, known: dict[str, EntityId], path: str) -> Instance:
-    """The instance ``doc`` holds; its ids go into ``known`` (text -> id)."""
+def _read_instance(doc: dict, amounts: dict[str, Money], known: dict[str, EntityId], path: str) -> Instance:
+    """The instance ``doc`` holds; its amounts go into ``amounts`` (text ->
+    amount) and its ids into ``known`` (text -> id)."""
     _header(doc, "instance", path)
+    mediators = _part(_mediators_whole, _mediators_walk, _need(doc, "mediators", path, list), amounts, known, path)
+    advertisers = _part(_advertisers_whole, _advertisers_walk, _need(doc, "advertisers", path, list), amounts, known, path)
+    tie_order = _id_list(_need(doc, "tie_order", path, list), known, f"{path}.tie_order")
+    try:
+        return Instance(mediators, advertisers, tie_order)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def _mediators_whole(part: list, amounts: dict, known: dict) -> tuple[MediatorSpec, ...]:
+    texts = list(map(_ID, part))
+    ids = _parse_ids(texts, "mediator")
+    lists = list(map(_USER_COSTS, part))
+    mediators = tuple(map(MediatorSpec, ids, _cut(_amounts(_flat(lists), amounts), lists)))
+    known.update(zip(texts, ids))
+    return mediators
+
+
+def _mediators_walk(part: list, known: dict, path: str) -> tuple[MediatorSpec, ...]:
     mediators = []
-    for i, m in enumerate(_need(doc, "mediators", path, list)):
+    for i, m in enumerate(part):
         mp = f"{path}.mediators[{i}]"
         text = _need(m, "id", mp)
         ident = known[text] = _entity_from_text(text, f"{mp}.id")
-        costs = _money_list(_need(m, "user_costs", mp, list), amounts, f"{mp}.user_costs")
+        costs = _money_list(_need(m, "user_costs", mp, list), f"{mp}.user_costs")
         try:
             mediators.append(MediatorSpec(ident, costs))
         except ValueError as exc:
             raise ParseError(f"{mp}: {exc}") from exc
+    return tuple(mediators)
+
+
+def _advertisers_whole(part: list, amounts: dict, known: dict) -> tuple[AdvertiserSpec, ...]:
+    texts = list(map(_ID, part))
+    ids = _parse_ids(texts, "advertiser")
+    advertisers = tuple(map(AdvertiserSpec, ids, _capacities(part), _amounts(list(map(_VALUE, part)), amounts)))
+    known.update(zip(texts, ids))
+    return advertisers
+
+
+def _advertisers_walk(part: list, known: dict, path: str) -> tuple[AdvertiserSpec, ...]:
     advertisers = []
-    for i, a in enumerate(_need(doc, "advertisers", path, list)):
+    for i, a in enumerate(part):
         ap = f"{path}.advertisers[{i}]"
         text = _need(a, "id", ap)
         ident = known[text] = _entity_from_text(text, f"{ap}.id")
@@ -259,11 +389,7 @@ def _read_instance(doc: dict, amounts: _Amounts, known: dict[str, EntityId], pat
             advertisers.append(AdvertiserSpec(ident, cap, value))
         except ValueError as exc:
             raise ParseError(f"{ap}: {exc}") from exc
-    tie_order = _id_list(_need(doc, "tie_order", path, list), known, f"{path}.tie_order")
-    try:
-        return Instance(tuple(mediators), tuple(advertisers), tie_order)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    return tuple(advertisers)
 
 
 def instance_to_text(instance: Instance) -> str:
@@ -300,7 +426,7 @@ def reports_to_doc(reports: ReportProfile) -> dict:
 
 
 def reports_from_doc(doc: dict, path: str = "reports") -> ReportProfile:
-    return _read_reports(doc, _Amounts(), path)
+    return _read_reports(doc, {}, path)
 
 
 def _report_id(key: str, path: str, known: dict[str, EntityId] | None) -> EntityId:
@@ -316,24 +442,49 @@ def _report_id(key: str, path: str, known: dict[str, EntityId] | None) -> Entity
     return ident
 
 
-def _read_reports(doc: dict, amounts: _Amounts, path: str, known: dict[str, EntityId] | None = None) -> ReportProfile:
+def _read_reports(
+    doc: dict, amounts: dict[str, Money], path: str, known: dict[str, EntityId] | None = None
+) -> ReportProfile:
+    """The reports ``doc`` holds, their amounts read through ``amounts``
+    (text -> amount) and, given ``known``, their ids looked up there."""
     _header(doc, "reports", path)
-    mediator_costs = {}
-    costs_doc = _need(doc, "mediator_costs", path, dict)
-    for key in costs_doc:
-        ent = _report_id(key, f"{path}.mediator_costs", known)
-        costs = _need(costs_doc, key, f"{path}.mediator_costs", list)
-        mediator_costs[ent] = _money_list(costs, amounts, f"{path}.mediator_costs[{key}]")
-    advertiser_slots = {}
-    for key, slot in _need(doc, "advertiser_slots", path, dict).items():
-        ent = _report_id(key, f"{path}.advertiser_slots", known)
-        ap = f"{path}.advertiser_slots[{key}]"
-        cap = _need(slot, "capacity", ap, int)
-        advertiser_slots[ent] = (cap, money_from_text(_need(slot, "value", ap), f"{ap}.value"))
+    costs = _need(doc, "mediator_costs", path, dict)
+    mediator_costs = _part(_costs_whole, _costs_walk, costs, amounts, known, f"{path}.mediator_costs")
+    slots = _need(doc, "advertiser_slots", path, dict)
+    advertiser_slots = _part(_slots_whole, _slots_walk, slots, amounts, known, f"{path}.advertiser_slots")
     try:
         return ReportProfile(mediator_costs, advertiser_slots)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+
+
+def _costs_whole(part: dict, amounts: dict, known: dict | None) -> dict[EntityId, tuple[Money, ...]]:
+    lists = list(part.values())
+    return dict(zip(_report_ids(list(part), "mediator", known), _cut(_amounts(_flat(lists), amounts), lists)))
+
+
+def _costs_walk(part: dict, known: dict | None, path: str) -> dict[EntityId, tuple[Money, ...]]:
+    mediator_costs = {}
+    for key in part:
+        ent = _report_id(key, path, known)
+        mediator_costs[ent] = _money_list(_need(part, key, path, list), f"{path}[{key}]")
+    return mediator_costs
+
+
+def _slots_whole(part: dict, amounts: dict, known: dict | None) -> dict[EntityId, tuple[int, Money]]:
+    slots = list(part.values())
+    values = _amounts(list(map(_VALUE, slots)), amounts)
+    return dict(zip(_report_ids(list(part), "advertiser", known), zip(_capacities(slots), values)))
+
+
+def _slots_walk(part: dict, known: dict | None, path: str) -> dict[EntityId, tuple[int, Money]]:
+    advertiser_slots = {}
+    for key, slot in part.items():
+        ent = _report_id(key, path, known)
+        ap = f"{path}[{key}]"
+        cap = _need(slot, "capacity", ap, int)
+        advertiser_slots[ent] = (cap, money_from_text(_need(slot, "value", ap), f"{ap}.value"))
+    return advertiser_slots
 
 
 def reports_to_text(reports: ReportProfile) -> str:
@@ -529,7 +680,7 @@ def replay_run_report(doc: dict) -> tuple[bool, str]:
     the message names the first differing JSON path and both values there.
     An input the run refuses is a ``ParseError`` at the part at fault.
     """
-    amounts, known = _Amounts(), {}
+    amounts, known = {}, {}
     instance = _read_instance(doc["instance"], amounts, known, "instance")
     reports = _read_reports(doc["reports"], amounts, "reports", known)
     config = config_from_doc(doc["config"])

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import takewhile
 
 import pytest
 
@@ -47,11 +48,11 @@ def test_tau_counts_only_profitable_prefix():
     assert tau(inst) == 3
 
 
-def _tie_heavy_instance(seed):
+def _tie_heavy_instance(seed, min_users=1):
     """Amounts drawn from {0, 1, 2, 3}, so most comparisons fall to the tie
     order, and capacities that can exceed the user count."""
     rng = random.Random(seed)
-    costs = [[rng.randrange(4) for _ in range(rng.randint(1, 3))] for _ in range(rng.randint(1, 4))]
+    costs = [[rng.randrange(4) for _ in range(rng.randint(min_users, 3))] for _ in range(rng.randint(1, 4))]
     slots = [(rng.randint(1, 6), rng.randrange(4)) for _ in range(rng.randint(1, 4))]
     return build_instance(costs, slots, seed=seed)
 
@@ -66,6 +67,23 @@ def test_tau_from_keys_matches_the_canonical_assignment_on_the_true_view():
         assert tau(inst) == _canon(inst)[0].size
     assert [tau(inst) for inst in zero] == [0, 0, 0]
     assert sum(1 for inst in instances if tau(inst) == 0) > 0  # tie-heavy draws include tau = 0
+
+
+def _tuple_sort_tau(inst):
+    """tau by one sort of ``(cost, rank, index)`` user tuples against every
+    slot's ``(value, rank, j)``, counting the leading pairs that trade."""
+    rank = inst.rank
+    users = sorted((c, rank(m.id), i) for m in inst.mediators for i, c in enumerate(m.user_costs))
+    slots = sorted(((a.value, rank(a.id), j) for a in inst.advertisers for j in range(a.capacity)), reverse=True)
+    return sum(1 for _ in takewhile(lambda pair: pair[1] > pair[0], zip(users, slots)))
+
+
+def test_tau_equals_the_tuple_sort_rule_with_ties_and_empty_mediators():
+    instances = [_tie_heavy_instance(s, min_users=0) for s in range(400)]
+    assert sum(not m.user_costs for inst in instances for m in inst.mediators) > 100
+    instances += [desk_instance(s) for s in range(10)] + [matched_family(Fraction(1, 20), seed=s) for s in range(3)]
+    for inst in instances:
+        assert tau(inst) == _tuple_sort_tau(inst)
 
 
 def test_tau_reads_only_the_slots_that_can_meet_a_user():

@@ -337,6 +337,28 @@ def test_negative_or_non_integer_counts_exit_two_naming_the_option(tmp_path, cap
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("alpha", ["0", "2", "-1/2", "3/2"])
+def test_generate_refuses_an_alpha_outside_zero_one_when_parsing(tmp_path, capsys, alpha):
+    """No instance meets 1/tau <= alpha <= 1 for such an alpha: refused with
+    exit 2 naming the option, not after the generator's futile draws."""
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--mediators", "3", "--advertisers", "3", f"--alpha={alpha}", "-o", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
+    assert f"argument --alpha: {alpha!r}: alpha must be in (0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("alpha", ["0", "2"])
+def test_run_and_verify_refuse_such_an_alpha_with_exit_one(tmp_path, capsys, command, alpha):
+    """They keep naming it against the instance's tau."""
+    inst = _generate(tmp_path)
+    capsys.readouterr()
+    argv = [command, "--instance", str(inst), "--alpha", alpha] + (["-o", str(tmp_path / "r.json")] if command == "run" else ["--runs", "2"])
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: instance: alpha={alpha} outside [1/tau, 1]")
+
+
 def test_count_specs_may_start_at_zero(tmp_path):
     """Zero is a count: a range from 0 keeps generating."""
     path = tmp_path / "x.json"

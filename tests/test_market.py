@@ -331,3 +331,35 @@ def test_view_orders_equal_a_fresh_sort():
             if found
         }
     assert seen == {"cost tie", "value tie", "zero capacity", "huge capacity", "no users"}
+
+
+_M0, _M1, _A0, _A1 = mediator_id(0), mediator_id(1), advertiser_id(0), advertiser_id(1)
+
+
+@pytest.mark.parametrize(
+    "costs, slots, message",
+    [
+        ({_M0: (1, 2), _M1: (3, -1)}, {_A0: (1, 5)}, "m1: reported costs must be >= 0"),
+        ({_M0: (-1,), _A0: (1,)}, {}, "m0: reported costs must be >= 0"),
+        ({_A0: (1,), _M0: (-1,)}, {}, "a0 is not a mediator"),
+        ({_M0: (1,)}, {_A0: (1, 5), _A1: (-1, 5)}, "a1: reported capacity and value must be >= 0"),
+        ({_M0: (1,)}, {_A0: (0, -1)}, "a0: reported capacity and value must be >= 0"),
+        ({_M0: (1,)}, {_M1: (1, 5), _A0: (-1, 5)}, "m1 is not an advertiser"),
+        ({_M0: (1,), _M1: (-2,)}, {_M0: (1, 5)}, "m1: reported costs must be >= 0"),
+        ({_M0: (1,), _A0: (1,)}, {_A1: (1, 5)}, "a0 is not a mediator"),
+        ({_M0: (1,)}, {_A1: (1, 5), _M1: (1, 5)}, "m1 is not an advertiser"),
+    ],
+    ids=["negative-cost", "cost-before-kind", "kind-before-cost", "negative-capacity", "negative-value",
+         "kind-before-capacity", "mediators-before-advertisers", "advertiser-as-mediator", "mediator-as-advertiser"],
+)
+def test_report_profile_names_the_first_entry_at_fault(costs, slots, message):
+    """The whole-map check passes a fault on to the walk, which names the
+    first entry at fault in map order, mediators first."""
+    with pytest.raises(ValueError) as err:
+        ReportProfile(costs, slots)
+    assert str(err.value) == message
+
+
+def test_report_profile_takes_zeros_and_empty_maps():
+    ReportProfile({}, {})
+    ReportProfile({_M0: (), _M1: (0, 0)}, {_A0: (0, 0)})

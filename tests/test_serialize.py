@@ -1,10 +1,12 @@
 """Text codecs for instances, reports, configs, outcomes, and replayable runs."""
 
+import contextlib
 import copy
 import hashlib
 import json
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,6 +28,7 @@ from observeprice import (
     truthful_run,
     UserRef,
 )
+from observeprice import serialize
 from observeprice.serialize import (
     config_from_doc,
     config_to_doc,
@@ -700,3 +703,176 @@ def test_header_errors_cut_the_value_they_echo(field, message):
     with pytest.raises(ParseError) as err:
         instance_from_text(json.dumps(doc))
     assert str(err.value) == message.format(zeros="0" * 38)
+
+
+# -- whole-part reads and the money writer ----------------------------------------------
+
+
+def _divmod_money_text(amount):
+    """The rule ``money_to_text`` followed before it sliced ``str(amount)``:
+    divmod by 10^6, the fraction zero-padded to six digits, then stripped."""
+    whole, frac = divmod(abs(amount), 1_000_000)
+    text = f"{whole}.{frac:06d}".rstrip("0") if frac else str(whole)
+    return text if amount >= 0 else "-" + text
+
+
+def test_money_to_text_equals_the_divmod_rule():
+    rng = random.Random(0)
+    big = int("7" * 3999 + "1")  # 4,000 digits
+    amounts = [0, 1, 999_999, 10**6 - 1, 10**6, 10**6 + 1, 10**12, big, big - 1]
+    amounts += [rng.randrange(10 ** rng.randint(1, 30)) for _ in range(3000)]
+    amounts += [-a for a in amounts if a]
+    for amount in amounts:
+        text = money_to_text(amount)
+        assert text == _divmod_money_text(amount)
+        assert money_from_text(text) == amount
+
+
+_WHOLE_READS = ("_mediators_whole", "_advertisers_whole", "_costs_whole", "_slots_whole")
+_WALKS = ("_mediators_walk", "_advertisers_walk", "_costs_walk", "_slots_walk")
+
+
+@contextlib.contextmanager
+def _failing(names, error):
+    """``serialize``'s functions ``names`` each raising ``error`` while the block runs."""
+    with contextlib.ExitStack() as stack:
+        for name in names:
+            stack.enter_context(mock.patch.object(serialize, name, side_effect=error))
+        yield
+
+
+def _read(name, text):
+    """What reading ``text`` as the document ``name`` gives: the instance or
+    reports read, a run report's replay verdict, or the error's type and message."""
+    try:
+        if name == "instance":
+            return instance_from_text(text)
+        if name == "reports":
+            return reports_from_text(text)
+        return replay_run_report(run_report_from_text(text))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_mutated_documents())
+def test_whole_reads_agree_with_the_walks_on_mutated_documents(case):
+    """A reader whose whole reads all fail, so that every part is walked,
+    returns an equal value or raises the same message."""
+    name, doc = case
+    text = json.dumps(doc)
+    with _failing(_WHOLE_READS, ValueError("whole read patched out")):
+        walked = _read(name, text)
+    assert _read(name, text) == walked
+
+
+def test_whole_reads_alone_read_every_valid_document():
+    """With every walk patched to fail, the whole reads read each instance,
+    reports and run report of the replay corpus and of the fuzz seeds."""
+    with _failing(_WALKS, AssertionError("a valid part was walked")):
+        for inst, cfg in replay_corpus():
+            reports = ReportProfile.truthful(inst)
+            assert instance_from_text(instance_to_text(inst)) == inst
+            assert reports_from_text(reports_to_text(reports)) == reports
+            text = run_report_to_text(inst, reports, cfg, run_mechanism(inst, reports, cfg))
+            assert replay_run_report(run_report_from_text(text)) == (True, "replay matches recorded outcome exactly")
+        for name, doc in _FUZZ_DOCS.items():
+            read = _read(name, json.dumps(doc))
+            if name.endswith("report"):
+                assert read == (True, "replay matches recorded outcome exactly")
+            else:
+                assert not isinstance(read, tuple), read  # an instance or reports, not an error
+
+
+def _set_at(*path):
+    def edit(doc, bad):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = bad
+    return edit
+
+
+def _rename_key(*path):
+    def edit(doc, bad):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[bad] = doc.pop(path[-1])
+    return edit
+
+
+# Where a bad value goes in the desk run report (the instance and reports
+# parts) and in the standalone instance and reports documents.
+_BAD_PLACES = {
+    "user cost": ("desk report", _set_at("instance", "mediators", 1, "user_costs", 0)),
+    "mediator id": ("instance", _set_at("mediators", 2, "id")),
+    "advertiser id": ("instance", _set_at("advertisers", 1, "id")),
+    "capacity": ("instance", _set_at("advertisers", 1, "capacity")),
+    "value": ("desk report", _set_at("instance", "advertisers", 2, "value")),
+    "reported cost": ("desk report", _set_at("reports", "mediator_costs", "m1", 2)),
+    "reported mediator": ("reports", _rename_key("mediator_costs", "m1")),
+    "reported advertiser": ("desk report", _rename_key("reports", "advertiser_slots", "a2")),
+    "reported capacity": ("reports", _set_at("advertiser_slots", "a1", "capacity")),
+    "reported value": ("desk report", _set_at("reports", "advertiser_slots", "a0", "value")),
+}
+_BAD_MONEY = ("-0", "-0.5", "-1", "007.5", "00", "7.50", "0.0", "1.", ".5", "", "1.0000001", "+1", " 1", "1\n", "\u0663",
+              "1_0", "1e6", "0x1", "1.2.3", "1.-5", "9" * 5000, True, 1, None, ["1"])
+_BAD_IDS = ("m01", "m-1", "m+1", "m", "", "x1", "a0", "a1", "m\u0663", "m1_0", "m" + "9" * 5000, 3, True, ["m1"])
+_BAD_CAPACITIES = (True, False, "2", 2.0, None, -1)
+# place -> (values every reader refuses, values compared only: some read as valid)
+_BAD_VALUES = {
+    "user cost": (_BAD_MONEY, ()),
+    "value": (_BAD_MONEY, ()),
+    "reported cost": (_BAD_MONEY, ()),
+    "reported value": (_BAD_MONEY, ()),
+    "mediator id": (_BAD_IDS, ("m0",)),
+    "advertiser id": (_BAD_IDS[:6] + ("m0", "a0"), ()),
+    "reported mediator": (_BAD_IDS[:11], ("m0",)),
+    "reported advertiser": (_BAD_IDS[:11], ("a1",)),
+    "capacity": (_BAD_CAPACITIES + (0,), (10**30,)),
+    "reported capacity": (_BAD_CAPACITIES, (0, 10**30)),
+}
+
+
+@pytest.mark.parametrize("place", list(_BAD_PLACES))
+def test_whole_reads_agree_with_the_walks_on_bad_values(place):
+    """Each bad id, capacity or amount text, at each kind of place, reads as
+    the walk alone reads it: a ``ParseError`` with the same message."""
+    name, edit = _BAD_PLACES[place]
+    refused, compared = _BAD_VALUES[place]
+    for bad, must_refuse in [(bad, True) for bad in refused] + [(bad, False) for bad in compared]:
+        doc = copy.deepcopy(_FUZZ_DOCS[name])
+        edit(doc, bad)
+        text = json.dumps(doc)
+        with _failing(_WHOLE_READS, ValueError("whole read patched out")):
+            walked = _read(name, text)
+        assert _read(name, text) == walked, bad
+        if must_refuse:
+            assert walked[0] is ParseError, bad
+
+
+@pytest.mark.parametrize("bad", [True, False, "2", None])
+def test_capacities_that_are_not_integers_are_refused_in_both_parts(bad):
+    doc = json.loads(instance_to_text(_small_instance()))
+    doc["advertisers"][1]["capacity"] = bad
+    with pytest.raises(ParseError) as err:
+        instance_from_doc(doc)
+    assert str(err.value) == f"instance.advertisers[1].capacity: expected an integer, got {bad!r}"
+    doc = reports_to_doc(ReportProfile.truthful(_small_instance()))
+    doc["advertiser_slots"]["a1"]["capacity"] = bad
+    with pytest.raises(ParseError) as err:
+        reports_from_doc(doc)
+    assert str(err.value) == f"reports.advertiser_slots[a1].capacity: expected an integer, got {bad!r}"
+
+
+@pytest.mark.parametrize("bad", ["-0", "-0.0", "0.", "01", "1.50"])
+def test_amount_texts_the_writer_never_writes_are_refused_in_every_part(bad):
+    """The whole reads refuse what ``money_from_text`` refuses, with its message at the element's path."""
+    with pytest.raises(ParseError) as expected:
+        money_from_text(bad)
+    message = str(expected.value).removeprefix("amount: ")
+    for read, path in ((_read_with_bad_user_cost, "instance.mediators[0].user_costs[2]"),
+                       (_read_with_bad_reported_cost, "reports.mediator_costs[m0][2]")):
+        with pytest.raises(ParseError) as err:
+            read(bad)
+        assert str(err.value) == f"{path}: {message}"
