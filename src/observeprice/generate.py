@@ -73,6 +73,8 @@ def uniform(low: int, high: int) -> DistSpec:
 def lognormal(mu: float, sigma: float, shift: int = 0) -> DistSpec:
     if not (math.isfinite(mu) and math.isfinite(sigma)):
         raise ValueError(f"lognormal MU and SIGMA must be finite, got {mu} and {sigma}")
+    if sigma <= 0:  # lognormvariate needs sigma > 0; a negative one mirrors the draw
+        raise ValueError(f"lognormal SIGMA must be > 0, got {sigma}")
     return DistSpec("lognormal", mu=mu, sigma=sigma, shift=shift)
 
 

@@ -685,9 +685,12 @@ def replay_run_report(doc: dict) -> tuple[bool, str]:
     reports = _read_reports(doc["reports"], amounts, "reports", known)
     config = config_from_doc(doc["config"])
     try:
-        fresh = outcome_to_doc(run_mechanism(instance, reports, config))
+        outcome = run_mechanism(instance, reports, config)
     except RunInputError as exc:
         raise ParseError(str(exc)) from exc
+    # Each id was read from the text ``str`` writes for it, so the fresh
+    # document reuses that text instead of formatting the id again.
+    fresh = _outcome_doc(outcome, _Texts(zip(known.values(), known)))
     if _ENCODER.encode(doc["outcome"]) == _ENCODER.encode(fresh):
         return True, "replay matches recorded outcome exactly"
     path, recorded, now = _first_difference(doc["outcome"], fresh, "outcome")

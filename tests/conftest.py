@@ -1,37 +1,30 @@
-"""Shared instance builders for the test suite, the per-unit reference
-rules the slot-block code is checked against, and the one-trade-at-a-time
-serving loop the engine's is checked against."""
+"""Shared instance builders and corpora for the test suite, and the
+per-unit canonical rule the slot-block code of ``canonical`` is checked
+against. The engine's one reference run is ``reference.py``."""
 
 import random
-from collections import deque
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 
 from observeprice import (
     AdvertiserSpec,
-    ArrivalEvent,
     GeneratorConfig,
     Instance,
     MechanismConfig,
     MediatorSpec,
     ReportProfile,
     SlotRef,
-    Thresholds,
     TieKey,
-    Trade,
     advertiser_id,
     constant,
     generate_instance,
     matched_family,
     mediator_id,
     random_tie_order,
-    run_mechanism,
     threshold_keys_from_amounts,
     uniform,
 )
-from observeprice import mechanism
 
 MICRO = 10**6
 
@@ -203,8 +196,8 @@ def random_reports(inst, rng, unit=1):
     return reports
 
 
-# -- the per-unit reference rules -------------------------------------------------
-# Every slot is one ref with one key: the rules the slot-block code must agree with.
+# -- the per-unit canonical rule ---------------------------------------------------
+# Every slot is one ref with one key: the rule the slot-block code must agree with.
 
 
 def per_unit_slot_keys(view, advertisers):
@@ -234,150 +227,3 @@ def per_unit_canonical(users, advertisers, view):
     sorted_users = tuple(sorted(users, key=view.user_keys.__getitem__))
     sorted_slots = tuple(sorted(slot_keys, key=slot_keys.__getitem__, reverse=True))
     return per_unit_pairs(sorted_users, sorted_slots, view.user_keys, slot_keys), sorted_users, sorted_slots
-
-
-class PerUnitCanonical:
-    """What a run reads of a canonical assignment, from the per-unit pairs."""
-
-    def __init__(self, users, advertisers, view):
-        self.pairs = per_unit_canonical(users, advertisers, view)[0]
-        self.size = len(self.pairs)
-
-    def user_at(self, location):
-        return self.pairs[location - 1][0]
-
-    def slot_at(self, location):
-        return self.pairs[location - 1][1]
-
-
-def per_unit_first_assignable(thresholds, block):
-    """Filter every slot of ``block`` against the threshold, lowest index
-    first; the list must be the tail of the block, and its first index is
-    returned."""
-    value, rank, capacity, _ = block
-    key = thresholds.slot_key
-    assignable = [j for j in range(capacity) if key is not None and TieKey(value, rank, j) > key]
-    assert assignable == list(range(capacity - len(assignable), capacity))
-    return capacity - len(assignable)
-
-
-def per_unit_run(instance, reports, config):
-    """``run_mechanism`` with the thresholds' canonical assignment and the
-    serving loop's assignable slots taken from the per-unit rules. The
-    per-unit canonical rule must run once when the run computes its
-    thresholds, and not at all when they are injected."""
-    calls = []
-
-    def per_unit_within(view, entities):
-        calls.append(entities)
-        users = view.users_of(m for m in view.users_by_mediator if m in entities)
-        return PerUnitCanonical(users, [a for a in view.blocks if a in entities], view)
-
-    with mock.patch.object(mechanism, "canonical_within", per_unit_within), mock.patch.object(
-        Thresholds, "first_assignable", per_unit_first_assignable
-    ):
-        outcome = run_mechanism(instance, reports, config)
-    assert len(calls) == (config.threshold_override is None)
-    return outcome
-
-
-# -- the one-trade-at-a-time serving loop -------------------------------------------
-# Each trade is one call that checks both sides' supply, takes the cheapest
-# user and the lowest slot, and applies the pay rule: the loop the engine's
-# runs of trades must agree with, event for event.
-
-
-class ReferenceMechanismState:
-    """``MechanismState`` as one trade per call; same constructor and events."""
-
-    def __init__(self, view, thresholds, observed, variant="standard"):
-        if variant not in mechanism.VARIANTS:
-            raise ValueError(f"unknown engine variant {variant!r}")
-        self.view = view
-        self.thresholds = thresholds
-        self.variant = variant
-        self.observed = set(observed)
-        self._queue = {}  # mediator -> assignable users, cheapest key first
-        self._qpos = {}  # mediator -> how many of its queue are assigned
-        self._slots = {}  # advertiser -> range of assignable slot indices left
-        self._target = {}
-        self._waiting = deque()
-        self._idle_users = 0
-        self._idle_slots = 0
-        self.events = []
-
-    def _has_supply(self, entity):
-        if entity.kind == "mediator":
-            return self._qpos[entity] < len(self._queue[entity])
-        return bool(self._slots[entity])
-
-    def _raise_targets(self, m, steps):
-        if self.variant == "skip_user_payment_updates":
-            return
-        q, i = self._queue[m], self._qpos[m]
-        amount = self.view.user_costs[q[i]] if i < len(q) else self.thresholds.payment
-        old = self._target.get(m, 0)
-        if amount != old:
-            if amount < old:
-                raise AssertionError("pay target decreased; engine invariant broken")
-            self._target[m] = amount
-            steps.extend((u, amount) for u in q[:i])
-        elif amount:
-            steps.append((q[i - 1], amount))
-
-    def _execute(self, m, a, trades, steps):
-        user = self._queue[m][self._qpos[m]]
-        slot = SlotRef(a, self._slots[a][0])
-        self._qpos[m] += 1
-        self._slots[a] = self._slots[a][1:]
-        self._idle_users -= 1
-        self._idle_slots -= 1
-        charge = self.thresholds.charge
-        payment = charge if self.variant == "pay_slot_value" else self.thresholds.payment
-        trades.append(Trade(user, slot, charge, payment))
-        self._raise_targets(m, steps)
-
-    def process_arrival(self, entity):
-        if entity in self._queue or entity in self._slots:
-            raise ValueError(f"{entity} already arrived")
-        if entity in self.observed:
-            raise ValueError(f"{entity} was observed; observed entities do not arrive again")
-        trades, steps = [], []
-        if entity.kind == "mediator":
-            key = self.thresholds.user_key
-            users = [u for u in self.view.users_by_mediator[entity] if key is not None and self.view.user_keys[u] < key]
-            users.sort(key=lambda u: self.view.user_keys[u])
-            self._queue[entity] = users
-            self._qpos[entity] = 0
-            self._idle_users += len(users)
-        else:
-            block = self.view.blocks[entity]
-            first = self.thresholds.first_assignable(block)
-            self._slots[entity] = range(first, block.capacity)
-            self._idle_slots += block.capacity - first
-        waiting = self._waiting
-        while waiting and waiting[0].kind != entity.kind and self._has_supply(entity):
-            front = waiting[0]
-            if entity.kind == "mediator":
-                self._execute(entity, front, trades, steps)
-            else:
-                self._execute(front, entity, trades, steps)
-            if not self._has_supply(front):
-                waiting.popleft()
-        if self._has_supply(entity):
-            waiting.append(entity)
-        event = ArrivalEvent(
-            arrival=entity,
-            trades=tuple(trades),
-            pay_steps=tuple(steps),
-            unassigned_assignable_users=self._idle_users,
-            unassigned_assignable_slots=self._idle_slots,
-        )
-        self.events.append(event)
-        return event
-
-
-def reference_serving_run(instance, reports, config):
-    """``run_mechanism`` served by ``ReferenceMechanismState``."""
-    with mock.patch.object(mechanism, "MechanismState", ReferenceMechanismState):
-        return run_mechanism(instance, reports, config)

@@ -286,13 +286,14 @@ def test_money_specs_reject_spellings_the_writer_never_writes(tmp_path, capsys, 
         ("--cost", "lognormal:0:inf", "error: --cost: lognormal MU and SIGMA must be finite, got 0.0 and inf"),
         ("--value", "lognormal:1e400:1", "error: --value: lognormal MU and SIGMA must be finite, got inf and 1.0"),
         ("--value", "lognormal:nan:1", "error: --value: lognormal MU and SIGMA must be finite, got nan and 1.0"),
+        ("--cost", "lognormal:0:-1", "error: --cost: lognormal SIGMA must be > 0, got -1.0"),
     ],
-    ids=["draw-overflows", "infinite-sigma", "mu-overflows-float", "nan-mu"],
+    ids=["draw-overflows", "infinite-sigma", "mu-overflows-float", "nan-mu", "negative-sigma"],
 )
 def test_lognormal_specs_that_cannot_draw_exit_one(tmp_path, capsys, option, spec, line):
-    """A non-finite MU or SIGMA is refused by the option that holds it; a
-    finite spec whose draw overflows fails the generation. Neither is a
-    traceback."""
+    """A non-finite MU or SIGMA, or a SIGMA <= 0, is refused by the option
+    that holds it; a finite spec whose draw overflows fails the generation.
+    Neither is a traceback."""
     argv = ["generate", "--mediators", "3", "--advertisers", "3", "--alpha", "1", option, spec]
     assert main(argv + ["-o", str(tmp_path / "x.json")]) == 1
     assert capsys.readouterr().err == line + "\n"

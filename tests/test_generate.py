@@ -27,6 +27,15 @@ def test_dist_spec_sampling():
         DistSpec("cauchy").sample(rng)
 
 
+def test_lognormal_refuses_a_sigma_that_is_not_positive():
+    """``lognormvariate`` needs sigma > 0: a negative one would silently draw
+    the mirrored distribution, so the spec is refused before it draws."""
+    for sigma in (0.0, -1.0, -1e-300):
+        with pytest.raises(ValueError, match=r"^lognormal SIGMA must be > 0, got "):
+            lognormal(0.0, sigma)
+    assert lognormal(0.0, 1e-300).sigma == 1e-300
+
+
 def test_generated_instances_validate():
     for seed in range(20):
         config = GeneratorConfig(

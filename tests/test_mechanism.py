@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
@@ -21,7 +22,6 @@ from observeprice import (
     TieKey,
     UserRef,
     advertiser_id,
-    canonical_assignment,
     ceil_minus_cbrt,
     compute_thresholds,
     derive_r,
@@ -57,12 +57,10 @@ from conftest import (
     desk_config,
     desk_instance,
     organic_instance,
-    ReferenceMechanismState,
-    per_unit_run,
     random_reports,
-    reference_serving_run,
     worked_example,
 )
+from reference import reference_run, reference_thresholds
 
 
 # -- observation fraction ------------------------------------------------------
@@ -618,7 +616,7 @@ def test_serving_loop_counters_targets_and_steps(market):
             assert [folded.get(u, 0) for u in users] == [want] * len(users)
 
 
-# -- slot blocks against the per-unit rules ------------------------------------------
+# -- slot blocks and misreports ----------------------------------------------------
 
 
 def _block_serving_markets():
@@ -647,70 +645,6 @@ def _block_serving_markets():
         for spec in claims:
             reports = reports.with_advertiser_slots(spec.id, rng.choice((0, 1, 2, 200)), rng.choice((spec.value, 2 * MICRO)))
         yield inst, reports, MechanismConfig(alpha=ORGANIC_ALPHA, seed=seed), None
-
-
-def test_block_serving_matches_the_per_unit_rules():
-    """Runs on slot blocks against the same runs on the per-unit rules
-    (conftest: every slot ref sorted and zipped for the thresholds, every
-    slot filtered against the threshold on arrival): equal outcomes, on the
-    markets of ``_block_serving_markets``."""
-    inside = computed = 0
-    for inst, reports, config, a in _block_serving_markets():
-        got = run_mechanism(inst, reports, config)
-        assert got == per_unit_run(inst, reports, config), config.seed
-        if a is None:
-            key = got.thresholds.slot_key
-            computed += key is not None and key.within_index > 0
-        else:
-            j, cap = config.threshold_override[1].within_index, report_view(inst, reports).blocks[a].capacity
-            inside += 0 < j + 1 < cap and any(t.slot.advertiser == a for t in got.trades_of())
-    assert inside >= 20 and computed >= 5, (inside, computed)
-
-
-def _sorting_thresholds(view, observed_mediators, observed_advertisers, r, alpha):
-    """``compute_thresholds`` as it was before the view kept its sorted
-    orders: the observed users and blocks sorted on every call. Kept as the
-    reference."""
-    cano = canonical_assignment(view.users_of(observed_mediators), observed_advertisers, view)
-    s = cano.size
-    k = max(0, ceil_minus_cbrt(s, Fraction(2 * s) / r, alpha))
-    if k == 0:
-        return dummy_thresholds(observed_size=s)
-    return Thresholds(view.user_keys[cano.user_at(k)], view.slot_key(cano.slot_at(k)), k, s)
-
-
-def test_thresholds_keep_the_sorting_rule():
-    """``compute_thresholds`` filters the view's sorted orders; the reference
-    sorts the observed sub-market. They return identical ``Thresholds`` on
-    the observed split of every market of ``_block_serving_markets``
-    (misreports, zero-capacity blocks, mediators with no users), priced at
-    its own rate and at two small alphas; on claims of 10^12 slots; on the
-    criterion-9 grid at 20 seeds per alpha; and under forced observation
-    counts 0 and n. A run that computes its thresholds holds the
-    reference's."""
-    runs = [(report_view(inst, reports), run_mechanism(inst, reports, config))
-            for inst, reports, config, _ in _block_serving_markets()]
-    big = matched_family(Fraction(1, 160), seed=0)
-    top = max(spec.value for spec in big.advertisers) + 1
-    for seed in range(6):
-        claim = ReportProfile.truthful(big).with_advertiser_slots(big.advertisers[seed].id, 10**12, top)
-        runs.append((report_view(big, claim), run_mechanism(big, claim, MechanismConfig(alpha=Fraction(1, 160), seed=seed))))
-    for alpha in (Fraction(1, 5), Fraction(1, 20), Fraction(1, 80)):
-        inst = matched_family(alpha, seed=0)
-        view = true_view(inst)
-        runs += [(view, truthful_run(inst, MechanismConfig(alpha=alpha, seed=seed), view=view)) for seed in range(20)]
-        for count in (0, inst.n_entities):
-            runs.append((view, truthful_run(inst, MechanismConfig(alpha=alpha, forced_observation_count=count), view=view)))
-    kinds = set()
-    for view, out in runs:
-        om, oa = out.observed_mediators, out.observed_advertisers
-        for r, alpha in ((out.r, out.alpha), (Fraction(1, 2), Fraction(1, 10**6)), (Fraction(1, 3), Fraction(1, 1000))):
-            want = _sorting_thresholds(view, om, oa, r, alpha)
-            assert compute_thresholds(view, {*om, *oa}, r, alpha) == want
-            kinds.add((want.is_dummy, want.observed_size == 0))
-        if not out.thresholds.injected:
-            assert out.thresholds == _sorting_thresholds(view, om, oa, out.r, out.alpha)
-    assert kinds == {(True, True), (True, False), (False, False)}
 
 
 def test_misreport_runs_keep_their_bytes():
@@ -760,7 +694,7 @@ def test_a_claim_of_10_12_slots_runs_as_a_claim_of_10_3():
 
 
 
-# -- runs of trades against the one-trade-at-a-time loop ---------------------------------
+# -- the engine against the reference run ------------------------------------
 
 
 def _serving_corpus():
@@ -801,86 +735,107 @@ def _serving_corpus():
     return cases
 
 
-def test_serving_runs_match_the_one_trade_at_a_time_loop():
-    """Every run of ``_serving_corpus`` under each engine variant, served in
-    runs of trades, against the same run served one trade per call by
-    ``conftest.ReferenceMechanismState``: equal outcomes, so equal event logs
-    in every field, built of the same tuple types. The corpus must trade in
-    runs of two or more with one counterparty, and with two or more
-    counterparties in one arrival."""
-    long_runs = counterparties = 0
-    for inst, reports, config in _serving_corpus():
-        for variant in VARIANTS:
-            c = replace(config, variant=variant)
-            got = run_mechanism(inst, reports, c)
-            assert got == reference_serving_run(inst, reports, c), (c.seed, variant)
-            for event in got.events:
-                assert type(event) is ArrivalEvent
-                assert all(type(t) is Trade and type(t.slot) is SlotRef for t in event.trades)
-                pairs = [(t.user.mediator, t.slot.advertiser) for t in event.trades]
-                long_runs += any(p == q for p, q in zip(pairs, pairs[1:]))
-                counterparties += len(set(pairs)) > 1
-    assert long_runs >= 20 and counterparties >= 20, (long_runs, counterparties)
-
-
-# -- serving queues cut from the view's sorted users ---------------------------------
-
-
 def _queue_markets():
-    """``(instance, thresholds, observed, arrivals, variant)`` cases whose
-    mediators hold 0 to 4 users at costs 0..3, so costs tie within and across
-    mediators and some mediators have no users. The cost threshold is put at
-    a key of the longest mediator's list, at a key tied in amount with users
-    of other entities, or the pair is dummy; every case runs under each
-    engine variant."""
+    """``(instance, reports, config)`` runs whose mediators report 0 to 4
+    users at costs 0..3, so costs tie within and across mediators and some
+    mediators report no users. The true instance, one user and one slot per
+    entity, only makes the run valid at alpha = 1: the reports are the
+    market. Three runs of each market inject the cost threshold at a key of
+    the longest mediator's list or at a key tied in amount with users of
+    other entities, under a forced order and count; the fourth observes
+    nothing under computed thresholds, which gives the dummy pair."""
     rng = random.Random(17)
     for trial in range(120):
         costs = [[rng.randrange(4) for _ in range(rng.randrange(5))] for _ in range(rng.randint(2, 5))]
         costs[0].append(rng.randrange(4))
         slots = [(rng.randint(1, 4), rng.randrange(2, 6)) for _ in range(rng.randint(2, 4))]
-        inst = build_instance(costs, slots, seed=trial)
-        view = true_view(inst)
-        longest = max(view.users_by_mediator.values(), key=len)
-        keys = [view.user_keys[u] for u in longest]
+        inst = build_instance([[0]] * len(costs), [(1, 1)] * len(slots), seed=trial)
+        reports = ReportProfile(
+            {m.id: tuple(c) for m, c in zip(inst.mediators, costs)}, {a.id: s for a, s in zip(inst.advertisers, slots)}
+        )
+        longest = max(range(len(costs)), key=lambda i: len(costs[i]))
+        keys = [TieKey(c, inst.rank(mediator_id(longest)), j) for j, c in enumerate(costs[longest])]
         keys += [TieKey(rng.randrange(4), rng.randrange(inst.n_entities + 1), rng.randrange(3)) for _ in range(2)]
         for user_key in rng.sample(keys, 3) + [None]:
-            if user_key is None:
-                thresholds = dummy_thresholds()
-            else:
+            override = None
+            if user_key is not None:
                 slot_key = TieKey(user_key.amount + rng.randrange(3), rng.randrange(inst.n_entities + 1), rng.randrange(-1, 3))
                 if not user_key < slot_key:
                     slot_key = TieKey(user_key.amount + 1, *slot_key[1:])
-                thresholds = Thresholds(user_key, slot_key, None, 0, injected=True)
+                override = (user_key, slot_key)
             order = list(inst.entity_ids)
             rng.shuffle(order)
-            t = rng.randrange(len(order) // 2 + 1)
-            for variant in VARIANTS:
-                yield inst, thresholds, set(order[:t]), order[t:], variant
+            t = rng.randrange(len(order) // 2 + 1) if override else 0
+            yield inst, reports, MechanismConfig(
+                alpha=Fraction(1), threshold_override=override, forced_arrival_order=tuple(order), forced_observation_count=t
+            )
 
 
-def test_serving_queues_match_the_per_arrival_filter_and_sort():
-    """``MechanismState`` cuts its queues from the view's sorted users once;
-    ``conftest.ReferenceMechanismState`` filters and sorts each arriving
-    mediator's users. Both serve every case of ``_queue_markets`` to equal
-    event logs. The corpus must cut inside a mediator's list, tie costs
-    across mediators below the threshold, serve mediators with no users and
-    dummy thresholds."""
-    inside = ties = empty = dummy = 0
-    for inst, thresholds, observed, arrivals, variant in _queue_markets():
-        view = true_view(inst)
-        got = MechanismState(view, thresholds, observed, variant=variant)
-        want = ReferenceMechanismState(view, thresholds, observed, variant=variant)
-        for entity in arrivals:
-            assert got.process_arrival(entity) == want.process_arrival(entity), (inst, thresholds, variant)
-        cut = thresholds.users_below(view)
-        below = [u for u in view.all_users if thresholds.user_key is not None and view.user_keys[u] < thresholds.user_key]
-        assert cut == len(below)
-        costs = [view.user_costs[u] for u in below]
-        inside += any(0 < sum(u.mediator == m for u in below) < len(us) for m, us in view.users_by_mediator.items())
-        ties += any(costs.count(c) > 1 and len({u.mediator for u in below if view.user_costs[u] == c}) > 1 for c in costs)
-        empty += any(not view.users_by_mediator[e] for e in arrivals if e.kind == "mediator")
-        dummy += thresholds.is_dummy
-    assert min(inside, ties, empty, dummy) >= 300, (inside, ties, empty, dummy)
+def _coverage(view, out):
+    """What one run shows of the facts the reference corpus must hold:
+    a slot threshold inside a block that trades, injected or computed;
+    events that trade in runs of two or more with one counterparty, and with
+    two or more counterparties; a cost threshold that cuts a mediator's list
+    or ties costs across mediators below it; an arriving mediator with no
+    users; the dummy pair."""
+    th, events = out.thresholds, out.events
+    key, traded = th.slot_key, {t.slot.advertiser for e in events for t in e.trades}
+    inside = any(
+        view.blocks[a][:2] == key[:2] and 0 < key.within_index + 1 < view.blocks[a].capacity for a in traded
+    )
+    pairs = [[(t.user.mediator, t.slot.advertiser) for t in e.trades] for e in events]
+    below = [u for u in view.all_users if not th.is_dummy and view.user_keys[u] < th.user_key]
+    mediators_at = {}
+    for u in below:
+        mediators_at.setdefault(view.user_costs[u], set()).add(u.mediator)
+    return Counter(
+        injected_inside=th.injected and inside,
+        computed_inside=not th.injected and not th.is_dummy and key.within_index > 0,
+        long_runs=sum(any(p == q for p, q in zip(ps, ps[1:])) for ps in pairs),
+        counterparties=sum(len(set(ps)) > 1 for ps in pairs),
+        cut_inside=any(0 < sum(u.mediator == m for u in below) < len(us) for m, us in view.users_by_mediator.items()),
+        ties=any(len(ms) > 1 for ms in mediators_at.values()),
+        empty=any(not view.users_by_mediator[e] for e in out.post_observation_order if e.kind == "mediator"),
+        dummy=th.is_dummy,
+    )
+
+
+def test_engine_matches_the_reference_run():
+    """Every run of ``_block_serving_markets``, ``_serving_corpus`` and
+    ``_queue_markets`` under each engine variant equals
+    ``reference.reference_run``: equal outcomes, so equal draws, thresholds
+    and event logs in every field, built of the engine's tuple types. Under
+    ``standard`` and ``pay_slot_value`` no pay step exceeds the threshold
+    payment, the pre-known maximum. ``compute_thresholds`` equals the
+    reference's threshold step on each market's observed split and on the
+    whole market, at the run's rate and at two small alphas, and meets all
+    three kinds of thresholds. The runs must show each fact ``_coverage``
+    names; a market counts once per variant, so 60 and 15 runs priced
+    inside a block are 20 and 5 markets."""
+    seen = Counter()
+    kinds = set()
+    for inst, reports, config in [case[:3] for case in _block_serving_markets()] + _serving_corpus() + list(_queue_markets()):
+        view = report_view(inst, reports)
+        for variant in VARIANTS:
+            c = replace(config, variant=variant)
+            got = run_mechanism(inst, reports, c)
+            assert got == reference_run(inst, reports, c), c
+            for event in got.events:
+                assert type(event) is ArrivalEvent
+                assert all(type(t) is Trade and type(t.slot) is SlotRef for t in event.trades)
+            if variant != "skip_user_payment_updates":
+                paid = [x for e in got.events for _, x in e.pay_steps]
+                assert not paid or max(paid) <= got.thresholds.payment, c
+            seen += _coverage(view, got)
+        for observed in (set(got.arrival_order[: got.observation_count]), set(inst.entity_ids)):
+            for r, alpha in ((got.r, got.alpha), (Fraction(1, 2), Fraction(1, 10**6)), (Fraction(1, 3), Fraction(1, 1000))):
+                want = reference_thresholds(inst, reports, observed, r, alpha)
+                assert compute_thresholds(view, observed, r, alpha) == want, (config, r, alpha)
+                kinds.add((want.is_dummy, want.observed_size == 0))
+    assert seen["injected_inside"] >= 60 and seen["computed_inside"] >= 15, seen
+    assert seen["long_runs"] >= 20 and seen["counterparties"] >= 20, seen
+    assert min(seen["cut_inside"], seen["ties"], seen["empty"], seen["dummy"]) >= 300, seen
+    assert kinds == {(True, True), (True, False), (False, False)}
 
 
 def test_an_entity_the_view_does_not_hold_cannot_arrive():

@@ -13,11 +13,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from observeprice import (
+    EntityId,
     MechanismConfig,
     ParseError,
     ReportProfile,
     instance_from_text,
     instance_to_text,
+    matched_family,
     money_from_text,
     money_to_text,
     replay_run_report,
@@ -219,6 +221,23 @@ def test_run_report_round_trip_and_replay():
     ok, message = replay_run_report(doc)
     assert ok, message
     assert "matches" in message
+
+
+def test_replay_formats_no_id_the_report_spells():
+    """A replay takes each id's text from the report it read: with
+    ``EntityId.__str__`` raising, a fresh matched_family(1/160) report still
+    replays to a match."""
+    inst = matched_family(Fraction(1, 160), seed=0)
+    cfg = MechanismConfig(alpha=Fraction(1, 160), seed=3)
+    outcome = truthful_run(inst, cfg)
+    assert outcome.trades_of()
+    doc = run_report_from_text(run_report_to_text(inst, ReportProfile.truthful(inst), cfg, outcome))
+
+    def refuse(entity):
+        raise AssertionError(f"replay formatted an id again: {entity!r}")
+
+    with mock.patch.object(EntityId, "__str__", refuse):
+        assert replay_run_report(doc) == (True, "replay matches recorded outcome exactly")
 
 
 def test_replay_detects_tampered_outcome():
