@@ -1,6 +1,6 @@
 """One slow run of the observe-then-price mechanism, written from the rules
 the README and the ``mechanism`` module docstring state, which the engine is
-checked against (``test_mechanism.test_engine_matches_the_reference_run``).
+checked against (``test_mechanism._engine_against_reference``).
 
 It shares no code with the engine. It builds its own tie keys, draws with
 the stdlib's ``shuffle`` and ``randrange``, sorts the observed sub-market one

@@ -800,21 +800,15 @@ def _coverage(view, out):
     )
 
 
-def test_engine_matches_the_reference_run():
-    """Every run of ``_block_serving_markets``, ``_serving_corpus`` and
-    ``_queue_markets`` under each engine variant equals
-    ``reference.reference_run``: equal outcomes, so equal draws, thresholds
-    and event logs in every field, built of the engine's tuple types. Under
-    ``standard`` and ``pay_slot_value`` no pay step exceeds the threshold
-    payment, the pre-known maximum. ``compute_thresholds`` equals the
-    reference's threshold step on each market's observed split and on the
-    whole market, at the run's rate and at two small alphas, and meets all
-    three kinds of thresholds. The runs must show each fact ``_coverage``
-    names; a market counts once per variant, so 60 and 15 runs priced
-    inside a block are 20 and 5 markets."""
+def _engine_against_reference(cases):
+    """Runs every ``(instance, reports, config)`` of ``cases`` under each
+    engine variant and asserts it equals ``reference.reference_run``: equal
+    outcomes, so equal draws, thresholds and event logs in every field, built
+    of the engine's tuple types. Under ``standard`` and ``pay_slot_value`` no
+    pay step exceeds the threshold payment, the pre-known maximum. Returns
+    the ``_coverage`` the runs show; a market counts once per variant."""
     seen = Counter()
-    kinds = set()
-    for inst, reports, config in [case[:3] for case in _block_serving_markets()] + _serving_corpus() + list(_queue_markets()):
+    for inst, reports, config in cases:
         view = report_view(inst, reports)
         for variant in VARIANTS:
             c = replace(config, variant=variant)
@@ -827,14 +821,53 @@ def test_engine_matches_the_reference_run():
                 paid = [x for e in got.events for _, x in e.pay_steps]
                 assert not paid or max(paid) <= got.thresholds.payment, c
             seen += _coverage(view, got)
+    return seen
+
+
+def test_block_serving_matches_the_per_unit_rules():
+    """The engine against the reference, which sorts the observed sub-market
+    and filters slots one key per slot unit, on every market of
+    ``_block_serving_markets``. Injected slot thresholds sit inside a block
+    that trades in 20 markets, computed ones inside a block in 5."""
+    seen = _engine_against_reference(case[:3] for case in _block_serving_markets())
+    assert seen["injected_inside"] >= 60 and seen["computed_inside"] >= 15, seen
+
+
+def test_serving_runs_match_the_one_trade_at_a_time_loop():
+    """The engine, which serves in runs of trades, against the reference,
+    which serves one trade per loop step, on every run of
+    ``_serving_corpus``. Arrivals trade in runs of two or more with one
+    counterparty, and with two or more counterparties."""
+    seen = _engine_against_reference(_serving_corpus())
+    assert seen["long_runs"] >= 20 and seen["counterparties"] >= 20, seen
+
+
+def test_serving_queues_match_the_per_arrival_filter_and_sort():
+    """The engine, which cuts its queues from the view's sorted users once,
+    against the reference, which filters and sorts the users at every
+    arrival, on every market of ``_queue_markets``. The cost threshold cuts
+    inside a mediator's list and ties costs across mediators below it,
+    mediators with no users arrive, and the pair is dummy."""
+    seen = _engine_against_reference(_queue_markets())
+    assert min(seen["cut_inside"], seen["ties"], seen["empty"], seen["dummy"]) >= 300, seen
+
+
+def test_thresholds_keep_the_sorting_rule():
+    """``compute_thresholds`` filters the view's sorted orders; the
+    reference's threshold step sorts the observed sub-market. They are equal
+    on the observed split of every market of ``_block_serving_markets``,
+    ``_serving_corpus`` and ``_queue_markets`` and on the whole market, at
+    the run's rate and at two small alphas, and meet all three kinds of
+    thresholds."""
+    kinds = set()
+    for inst, reports, config in [case[:3] for case in _block_serving_markets()] + _serving_corpus() + list(_queue_markets()):
+        view = report_view(inst, reports)
+        got = run_mechanism(inst, reports, config)
         for observed in (set(got.arrival_order[: got.observation_count]), set(inst.entity_ids)):
             for r, alpha in ((got.r, got.alpha), (Fraction(1, 2), Fraction(1, 10**6)), (Fraction(1, 3), Fraction(1, 1000))):
                 want = reference_thresholds(inst, reports, observed, r, alpha)
                 assert compute_thresholds(view, observed, r, alpha) == want, (config, r, alpha)
                 kinds.add((want.is_dummy, want.observed_size == 0))
-    assert seen["injected_inside"] >= 60 and seen["computed_inside"] >= 15, seen
-    assert seen["long_runs"] >= 20 and seen["counterparties"] >= 20, seen
-    assert min(seen["cut_inside"], seen["ties"], seen["empty"], seen["dummy"]) >= 300, seen
     assert kinds == {(True, True), (True, False), (False, False)}
 
 
