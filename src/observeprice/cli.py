@@ -36,9 +36,9 @@ def _default_seed() -> int:
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a fraction") from exc
+        return serialize.bounded_fraction(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _alpha(text: str) -> Fraction:

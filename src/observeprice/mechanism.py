@@ -42,7 +42,7 @@ import math
 import random
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import AbstractSet, NamedTuple, Optional
 
@@ -272,38 +272,29 @@ class ArrivalEvent:
     it; a user with no step is owed 0.
 
     One is built per arrival, so the event keeps its fields in slots and
-    its ``__init__`` is written out: it calls the five slots' setters, where
-    the generated one makes five ``object.__setattr__`` calls (about 0.65
-    against 1.3 us). Writing into a ``__dict__`` instead would be as quick to
-    build but makes every later field read slower. The ``__init__`` takes
-    the generated one's positional and keyword arguments, so
-    ``dataclasses.replace`` works, and equality, hash and repr are still
-    generated. A NamedTuple built with one ``tuple.__new__`` would be cheaper
-    again, but ``perfbench/selftest.py`` tampers with an event through
-    ``dataclasses.replace``, which a NamedTuple refuses; that form waits for
-    a tamper that works on both (ROADMAP item A).
+    its ``__init__`` is written out: it calls the three slots' setters, where
+    the generated one makes three ``object.__setattr__`` calls (about 0.46
+    against 0.71 us on a 2-vCPU VM under Python 3.11). Writing into a
+    ``__dict__`` instead would be as quick to build but makes every later
+    field read slower. The ``__init__`` takes the generated one's positional
+    and keyword arguments, so ``dataclasses.replace`` works, and equality,
+    hash and repr are still generated. A NamedTuple built with one
+    ``tuple.__new__`` would be cheaper again, but ``perfbench/selftest.py``
+    tampers with an event through ``dataclasses.replace``, which a NamedTuple
+    refuses; that form waits for a tamper that works on both (ROADMAP item A).
     """
 
     arrival: EntityId
     trades: tuple[Trade, ...]
     pay_steps: tuple[tuple[UserRef, Money], ...]  # chronological raises of cumulative pay targets
-    unassigned_assignable_users: int
-    unassigned_assignable_slots: int
 
     def __init__(
-        self,
-        arrival: EntityId,
-        trades: tuple[Trade, ...],
-        pay_steps: tuple[tuple[UserRef, Money], ...],
-        unassigned_assignable_users: int,
-        unassigned_assignable_slots: int,
+        self, arrival: EntityId, trades: tuple[Trade, ...], pay_steps: tuple[tuple[UserRef, Money], ...]
     ) -> None:
-        set_arrival, set_trades, set_pay_steps, set_users, set_slots = _EVENT_SETTERS
+        set_arrival, set_trades, set_pay_steps = _EVENT_SETTERS
         set_arrival(self, arrival)
         set_trades(self, trades)
         set_pay_steps(self, pay_steps)
-        set_users(self, unassigned_assignable_users)
-        set_slots(self, unassigned_assignable_slots)
 
 
 _EVENT_SETTERS = tuple(getattr(ArrivalEvent, f.name).__set__ for f in fields(ArrivalEvent))
@@ -333,7 +324,9 @@ class MechanismConfig:
 class MechanismOutcome:
     """What one run decided. The event log is its only record of trades and
     payments: the ledgers, the observed split and the executed pairs are
-    read-only folds of ``events`` and ``arrival_order``."""
+    read-only folds of ``events`` and ``arrival_order``. ``view`` is the
+    market the run served, which the checks read the run against; it takes
+    no part in equality."""
 
     alpha: Fraction
     r: Fraction
@@ -342,6 +335,7 @@ class MechanismOutcome:
     thresholds: Thresholds
     events: tuple[ArrivalEvent, ...]
     gft: Money  # of the executed trades, in the amounts the run was priced on
+    view: MarketView = field(compare=False, repr=False)
 
     @property
     def post_observation_order(self) -> tuple[EntityId, ...]:
@@ -420,9 +414,6 @@ class MechanismState:
         self._target: dict[EntityId, Money] = {}
         # Arrived entities with supply left, in arrival order; all of one kind.
         self._waiting: deque[EntityId] = deque()
-        # Assignable users and slots that have arrived and are not yet traded.
-        self._idle_users = 0
-        self._idle_slots = 0
         self.events: list[ArrivalEvent] = []
 
     # -- payment rule ----------------------------------------------------------
@@ -455,11 +446,9 @@ class MechanismState:
             if entity not in view.users_by_mediator:
                 raise KeyError(entity)  # as an unknown advertiser's block lookup does
             mine = supply[entity] = [0, len(self._queue.get(entity, ()))]
-            self._idle_users += mine[1]
         else:
             block = view.blocks[entity]
             mine = supply[entity] = [thresholds.first_assignable(block), block.capacity]
-            self._idle_slots += block.capacity - mine[0]
         waiting = self._waiting
         if mine[0] < mine[1] and waiting and waiting[0].kind != kind:
             # Trade with the front of the line in runs: each run pairs the
@@ -482,14 +471,12 @@ class MechanismState:
                     self._target[m] = target
                 m_supply[0] += n
                 a_supply[0] += n
-                self._idle_users -= n
-                self._idle_slots -= n
                 if theirs[0] == theirs[1]:
                     waiting.popleft()
         if mine[0] < mine[1]:
             waiting.append(entity)
 
-        event = ArrivalEvent(entity, tuple(trades), tuple(steps), self._idle_users, self._idle_slots)
+        event = ArrivalEvent(entity, tuple(trades), tuple(steps))
         self.events.append(event)
         return event
 
@@ -568,6 +555,7 @@ def run_mechanism(
         thresholds=thresholds,
         events=tuple(state.events),
         gft=gain_from_trade(((x.user, x.slot) for e in state.events for x in e.trades), view),
+        view=view,
     )
 
 

@@ -30,9 +30,10 @@ the instance and the reports it re-runs once (truthful reports find all of
 theirs among the instance's), and reads the reports' ids from the
 instance's id map.
 
-An outcome document (schema 4) holds only what the run decided, nothing
+An outcome document (schema 5) holds only what the run decided, nothing
 the report's config holds and nothing that folds from the arrival prefix
-or the events (the observed split, the executed pairs and the ledgers).
+or the events (the observed split, the executed pairs and the ledgers), or
+that the checks recount from the run's market (the idle users and slots).
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .market import (
 )
 from .mechanism import VARIANTS, MechanismConfig, MechanismOutcome, run_mechanism
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 class ParseError(Exception):
@@ -108,13 +109,32 @@ def fraction_to_text(fr: Fraction) -> str:
     return str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"
 
 
+# The most digits a fraction text may spell, its exponent counted: str()
+# writes no longer int by default, and Fraction() builds 10**exponent before
+# anything could refuse it.
+_FRACTION_DIGITS = 4300
+
+
+def bounded_fraction(text: str) -> Fraction:
+    """The fraction ``text`` spells, or a ``ValueError`` that says why not. A
+    text whose numerator or denominator could need more than
+    ``_FRACTION_DIGITS`` digits is refused before ``Fraction`` builds it."""
+    exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)", text[-_FRACTION_DIGITS:])
+    if len(text) + (abs(int(exponent[1])) if exponent else 0) > _FRACTION_DIGITS:
+        raise ValueError(f"{text[:40]!r} spells a fraction of more than {_FRACTION_DIGITS} digits")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{text!r} is not a fraction") from exc
+
+
 def fraction_from_text(text: str, path: str = "fraction") -> Fraction:
     if not isinstance(text, str):  # a JSON float would become a binary fraction
         raise ParseError(f"{path}: {text!r} is not a fraction")
     try:
-        fr = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"{path}: {text!r} is not a fraction") from exc
+        fr = bounded_fraction(text)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     if fraction_to_text(fr) != text:
         raise ParseError(f"{path}: {text!r} is not in canonical form, write {fraction_to_text(fr)!r}")
     return fr
@@ -277,6 +297,8 @@ def _loads(text: str) -> dict:
         raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise ParseError("top level: nested too deeply to read") from exc
+    except ValueError as exc:  # not a JSONDecodeError: an integer longer than int() reads
+        raise ParseError("top level: an integer has too many digits to read") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level: expected an object")
     return doc
@@ -585,8 +607,6 @@ def _outcome_doc(outcome: MechanismOutcome, texts: _Texts) -> dict:
                     for t in e.trades
                 ],
                 "pay_steps": [[text(u), text(x)] for u, x in e.pay_steps],
-                "unassigned_assignable_users": e.unassigned_assignable_users,
-                "unassigned_assignable_slots": e.unassigned_assignable_slots,
             }
             for e in outcome.events
         ],

@@ -21,6 +21,12 @@ for ``check_continuous_ir`` alike. The fold and the run checks pay per trade
 and per pay step: an arrival that changed nothing costs one test (the fold
 still yields an empty step for it, so steps and events stay one to one).
 
+The run checks read only the outcome. The surplus check recounts the idle
+assignable users and slots from the view the run served
+(``MechanismOutcome.view``) and its thresholds; the run itself records no
+such count, so a serving loop that is wrong about its trades cannot also
+vouch for them.
+
 Every truthfulness verdict, in ``incentive_sweep`` and ``deviation_test``,
 comes from one twin path (``_twins``): a misreport runs under the seeds of
 its truthful twins (same tie order, arrival order and observation count)
@@ -210,14 +216,32 @@ def check_budget_balance(outcome: MechanismOutcome) -> CheckResult:
 
 
 def check_surplus_invariant(outcome: MechanismOutcome) -> CheckResult:
-    """After each arrival: no assignable user or no assignable slot is left idle."""
-    fails = []
+    """After each arrival: no assignable user or no assignable slot is left idle.
+
+    The idle units are recounted from the run's view and thresholds, not
+    read from the serving loop: an arriving mediator adds its users keyed
+    below the cost threshold, an arriving advertiser its slots keyed above
+    the value threshold, and each trade takes one of each. Under the dummy
+    pair nothing is assignable. Only an arrival with supply or trades moves
+    the counts, so only such an event is recounted.
+    """
+    view, th = outcome.view, outcome.thresholds
+    if th.is_dummy:
+        return CheckResult(True, ())
+    supply: dict[EntityId, int] = {}  # each entity's assignable users or slots
+    for user in view.sorted_users[: th.users_below(view)]:
+        supply[user.mediator] = supply.get(user.mediator, 0) + 1
+    for block in view.sorted_blocks:
+        if block[:2] < th.slot_key[:2]:  # nor has any block after it an assignable slot
+            break
+        supply[block.advertiser] = block.capacity - th.first_assignable(block)
+    fails, users, slots = [], 0, 0
     for i, event in enumerate(outcome.events):
-        if event.unassigned_assignable_users > 0 and event.unassigned_assignable_slots > 0:
-            fails.append(
-                f"event {i}: {event.unassigned_assignable_users} assignable users and "
-                f"{event.unassigned_assignable_slots} assignable slots both left unassigned"
-            )
+        if event.trades or event.arrival in supply:
+            got, n = supply.get(event.arrival, 0), len(event.trades)
+            users, slots = (users + got - n, slots - n) if event.arrival.kind == "mediator" else (users - n, slots + got - n)
+        if users > 0 and slots > 0:
+            fails.append(f"event {i}: {users} assignable users and {slots} assignable slots both left unassigned")
     return CheckResult(not fails, tuple(fails))
 
 

@@ -6,8 +6,10 @@ It shares no code with the engine. It builds its own tie keys, draws with
 the stdlib's ``shuffle`` and ``randrange``, sorts the observed sub-market one
 key per slot unit, finds the threshold location by an exact search, serves
 one trade per loop step with a pay target per user, and recounts the idle
-users and slots at every event. From the package it takes only the types an
-outcome is made of, and ``derive_r``.
+users and slots at every event (``reference_idle``), which the outcome no
+longer holds. From the package it takes only the types an outcome is made
+of, and ``derive_r``; its outcome has no view, which takes no part in
+equality.
 """
 
 import random
@@ -66,6 +68,26 @@ def reference_thresholds(instance, reports, observed, r, alpha):
 def reference_run(instance, reports, config):
     """``run_mechanism(instance, reports, config)`` from the rules, one trade
     per loop step."""
+    return _reference(instance, reports, config)[0]
+
+
+def reference_idle(instance, reports, config):
+    """Per event of ``reference_run``, the assignable users and slots that
+    have arrived and are not yet traded."""
+    return _reference(instance, reports, config)[1]
+
+
+def with_idle_counts(outcome_doc, instance, reports, config):
+    """``outcome_doc`` as schema 4 wrote it: each event ends with its idle
+    counts, ``unassigned_assignable_users`` and ``unassigned_assignable_slots``,
+    recounted by ``reference_idle``."""
+    for event, (users, slots) in zip(outcome_doc["events"], reference_idle(instance, reports, config), strict=True):
+        event["unassigned_assignable_users"], event["unassigned_assignable_slots"] = users, slots
+    return outcome_doc
+
+
+def _reference(instance, reports, config):
+    """``reference_run``'s outcome and ``reference_idle``'s counts."""
     alpha = Fraction(config.alpha)
     r = derive_r(alpha) if config.r is None else Fraction(config.r)
     rng = random.Random(config.seed)
@@ -85,7 +107,7 @@ def reference_run(instance, reports, config):
     users, blocks = _keys(instance, reports)
     user_key, slot_key = thresholds.user_key, thresholds.slot_key
     supply = {}  # arrived entity -> its unassigned assignable users (by key) or slot indices
-    assigned, target, events = {}, {}, []
+    assigned, target, events, idle = {}, {}, [], []
     for entity in order[t:]:
         if entity.kind == "mediator":
             supply[entity] = sorted(p for p in users[entity] if user_key is not None and p[0] < user_key)
@@ -116,13 +138,9 @@ def reference_run(instance, reports, config):
                     if target.get(u, 0) != owed:
                         target[u] = owed
                         steps.append((u, owed))
-        idle_users = sum(len(s) for e, s in supply.items() if e.kind == "mediator")
-        idle_slots = sum(len(s) for e, s in supply.items() if e.kind == "advertiser")
-        events.append(_event(
-            arrival=entity, trades=tuple(trades), pay_steps=tuple(steps),
-            unassigned_assignable_users=idle_users, unassigned_assignable_slots=idle_slots,
-        ))
+        events.append(_event(arrival=entity, trades=tuple(trades), pay_steps=tuple(steps)))
+        idle.append(tuple(sum(len(s) for e, s in supply.items() if e.kind == kind) for kind in ("mediator", "advertiser")))
 
     costs = {u: k.amount for pairs in users.values() for k, u in pairs}
     gft = sum(blocks[x.slot.advertiser][0] - costs[x.user] for e in events for x in e.trades)
-    return MechanismOutcome(alpha, r, tuple(order), t, thresholds, tuple(events), gft)
+    return MechanismOutcome(alpha, r, tuple(order), t, thresholds, tuple(events), gft, view=None), idle

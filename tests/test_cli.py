@@ -2,6 +2,7 @@
 
 import csv
 import json
+import time
 
 import pytest
 
@@ -138,6 +139,15 @@ def _replace_file(text):
     return edit
 
 
+def _long_int(path):
+    """An edit that writes the integer at ``path`` as 10**5000, 5,001 digits,
+    more than ``json.dumps`` writes or ``json.loads`` reads."""
+    def edit(doc):
+        _set(path, "@")(doc)
+        return json.dumps(doc, indent=2).replace('"@"', "1" + "0" * 5000) + "\n"
+    return edit
+
+
 def _repeat_key(key, copy):
     """An edit that writes the file with ``"key": copy`` given just before the
     first ``key`` in it, so that object holds ``key`` twice."""
@@ -165,6 +175,10 @@ def _repeat_key(key, copy):
         ("report", _set(["config", "alpha"], 0.1), "config.alpha: 0.1 is not a fraction"),
         ("report", _set(["config", "alpha"], " 1 "), "config.alpha: ' 1 ' is not in canonical form, write '1'"),
         ("report", _set(["config", "alpha"], "1e0"), "config.alpha: '1e0' is not in canonical form, write '1'"),
+        ("report", _set(["config", "alpha"], "1e5000"), "config.alpha: '1e5000' spells a fraction of more than 4300 digits"),
+        ("report", _set(["config", "r"], "1e-5000"), "config.r: '1e-5000' spells a fraction of more than 4300 digits"),
+        ("report", _long_int(["config", "seed"]), "top level: an integer has too many digits to read"),
+        ("instance", _long_int(["advertisers", 0, "capacity"]), "top level: an integer has too many digits to read"),
         ("report", _set(["config", "variant"], "nope"), "config.variant: 'nope' is not one of standard, pay_slot_value"),
         ("report", _set(["config", "forced_observation_count"], True), "config.forced_observation_count: expected an integer or null"),
         ("report", _rename(["reports", "mediator_costs"], "m0", "m9"), "reports.mediator_costs: unknown entity id 'm9'"),
@@ -254,11 +268,11 @@ def test_replay_of_a_schema_2_report_exits_one(tmp_path, capsys):
     report.write_text(json.dumps(doc, indent=2) + "\n")
     with pytest.raises(ParseError) as err:
         run_report_from_text(report.read_text())
-    assert str(err.value) == "run_report.schema_version: got 2, this reader understands 4"
+    assert str(err.value) == "run_report.schema_version: got 2, this reader understands 5"
     capsys.readouterr()
     assert main(["replay", str(report)]) == 1
     out, err = capsys.readouterr()
-    assert (out, err) == ("", "error: run_report.schema_version: got 2, this reader understands 4\n")
+    assert (out, err) == ("", "error: run_report.schema_version: got 2, this reader understands 5\n")
 
 
 @pytest.mark.parametrize(
@@ -336,6 +350,18 @@ def test_negative_or_non_integer_counts_exit_two_naming_the_option(tmp_path, cap
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("options", [["--alpha", "1e50000000"], ["--alpha", "1", "--r", "1e-50000000"]])
+def test_a_fraction_of_too_many_digits_is_refused_when_parsing(capsys, options):
+    """Such a text would make ``Fraction`` build 10**50000000; argparse
+    refuses it before it is built (exit 2), in well under a second."""
+    option, text = options[-2:]
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--instance", "never-read.json", *options])
+    assert exc.value.code == 2 and time.perf_counter() - start < 1
+    assert f"argument {option}: {text!r} spells a fraction of more than 4300 digits" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("alpha", ["0", "2", "-1/2", "3/2"])

@@ -23,6 +23,7 @@ from observeprice import (
     UserRef,
     advertiser_id,
     ceil_minus_cbrt,
+    check_surplus_invariant,
     compute_thresholds,
     derive_r,
     dummy_thresholds,
@@ -60,7 +61,7 @@ from conftest import (
     random_reports,
     worked_example,
 )
-from reference import reference_run, reference_thresholds
+from reference import reference_run, reference_thresholds, with_idle_counts
 
 
 # -- observation fraction ------------------------------------------------------
@@ -267,7 +268,7 @@ def test_dummy_thresholds_have_no_amounts():
     with pytest.raises(ValueError):
         th.charge
     inst = build_instance([[4]], [(1, 6)], seed=0)
-    assert MechanismState(true_view(inst), th, set()).process_arrival(mediator_id(0)).unassigned_assignable_users == 0
+    assert MechanismState(true_view(inst), th, set()).process_arrival(mediator_id(0)).trades == ()
     assert th.first_assignable(SlotBlock(10**9, 0, 3, advertiser_id(0))) == 3
 
 
@@ -578,8 +579,8 @@ def test_serving_loop_counters_targets_and_steps(market):
     slots by index). Each trade takes the mediator's cheapest user left, the
     advertiser's lowest slot left, and as counterparty the earliest arrival
     of its kind with supply left; after every arrival no mediator and
-    advertiser both have supply, the idle counts equal a recount of the
-    ledger, every pay step raises its user's folded target, and every traded
+    advertiser both have supply, every pay step raises its user's folded
+    target, and every traded
     user of a mediator sits at one amount: the cost of the mediator's
     cheapest user left, else the threshold payment (0 when the variant skips
     payment updates)."""
@@ -602,9 +603,7 @@ def test_serving_loop_counters_targets_and_steps(market):
             assert other == next(e for e in supply if e.kind == other.kind and supply[e])
             assert (t.user, t.slot) == (supply[m].pop(0), supply[a].pop(0))
             traded.setdefault(m, []).append(t.user)
-        left = {kind: sum(len(s) for e, s in supply.items() if e.kind == kind) for kind in ("mediator", "advertiser")}
-        assert (event.unassigned_assignable_users, event.unassigned_assignable_slots) == (left["mediator"], left["advertiser"])
-        assert 0 in left.values()
+        assert len({e.kind for e, left in supply.items() if left}) < 2
         for u, amount in event.pay_steps:
             assert u.mediator in traded and amount > folded.get(u, 0)
             folded[u] = amount
@@ -651,13 +650,18 @@ def test_misreport_runs_keep_their_bytes():
     """sha256 over the compact outcome documents of every market of
     ``_block_serving_markets`` (random and inflated reports, injected and
     computed thresholds) under each engine variant: a differential pin of
-    the serving loop on misreported reports."""
-    digest = hashlib.sha256()
+    the serving loop on misreported reports. With the idle counts the
+    reference recounts put back, the documents rebuild the schema-4 bytes
+    pinned before schema 5 dropped them."""
+    digest, schema_4 = hashlib.sha256(), hashlib.sha256()
     for inst, reports, config, _ in _block_serving_markets():
         for variant in VARIANTS:
-            outcome = run_mechanism(inst, reports, replace(config, variant=variant))
-            digest.update(json.dumps(outcome_to_doc(outcome), separators=(",", ":")).encode())
-    assert digest.hexdigest() == "38f1a083b2c464b09e8ac5abdc9d0a47820e92c855a547eee0e1b168c3243529"
+            c = replace(config, variant=variant)
+            doc = outcome_to_doc(run_mechanism(inst, reports, c))
+            digest.update(json.dumps(doc, separators=(",", ":")).encode())
+            schema_4.update(json.dumps(with_idle_counts(doc, inst, reports, c), separators=(",", ":")).encode())
+    assert schema_4.hexdigest() == "38f1a083b2c464b09e8ac5abdc9d0a47820e92c855a547eee0e1b168c3243529"
+    assert digest.hexdigest() == "8693b828ac2b1089c4fa1bd1ab0c0edc8b8d93ddeba01539c084482bf51aa876"
 
 
 def test_a_claim_of_10_12_slots_runs_as_a_claim_of_10_3():
@@ -804,8 +808,9 @@ def _engine_against_reference(cases):
     """Runs every ``(instance, reports, config)`` of ``cases`` under each
     engine variant and asserts it equals ``reference.reference_run``: equal
     outcomes, so equal draws, thresholds and event logs in every field, built
-    of the engine's tuple types. Under ``standard`` and ``pay_slot_value`` no
-    pay step exceeds the threshold payment, the pre-known maximum. Returns
+    of the engine's tuple types, and the surplus check passes. Under
+    ``standard`` and ``pay_slot_value`` no pay step exceeds the threshold
+    payment, the pre-known maximum. Returns
     the ``_coverage`` the runs show; a market counts once per variant."""
     seen = Counter()
     for inst, reports, config in cases:
@@ -814,6 +819,7 @@ def _engine_against_reference(cases):
             c = replace(config, variant=variant)
             got = run_mechanism(inst, reports, c)
             assert got == reference_run(inst, reports, c), c
+            assert check_surplus_invariant(got).ok, c
             for event in got.events:
                 assert type(event) is ArrivalEvent
                 assert all(type(t) is Trade and type(t.slot) is SlotRef for t in event.trades)
@@ -892,11 +898,9 @@ def test_arrival_event_keeps_the_dataclass_contract():
         arrival: object
         trades: tuple
         pay_steps: tuple
-        unassigned_assignable_users: int
-        unassigned_assignable_slots: int
 
     user, slot = UserRef(mediator_id(0), 1), SlotRef(advertiser_id(2), 0)
-    args = (mediator_id(0), (Trade(user, slot, 7, 4),), ((user, 4),), 2, 0)
+    args = (mediator_id(0), (Trade(user, slot, 7, 4),), ((user, 4),))
     event = ArrivalEvent(*args)
     assert event == ArrivalEvent(**dict(zip([f.name for f in dataclasses.fields(ArrivalEvent)], args)))
     assert [f.name for f in dataclasses.fields(ArrivalEvent)] == [f.name for f in dataclasses.fields(Generated)]
@@ -904,13 +908,13 @@ def test_arrival_event_keeps_the_dataclass_contract():
     assert hash(event) == hash(Generated(*args)) == hash(ArrivalEvent(*args))
     name, _, fields = repr(event).partition("(")
     assert name == "ArrivalEvent" and fields == repr(Generated(*args)).partition("(")[2]
-    assert event != ArrivalEvent(*args[:3], 3, 0)
+    assert event != ArrivalEvent(*args[:2], ())
     with pytest.raises(FrozenInstanceError):
         event.trades = ()
     with pytest.raises(FrozenInstanceError):
         del event.arrival
-    moved = replace(event, unassigned_assignable_slots=5)
-    assert type(moved) is ArrivalEvent and moved.unassigned_assignable_slots == 5
-    assert replace(moved, unassigned_assignable_slots=0) == event
+    moved = replace(event, trades=())
+    assert type(moved) is ArrivalEvent and moved.trades == ()
+    assert replace(moved, trades=args[1]) == event
     with pytest.raises(TypeError):
-        ArrivalEvent(*args[:4])
+        ArrivalEvent(*args[:2])

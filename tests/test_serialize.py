@@ -5,6 +5,7 @@ import copy
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -44,6 +45,7 @@ from observeprice.serialize import (
     run_report_to_doc,
 )
 from conftest import build_instance, desk_config, desk_instance, organic_instance, replay_corpus, ORGANIC_ALPHA
+from reference import with_idle_counts
 
 
 # -- scalar codecs ------------------------------------------------------------
@@ -116,6 +118,9 @@ def test_fraction_text_round_trip():
         fraction_from_text("1/0")
     with pytest.raises(ParseError):
         fraction_from_text("a/b")
+    for text in ("1e5000", "1e-5000", "1e5_000", "1" * 4301):
+        with pytest.raises(ParseError, match=r"spells a fraction of more than 4300 digits$"):
+            fraction_from_text(text)
 
 
 # -- structured codecs ---------------------------------------------------------
@@ -179,6 +184,9 @@ def test_missing_field_names_its_path():
 def test_instance_text_rejects_non_json():
     with pytest.raises(ParseError):
         instance_from_text("not json at all {")
+    long_capacity = re.sub(r'"capacity":[0-9]+', '"capacity":1' + "0" * 5000, instance_to_text(desk_instance(3)), count=1)
+    with pytest.raises(ParseError, match=r"^top level: an integer has too many digits to read$"):
+        instance_from_text(long_capacity)
 
 
 @pytest.mark.parametrize(
@@ -482,6 +490,20 @@ def _outcome_as_schema_3(outcome, config):
     }
 
 
+def _as_schema_4(text):
+    """The text the schema-4 writer wrote for the schema-5 document ``text``
+    holds: every ``schema_version`` at 4 and, in a run report, each event's
+    idle counts put back as the reference recounts them."""
+    doc = json.loads(text)
+    if doc["kind"] == "run_report":
+        run = instance_from_doc(doc["instance"]), reports_from_doc(doc["reports"]), config_from_doc(doc["config"])
+        with_idle_counts(doc["outcome"], *run)
+    for part in (doc, doc.get("instance"), doc.get("reports")):
+        if part is not None:
+            part["schema_version"] = 4
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
 def _as_schema_3(text):
     """The text the schema-3 writer wrote for the schema-4 document ``text``
     holds: every ``schema_version`` at 3 and a run report's outcome rebuilt."""
@@ -509,24 +531,36 @@ def _corpus_texts():
         yield from (instance_to_text(inst), reports_to_text(reports), run_report_to_text(inst, reports, cfg, outcome))
 
 
+def test_schema_5_texts_rebuild_the_schema_4_bytes():
+    """Schema 5 drops from each event only the idle counts, which the
+    surplus check recounts from the run's market: putting back the
+    reference's recount reproduces the sha256 pinned over the schema-4
+    writer's bytes."""
+    digest = hashlib.sha256()
+    for text in _corpus_texts():
+        digest.update(_as_schema_4(text).encode())
+    assert digest.hexdigest() == "865bf5982dfb49fd1216c7ee4f611a28ffa8c002344ff41d6bc8686fa8dcdee2"
+
+
 def test_schema_4_texts_rebuild_the_schema_3_bytes():
     """Schema 4 drops from an outcome only what the report's config, the
     arrival prefix and the event log already hold: re-adding it reproduces
     the sha256 pinned over the schema-3 writer's bytes."""
     digest = hashlib.sha256()
-    for text in _corpus_texts():
+    for text in map(_as_schema_4, _corpus_texts()):
         digest.update(_as_schema_3(text).encode())
     assert digest.hexdigest() == "38745fbf607bfae931cba4fea3e77752704d11c084155b165ffbe28a689de974"
 
 
 def test_schema_3_texts_hold_the_schema_2_documents():
-    """Each schema-3 text, rebuilt from the schema-4 writer's, reads as the
-    same document the schema-2 writer wrote, apart from ``schema_version``:
+    """Each schema-3 text, rebuilt from the schema-4 text rebuilt from the
+    schema-5 writer's, reads as the same document the schema-2 writer wrote,
+    apart from ``schema_version``:
     re-spelling every text in the schema-2 form reproduces the sha256 pinned
     over the schema-2 writer's bytes, and reading both spellings gives equal
     documents."""
     digest = hashlib.sha256()
-    for text in map(_as_schema_3, _corpus_texts()):
+    for text in map(_as_schema_3, map(_as_schema_4, _corpus_texts())):
         old = _as_schema_2(text)
         digest.update(old.encode())
         assert _without_versions(json.loads(old)) == _without_versions(json.loads(text))
@@ -540,7 +574,7 @@ def test_writer_keeps_its_bytes_on_the_replay_corpus():
     for text in _corpus_texts():
         assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"
         digest.update(text.encode())
-    assert digest.hexdigest() == "865bf5982dfb49fd1216c7ee4f611a28ffa8c002344ff41d6bc8686fa8dcdee2"
+    assert digest.hexdigest() == "fca2207ca7d4ce97f0da98293900621ff6778eca86b283d77a6824ccad7e1bff"
 
 
 def _small_instance():
@@ -710,7 +744,7 @@ def test_replay_names_the_part_of_the_report_a_run_refuses(edit, message):
 @pytest.mark.parametrize(
     "field, message",
     [
-        ("schema_version", "instance.schema_version: got '1{zeros}, this reader understands 4"),
+        ("schema_version", "instance.schema_version: got '1{zeros}, this reader understands 5"),
         ("kind", "instance.kind: expected 'instance', got '1{zeros}"),
     ],
 )

@@ -45,7 +45,10 @@ from observeprice import analysis, verify
 from observeprice.mechanism import MechanismState
 from observeprice.serialize import outcome_to_doc
 from observeprice.verify import RUN_CHECKS, deviation_test
-from conftest import ORGANIC_ALPHA, desk_config, desk_instance, organic_instance, worked_example, zero_user_instance
+from conftest import (
+    ORGANIC_ALPHA, desk_config, desk_instance, organic_instance, replay_corpus, worked_example, zero_user_instance
+)
+from reference import reference_idle
 
 
 def _worked_run(variant="standard"):
@@ -169,15 +172,30 @@ def test_continuous_ir_reports_nonzero_start_and_first_drop():
 
 
 def test_surplus_invariant_flags_idle_pairs():
+    """The check recounts the idle units from the run's view and thresholds,
+    so a run with one trade dropped leaves a user and a slot idle from that
+    event on: on the worked run one of each, and on every run of the replay
+    corpus that trades (64 of 100), the reference's recount plus one on
+    each side."""
     instance, out = _worked_run()
-    event = out.events[1]
-    tampered = replace(
-        out,
-        events=out.events[:1]
-        + (replace(event, unassigned_assignable_users=1, unassigned_assignable_slots=2),)
-        + out.events[2:],
-    )
-    assert not check_surplus_invariant(tampered).ok
+    assert check_surplus_invariant(out).ok
+    got = check_surplus_invariant(_with_trades(out, 1, out.events[1].trades[:1]))
+    assert got.failures[0] == "event 1: 1 assignable users and 1 assignable slots both left unassigned"
+    assert len(got.failures) == 5
+    traded = 0
+    for inst, config in replay_corpus():
+        reports = ReportProfile.truthful(inst)
+        out = run_mechanism(inst, reports, config)
+        i = next((i for i, e in enumerate(out.events) if e.trades), None)
+        if i is None:
+            continue
+        traded += 1
+        got = check_surplus_invariant(_with_trades(out, i, out.events[i].trades[:-1]))
+        assert got.failures == tuple(
+            f"event {j}: {u + 1} assignable users and {s + 1} assignable slots both left unassigned"
+            for j, (u, s) in enumerate(reference_idle(inst, reports, config)) if j >= i
+        ), config
+    assert traded >= 60, traded
 
 
 def test_online_legality_flags_a_repeated_user():
