@@ -66,7 +66,10 @@ class EntityId(_EntityFields):
         so ASCII digits without leading zeros."""
         digits = text[1:]
         if text[:1] in ("m", "a") and digits.isascii() and digits.isdigit():
-            index = int(digits)
+            try:
+                index = int(digits)
+            except ValueError:  # more digits than int() reads, so more than str writes
+                raise ValueError(f"{text:.20}... ({len(text)} characters) is too long for an entity id") from None
             if str(index) == digits:  # kind and index are valid here, so skip __new__'s checks
                 return tuple.__new__(cls, ("mediator" if text[0] == "m" else "advertiser", index))
         raise ValueError(f"bad entity id {text!r}")

@@ -30,6 +30,15 @@ cost threshold and groups the cut by mediator, which keeps each group in key
 order: an arriving mediator looks its queue up, and nothing is filtered or
 sorted per arrival.
 
+Only an arrival with supply, a mediator with a queue or an advertiser with
+a slot keyed above the value threshold, can trade; under the dummy pair none
+can. A run finds these suppliers once, checks all arrivals as a whole with
+set operations (none observed, none repeated, each in the view), and serves
+only the suppliers, in arrival order, picked by a C-level filter. Its
+outcome records one decision, a (position, event) pair, per arrival that
+traded. So past the draw, a run's Python-level work is per supplier and per
+trade, not per arrival.
+
 All money flows are exact integers. The threshold location involves a cube
 root, so location and sign decisions are made with a float fast path that is
 always verified (and, if needed, corrected) by exact integer comparisons;
@@ -42,8 +51,10 @@ import math
 import random
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import compress
 from typing import AbstractSet, NamedTuple, Optional
 
 from .canonical import canonical_within
@@ -206,6 +217,20 @@ class Thresholds:
             return 0
         return min(block.capacity, max(0, self.slot_key.within_index + 1))
 
+    def assignable_slots(self, view: MarketView) -> dict[EntityId, int]:
+        """Each advertiser of ``view`` with an assignable slot, mapped to how
+        many it has (its slots from ``first_assignable`` on): the view's
+        blocks walked down to the value threshold, none under the dummy pair."""
+        found: dict[EntityId, int] = {}
+        if self.slot_key is not None:
+            for block in view.sorted_blocks:
+                if block[:2] < self.slot_key[:2]:  # nor has any block after it an assignable slot
+                    break
+                n = block.capacity - self.first_assignable(block)
+                if n > 0:
+                    found[block.advertiser] = n
+        return found
+
     def users_below(self, view: MarketView) -> int:
         """How many of ``view.sorted_users`` key below the cost threshold, 0
         under the dummy pair: the market's assignable users are that prefix
@@ -271,33 +296,15 @@ class ArrivalEvent:
     the steps of every event up to this one gives the full pay vector after
     it; a user with no step is owed 0.
 
-    One is built per arrival, so the event keeps its fields in slots and
-    its ``__init__`` is written out: it calls the three slots' setters, where
-    the generated one makes three ``object.__setattr__`` calls (about 0.46
-    against 0.71 us on a 2-vCPU VM under Python 3.11). Writing into a
-    ``__dict__`` instead would be as quick to build but makes every later
-    field read slower. The ``__init__`` takes the generated one's positional
-    and keyword arguments, so ``dataclasses.replace`` works, and equality,
-    hash and repr are still generated. A NamedTuple built with one
-    ``tuple.__new__`` would be cheaper again, but ``perfbench/selftest.py``
-    tampers with an event through ``dataclasses.replace``, which a NamedTuple
-    refuses; that form waits for a tamper that works on both (ROADMAP item A).
+    A run builds one only for an arrival with supply and keeps it only when
+    the arrival traded (an arrival pays only when it trades). An idle
+    arrival's event, ``ArrivalEvent(e, (), ())``, is built only when
+    ``MechanismOutcome.events`` is read.
     """
 
     arrival: EntityId
     trades: tuple[Trade, ...]
     pay_steps: tuple[tuple[UserRef, Money], ...]  # chronological raises of cumulative pay targets
-
-    def __init__(
-        self, arrival: EntityId, trades: tuple[Trade, ...], pay_steps: tuple[tuple[UserRef, Money], ...]
-    ) -> None:
-        set_arrival, set_trades, set_pay_steps = _EVENT_SETTERS
-        set_arrival(self, arrival)
-        set_trades(self, trades)
-        set_pay_steps(self, pay_steps)
-
-
-_EVENT_SETTERS = tuple(getattr(ArrivalEvent, f.name).__set__ for f in fields(ArrivalEvent))
 
 
 @dataclass(frozen=True)
@@ -322,20 +329,32 @@ class MechanismConfig:
 
 @dataclass
 class MechanismOutcome:
-    """What one run decided. The event log is its only record of trades and
-    payments: the ledgers, the observed split and the executed pairs are
-    read-only folds of ``events`` and ``arrival_order``. ``view`` is the
-    market the run served, which the checks read the run against; it takes
-    no part in equality."""
+    """What one run decided. ``decisions`` is its only record of trades and
+    payments: one ``(position, event)`` pair per arrival that traded, in
+    arrival order, where the position is the arrival's place in
+    ``post_observation_order``; every other arrival changed nothing. The
+    ledgers, the observed split and the executed pairs are read-only folds
+    of ``decisions`` and ``arrival_order``. ``view`` is the market the run
+    served, which the checks read the run against; it takes no part in
+    equality."""
 
     alpha: Fraction
     r: Fraction
     arrival_order: tuple[EntityId, ...]
     observation_count: int
     thresholds: Thresholds
-    events: tuple[ArrivalEvent, ...]
+    decisions: tuple[tuple[int, ArrivalEvent], ...]
     gft: Money  # of the executed trades, in the amounts the run was priced on
     view: MarketView = field(compare=False, repr=False)
+
+    @cached_property
+    def events(self) -> tuple[ArrivalEvent, ...]:
+        """One event per post-observation arrival: its decision, or
+        ``ArrivalEvent(e, (), ())`` for an idle arrival. Built on first read."""
+        events = [ArrivalEvent(e, (), ()) for e in self.post_observation_order]
+        for i, event in self.decisions:
+            events[i] = event
+        return tuple(events)
 
     @property
     def post_observation_order(self) -> tuple[EntityId, ...]:
@@ -350,7 +369,7 @@ class MechanismOutcome:
         return tuple(e for e in self.arrival_order[: self.observation_count] if e.kind == "advertiser")
 
     def trades_of(self) -> list[Trade]:
-        return [t for e in self.events for t in e.trades]
+        return [t for _, e in self.decisions for t in e.trades]
 
     @property
     def charges(self) -> dict[EntityId, Money]:
@@ -372,7 +391,7 @@ class MechanismOutcome:
     def final_targets(self) -> dict[UserRef, Money]:
         """Each traded user's last cumulative pay target, in order of trade."""
         targets: dict[UserRef, Money] = {}
-        for e in self.events:
+        for _, e in self.decisions:
             for t in e.trades:
                 targets.setdefault(t.user, 0)
             targets.update(e.pay_steps)
@@ -380,10 +399,13 @@ class MechanismOutcome:
 
 
 class MechanismState:
-    """Post-observation serving state; one ``process_arrival`` per entity.
+    """Post-observation serving state; one ``process_arrival`` per arrival
+    with supply (``suppliers``). Any other arrival has nothing to trade and
+    changes nothing, so ``run_mechanism`` does not serve it.
 
-    Usable directly in tests (with injected thresholds); ``run_mechanism``
-    drives it for real runs.
+    Usable directly in tests (with injected thresholds), where serving an
+    idle arrival returns its empty event; ``run_mechanism`` drives it for
+    real runs.
     """
 
     def __init__(
@@ -406,6 +428,10 @@ class MechanismState:
         queue = self._queue.setdefault
         for u in view.sorted_users[: thresholds.users_below(view)]:
             queue(u.mediator, []).append(u)
+        # Per advertiser with an assignable slot, how many it has.
+        self._slots = thresholds.assignable_slots(view)
+        # The entities that can trade; any other arrival changes nothing.
+        self.suppliers: set[EntityId] = self._queue.keys() | self._slots.keys()
         # Per arrived entity, [next, end): a mediator's unassigned queue
         # positions, an advertiser's assignable slot indices not yet traded.
         # A trade takes the first of each.
@@ -414,7 +440,6 @@ class MechanismState:
         self._target: dict[EntityId, Money] = {}
         # Arrived entities with supply left, in arrival order; all of one kind.
         self._waiting: deque[EntityId] = deque()
-        self.events: list[ArrivalEvent] = []
 
     # -- payment rule ----------------------------------------------------------
 
@@ -448,7 +473,7 @@ class MechanismState:
             mine = supply[entity] = [0, len(self._queue.get(entity, ()))]
         else:
             block = view.blocks[entity]
-            mine = supply[entity] = [thresholds.first_assignable(block), block.capacity]
+            mine = supply[entity] = [block.capacity - self._slots.get(entity, 0), block.capacity]
         waiting = self._waiting
         if mine[0] < mine[1] and waiting and waiting[0].kind != kind:
             # Trade with the front of the line in runs: each run pairs the
@@ -476,9 +501,7 @@ class MechanismState:
         if mine[0] < mine[1]:
             waiting.append(entity)
 
-        event = ArrivalEvent(entity, tuple(trades), tuple(steps))
-        self.events.append(event)
-        return event
+        return ArrivalEvent(entity, tuple(trades), tuple(steps))
 
 
 def draw_arrivals(instance: Instance, config: MechanismConfig, r: Fraction) -> tuple[tuple[EntityId, ...], int]:
@@ -513,7 +536,9 @@ def run_mechanism(
     config: MechanismConfig,
     view: Optional[MarketView] = None,
 ) -> MechanismOutcome:
-    """One full run: arrival order, observation, thresholds, serving loop.
+    """One full run: arrival order, observation, thresholds, and the serving
+    loop, which serves only the arrivals with supply and records a decision
+    for each one that trades.
 
     The true instance must satisfy the standing assumptions for config.alpha;
     reports are arbitrary type-valid claims. An input the run refuses is a
@@ -544,8 +569,14 @@ def run_mechanism(
         thresholds = compute_thresholds(view, observed, r, alpha)
 
     state = MechanismState(view, thresholds, observed, variant=config.variant)
-    for entity in arrival[t:]:
-        state.process_arrival(entity)
+    post = arrival[t:]
+    _check_arrivals(post, view, observed)
+    serve = state.process_arrival
+    decisions = []
+    for i in compress(range(len(post)), map(state.suppliers.__contains__, post)):
+        event = serve(post[i])
+        if event.trades:
+            decisions.append((i, event))
 
     return MechanismOutcome(
         alpha=alpha,
@@ -553,10 +584,24 @@ def run_mechanism(
         arrival_order=arrival,
         observation_count=t,
         thresholds=thresholds,
-        events=tuple(state.events),
-        gft=gain_from_trade(((x.user, x.slot) for e in state.events for x in e.trades), view),
+        decisions=tuple(decisions),
+        gft=gain_from_trade(((x.user, x.slot) for _, e in decisions for x in e.trades), view),
         view=view,
     )
+
+
+def _check_arrivals(arrivals: tuple[EntityId, ...], view: MarketView, observed: AbstractSet[EntityId]) -> None:
+    """The checks ``process_arrival`` makes, over all post-observation
+    arrivals at once: none was observed, none repeats, and the view holds
+    each. On a fault, the arrivals are served in order under the dummy pair,
+    so the first one at fault raises what ``process_arrival`` raises for it."""
+    arrived = set(arrivals)
+    unknown = arrived.difference(view.users_by_mediator).difference(view.blocks)
+    if len(arrived) == len(arrivals) and observed.isdisjoint(arrived) and not unknown:
+        return
+    state = MechanismState(view, dummy_thresholds(), observed)
+    for entity in arrivals:
+        state.process_arrival(entity)
 
 
 def truthful_run(instance: Instance, config: MechanismConfig, view: Optional[MarketView] = None) -> MechanismOutcome:

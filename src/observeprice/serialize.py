@@ -125,18 +125,19 @@ def bounded_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"{text!r} is not a fraction") from exc
+        raise ValueError(f"{text!r:.40} is not a fraction") from exc
 
 
 def fraction_from_text(text: str, path: str = "fraction") -> Fraction:
     if not isinstance(text, str):  # a JSON float would become a binary fraction
-        raise ParseError(f"{path}: {text!r} is not a fraction")
+        raise ParseError(f"{path}: {text!r:.40} is not a fraction")
     try:
         fr = bounded_fraction(text)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    if fraction_to_text(fr) != text:
-        raise ParseError(f"{path}: {text!r} is not in canonical form, write {fraction_to_text(fr)!r}")
+    canonical = fraction_to_text(fr)
+    if canonical != text:
+        raise ParseError(f"{path}: {text!r:.40} is not in canonical form, write {canonical!r:.40}")
     return fr
 
 
@@ -587,11 +588,25 @@ def config_from_doc(doc: dict, path: str = "config") -> MechanismConfig:
 
 
 def _outcome_doc(outcome: MechanismOutcome, texts: _Texts) -> dict:
+    """The outcome's document. Its events are written one per
+    post-observation arrival: an idle one straight from the arrival's id,
+    without building ``outcome.events``, and each decision in its place."""
     text = texts.__getitem__
     t = outcome.thresholds
+    order = list(map(text, outcome.arrival_order))
+    events = [{"arrival": e, "trades": [], "pay_steps": []} for e in order[outcome.observation_count :]]
+    for i, e in outcome.decisions:
+        events[i] = {
+            "arrival": text(e.arrival),
+            "trades": [
+                {"user": text(t.user), "slot": text(t.slot), "charge": text(t.charge), "payment": text(t.payment)}
+                for t in e.trades
+            ],
+            "pay_steps": [[text(u), text(x)] for u, x in e.pay_steps],
+        }
     return {
         "r": fraction_to_text(outcome.r),
-        "arrival_order": list(map(text, outcome.arrival_order)),
+        "arrival_order": order,
         "observation_count": outcome.observation_count,
         "thresholds": {
             "user_key": None if t.user_key is None else _key_to_doc(t.user_key, texts),
@@ -599,17 +614,7 @@ def _outcome_doc(outcome: MechanismOutcome, texts: _Texts) -> dict:
             "location": t.location,
             "observed_size": t.observed_size,
         },
-        "events": [
-            {
-                "arrival": text(e.arrival),
-                "trades": [
-                    {"user": text(t.user), "slot": text(t.slot), "charge": text(t.charge), "payment": text(t.payment)}
-                    for t in e.trades
-                ],
-                "pay_steps": [[text(u), text(x)] for u, x in e.pay_steps],
-            }
-            for e in outcome.events
-        ],
+        "events": events,
         "gft": text(outcome.gft),
     }
 

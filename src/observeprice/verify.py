@@ -14,18 +14,19 @@ money, regardless of what was reported:
 With truthful reports these definitions collapse to the plain ledger flows.
 
 Utilities change only at trades and pay steps, so ``utility_steps`` derives
-every player's trajectory from one fold over the event log; trajectories,
-final utilities and the sweeps' continuous-IR checks all read that fold, and
-one rule (``_first_drops``) finds each player's first drop for the sweep and
-for ``check_continuous_ir`` alike. The fold and the run checks pay per trade
-and per pay step: an arrival that changed nothing costs one test (the fold
-still yields an empty step for it, so steps and events stay one to one).
+every player's trajectory from one fold over the run's decisions;
+trajectories, final utilities and the sweeps' continuous-IR checks all read
+that fold, and one rule (``_first_drops``) finds each player's first drop for
+the sweep and for ``check_continuous_ir`` alike. The fold and the run checks
+read ``MechanismOutcome.decisions``, one entry per arrival that traded, so
+they pay per trade and per pay step: an arrival that changed nothing costs
+nothing, and messages still name each event by its arrival's position.
 
 The run checks read only the outcome. The surplus check recounts the idle
 assignable users and slots from the view the run served
-(``MechanismOutcome.view``) and its thresholds; the run itself records no
-such count, so a serving loop that is wrong about its trades cannot also
-vouch for them.
+(``MechanismOutcome.view``), its thresholds and the arrival order; the run
+itself records no such count, so a serving loop that is wrong about its
+trades, or skips an arrival with supply, cannot also vouch for them.
 
 Every truthfulness verdict, in ``incentive_sweep`` and ``deviation_test``,
 comes from one twin path (``_twins``): a misreport runs under the seeds of
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .market import (
@@ -56,9 +58,10 @@ class UtilityTrajectory:
     series: tuple[Money, ...]  # element 0 is the pre-arrival state, always 0
 
 
-def utility_steps(outcome: MechanismOutcome, instance: Instance) -> Iterator[dict[object, Money]]:
-    """One pass over the event log: after each event, the true utility of
-    exactly the players that event changed.
+def utility_steps(outcome: MechanismOutcome, instance: Instance) -> Iterator[tuple[int, dict[object, Money]]]:
+    """One pass over the decisions: after each, its position and the true
+    utility of exactly the players it changed. An idle arrival changes no
+    one and has no step.
 
     Utilities move only at trades and pay steps. A trade assigns its user (if
     she exists in the true market), adds ``payment - k-th cheapest true cost``
@@ -70,10 +73,7 @@ def utility_steps(outcome: MechanismOutcome, instance: Instance) -> Iterator[dic
     cost: dict[UserRef, Money] = {}  # true cost of each assigned user
     undelivered: dict[EntityId, list[Money]] = {}  # a mediator's unused true costs, dearest first
     won: dict[EntityId, int] = {}
-    for event in outcome.events:
-        if not event.trades and not event.pay_steps:
-            yield {}
-            continue
+    for i, event in outcome.decisions:
         changed: list[object] = []
         for t in event.trades:
             user, m, a = t.user, t.user.mediator, t.slot.advertiser
@@ -95,7 +95,7 @@ def utility_steps(outcome: MechanismOutcome, instance: Instance) -> Iterator[dic
             if user.user_index < len(instance.mediator(user.mediator).user_costs):
                 utility[user] = target - cost.get(user, 0)
                 changed.append(user)
-        yield {p: utility[p] for p in changed}
+        yield i, {p: utility[p] for p in changed}
 
 
 def _check_player(instance: Instance, player) -> None:
@@ -118,8 +118,10 @@ def utility_trajectory(outcome: MechanismOutcome, instance: Instance, player) ->
     """True cumulative utility after each post-observation arrival."""
     _check_player(instance, player)
     series = [0]
-    for changed in utility_steps(outcome, instance):
+    for i, changed in utility_steps(outcome, instance):
+        series += [series[-1]] * (i + 1 - len(series))  # idle arrivals before i
         series.append(changed.get(player, series[-1]))
+    series += [series[-1]] * (len(outcome.post_observation_order) + 1 - len(series))
     return UtilityTrajectory(player, tuple(series))
 
 
@@ -131,7 +133,7 @@ def final_utility(outcome: MechanismOutcome, instance: Instance, player) -> Mone
 def _final_utilities(outcome: MechanismOutcome, instance: Instance) -> dict[object, Money]:
     """Every player's last utility; players absent never moved from 0."""
     final: dict[object, Money] = {}
-    for changed in utility_steps(outcome, instance):
+    for _, changed in utility_steps(outcome, instance):
         final.update(changed)
     return final
 
@@ -157,16 +159,17 @@ class CheckResult:
         return self.ok
 
 
-def _first_drops(steps: Iterable[dict[object, Money]], start: Money = 0) -> dict[object, str]:
-    """Each player's first utility drop over ``steps`` (events 1, 2, ...), as
-    a message; a player stands at ``start`` until a step first moves it."""
+def _first_drops(steps: Iterable[tuple[int, dict[object, Money]]], start: Money = 0) -> dict[object, str]:
+    """Each player's first utility drop over ``steps``, ``(position,
+    changed)`` pairs, as a message naming the event at position i as event
+    i + 1; a player stands at ``start`` until a step first moves it."""
     last: dict[object, Money] = {}
     drops: dict[object, str] = {}
-    for i, changed in enumerate(steps, start=1):
+    for i, changed in steps:
         for player, u in changed.items():
             old = last.get(player, start)
             if u < old and player not in drops:
-                drops[player] = f"{player}: utility drops {old} -> {u} at event {i}"
+                drops[player] = f"{player}: utility drops {old} -> {u} at event {i + 1}"
             last[player] = u
     return drops
 
@@ -175,7 +178,7 @@ def check_continuous_ir(trajectory: UtilityTrajectory) -> CheckResult:
     """Starts at zero and never decreases."""
     p, s = trajectory.player, trajectory.series
     fails = [f"{p}: trajectory starts at {s[0]}, not 0"] if s[0] != 0 else []
-    fails.extend(_first_drops(({p: u} for u in s[1:]), start=s[0]).values())
+    fails.extend(_first_drops(enumerate({p: u} for u in s[1:]), start=s[0]).values())
     return CheckResult(not fails, tuple(fails))
 
 
@@ -183,18 +186,16 @@ def check_budget_balance(outcome: MechanismOutcome) -> CheckResult:
     """No deficit overall, per trade, and per mediator after every event.
 
     A mediator's running debt is the sum of its users' pay targets, folded
-    from the pay steps. A deficit can only start at an event that changes the
-    mediator's debt or receipts, so each event compares only the mediators in
-    its trades and pay steps.
+    from the pay steps. A deficit can only start at a decision, which changes
+    the mediator's debt or receipts, so each decision compares only the
+    mediators in its trades and pay steps.
     """
     fails = []
     total_charges = 0
     receipts_so_far: dict[EntityId, Money] = {}
     paid: dict[UserRef, Money] = {}
     owed: dict[EntityId, Money] = {}
-    for i, event in enumerate(outcome.events):
-        if not event.trades and not event.pay_steps:
-            continue
+    for i, event in outcome.decisions:
         for t in event.trades:
             if t.charge < t.payment:
                 fails.append(f"event {i}: trade charges {t.charge} but pays {t.payment}")
@@ -218,12 +219,14 @@ def check_budget_balance(outcome: MechanismOutcome) -> CheckResult:
 def check_surplus_invariant(outcome: MechanismOutcome) -> CheckResult:
     """After each arrival: no assignable user or no assignable slot is left idle.
 
-    The idle units are recounted from the run's view and thresholds, not
-    read from the serving loop: an arriving mediator adds its users keyed
-    below the cost threshold, an arriving advertiser its slots keyed above
-    the value threshold, and each trade takes one of each. Under the dummy
-    pair nothing is assignable. Only an arrival with supply or trades moves
-    the counts, so only such an event is recounted.
+    The idle units are recounted from the run's view, thresholds and arrival
+    order, not read from the serving loop: an arriving mediator adds its
+    users keyed below the cost threshold, an arriving advertiser its slots
+    keyed above the value threshold, and each trade takes one of each. Under
+    the dummy pair nothing is assignable. The counts move only at an arrival
+    with supply, found from the arrival order, or at a decision, so only
+    those positions are recounted; every position up to the next one keeps
+    their counts, and each such position fails while both are positive.
     """
     view, th = outcome.view, outcome.thresholds
     if th.is_dummy:
@@ -231,26 +234,41 @@ def check_surplus_invariant(outcome: MechanismOutcome) -> CheckResult:
     supply: dict[EntityId, int] = {}  # each entity's assignable users or slots
     for user in view.sorted_users[: th.users_below(view)]:
         supply[user.mediator] = supply.get(user.mediator, 0) + 1
-    for block in view.sorted_blocks:
-        if block[:2] < th.slot_key[:2]:  # nor has any block after it an assignable slot
-            break
-        supply[block.advertiser] = block.capacity - th.first_assignable(block)
+    supply.update(th.assignable_slots(view))
+    post = outcome.post_observation_order
+    n = len(post)
+    traded = dict.fromkeys(compress(range(n), map(supply.__contains__, post)), 0)  # position -> trades there
+    for i, event in outcome.decisions:
+        if 0 <= i < n:
+            traded[i] = traded.get(i, 0) + len(event.trades)
     fails, users, slots = [], 0, 0
-    for i, event in enumerate(outcome.events):
-        if event.trades or event.arrival in supply:
-            got, n = supply.get(event.arrival, 0), len(event.trades)
-            users, slots = (users + got - n, slots - n) if event.arrival.kind == "mediator" else (users - n, slots + got - n)
-        if users > 0 and slots > 0:
-            fails.append(f"event {i}: {users} assignable users and {slots} assignable slots both left unassigned")
+    marks = sorted(traded)
+    marks.append(n)
+    for k, i in enumerate(marks[:-1]):
+        entity, got, made = post[i], supply.get(post[i], 0), traded[i]
+        if entity.kind == "mediator":
+            users, slots = users + got - made, slots - made
+        else:
+            users, slots = users - made, slots + got - made
+        if users > 0 and slots > 0:  # so until the next mark
+            fails += [f"event {j}: {users} assignable users and {slots} assignable slots both left unassigned" for j in range(i, marks[k + 1])]
     return CheckResult(not fails, tuple(fails))
 
 
 def check_online_legality(outcome: MechanismOutcome) -> CheckResult:
-    """Every trade involves the entity that just arrived, on exactly one
-    side, and no user and no slot trades twice."""
+    """Every decision sits at its arrival's position, positions rise, every
+    trade involves the entity that just arrived, on exactly one side, and no
+    user and no slot trades twice."""
     fails = []
     users, slots = set(), set()
-    for i, event in enumerate(outcome.events):
+    post, last = outcome.post_observation_order, -1
+    for i, event in outcome.decisions:
+        if i <= last:
+            fails.append(f"event {i}: recorded after event {last}; positions must rise")
+        last = max(last, i)
+        arrived = post[i] if 0 <= i < len(post) else None
+        if event.arrival != arrived:
+            fails.append(f"event {i}: decision for {event.arrival}, but {arrived or 'no entity'} arrived there")
         for t in event.trades:
             sides = (t.user.mediator == event.arrival) + (t.slot.advertiser == event.arrival)
             if sides != 1:
@@ -269,7 +287,7 @@ def check_pay_targets_monotone(outcome: MechanismOutcome) -> CheckResult:
     user's running target."""
     fails = []
     running: dict[UserRef, Money] = {}
-    for i, event in enumerate(outcome.events):
+    for i, event in outcome.decisions:
         for user, target in event.pay_steps:
             old = running.get(user, 0)
             if target < old:
@@ -492,7 +510,7 @@ def truthful_sweep(
             n_players = instance.n_entities + sum(len(m.user_costs) for m in instance.mediators)
         outcome = run_mechanism(instance, truthful, config, view=view)
         result.runs += 1
-        result.trades += sum(len(e.trades) for e in outcome.events)
+        result.trades += sum(len(e.trades) for _, e in outcome.decisions)
         for name, chk in RUN_CHECKS.items():
             got = chk(outcome)
             if not got.ok:

@@ -5,11 +5,13 @@ checked against (``test_mechanism._engine_against_reference``).
 It shares no code with the engine. It builds its own tie keys, draws with
 the stdlib's ``shuffle`` and ``randrange``, sorts the observed sub-market one
 key per slot unit, finds the threshold location by an exact search, serves
-one trade per loop step with a pay target per user, and recounts the idle
-users and slots at every event (``reference_idle``), which the outcome no
-longer holds. From the package it takes only the types an outcome is made
-of, and ``derive_r``; its outcome has no view, which takes no part in
-equality.
+one trade per loop step with a pay target per user, builds one event per
+post-observation arrival (``reference_log``), and recounts the idle users
+and slots at every event (``reference_idle``), which the outcome no longer
+holds. Its outcome keeps, as the engine's does, only the events that traded
+or paid, each at its arrival's position. From the package it takes only the
+types an outcome is made of, and ``derive_r``; its outcome has no view,
+which takes no part in equality.
 """
 
 import random
@@ -30,15 +32,6 @@ def _keys(instance, reports):
     }
     blocks = {a: (value, rank[a], cap) for a, (cap, value) in reports.advertiser_slots.items()}
     return users, blocks
-
-
-def _event(**fields):
-    """An ``ArrivalEvent`` with each field set by name: the class's written-out
-    ``__init__`` is engine code, so a fault in it must not reach both sides."""
-    event = object.__new__(ArrivalEvent)
-    for name, value in fields.items():
-        object.__setattr__(event, name, value)
-    return event
 
 
 def reference_thresholds(instance, reports, observed, r, alpha):
@@ -65,16 +58,17 @@ def reference_thresholds(instance, reports, observed, r, alpha):
     return Thresholds(user_keys[k - 1], slot_keys[k - 1], k, s)
 
 
-def reference_run(instance, reports, config):
+def reference_log(instance, reports, config):
     """``run_mechanism(instance, reports, config)`` from the rules, one trade
-    per loop step."""
-    return _reference(instance, reports, config)[0]
+    per loop step, and its dense event log: one event per post-observation
+    arrival, an idle one with no trades and no pay steps."""
+    return _reference(instance, reports, config)[:2]
 
 
 def reference_idle(instance, reports, config):
-    """Per event of ``reference_run``, the assignable users and slots that
+    """Per event of ``reference_log``, the assignable users and slots that
     have arrived and are not yet traded."""
-    return _reference(instance, reports, config)[1]
+    return _reference(instance, reports, config)[2]
 
 
 def with_idle_counts(outcome_doc, instance, reports, config):
@@ -87,7 +81,8 @@ def with_idle_counts(outcome_doc, instance, reports, config):
 
 
 def _reference(instance, reports, config):
-    """``reference_run``'s outcome and ``reference_idle``'s counts."""
+    """``reference_log``'s outcome and events and ``reference_idle``'s
+    counts."""
     alpha = Fraction(config.alpha)
     r = derive_r(alpha) if config.r is None else Fraction(config.r)
     rng = random.Random(config.seed)
@@ -138,9 +133,10 @@ def _reference(instance, reports, config):
                     if target.get(u, 0) != owed:
                         target[u] = owed
                         steps.append((u, owed))
-        events.append(_event(arrival=entity, trades=tuple(trades), pay_steps=tuple(steps)))
+        events.append(ArrivalEvent(arrival=entity, trades=tuple(trades), pay_steps=tuple(steps)))
         idle.append(tuple(sum(len(s) for e, s in supply.items() if e.kind == kind) for kind in ("mediator", "advertiser")))
 
     costs = {u: k.amount for pairs in users.values() for k, u in pairs}
     gft = sum(blocks[x.slot.advertiser][0] - costs[x.user] for e in events for x in e.trades)
-    return MechanismOutcome(alpha, r, tuple(order), t, thresholds, tuple(events), gft, view=None), idle
+    decisions = tuple((i, e) for i, e in enumerate(events) if e.trades or e.pay_steps)
+    return MechanismOutcome(alpha, r, tuple(order), t, thresholds, decisions, gft, view=None), tuple(events), idle

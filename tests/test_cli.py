@@ -183,6 +183,8 @@ def _repeat_key(key, copy):
         ("report", _set(["config", "forced_observation_count"], True), "config.forced_observation_count: expected an integer or null"),
         ("report", _rename(["reports", "mediator_costs"], "m0", "m9"), "reports.mediator_costs: unknown entity id 'm9'"),
         ("report", _rename(["reports", "advertiser_slots"], "a0", "a01"), "reports.advertiser_slots: bad entity id 'a01'"),
+        ("instance", _set(["mediators", 0, "id"], "m1" + "0" * 5000),
+         "instance.mediators[0].id: m1000000000000000000... (5002 characters) is too long for an entity id"),
         ("report", _set(["schema_version"], 1), "run_report.schema_version: got 1"),
         ("report", lambda doc: doc["reports"]["mediator_costs"].clear(), "reports.mediator_costs: no report for m0"),
         ("report", _set(["reports", "mediator_costs", "m0", 0], "007"), "reports.mediator_costs[m0][0]: '007' is not in canonical form, write '7'"),

@@ -61,7 +61,7 @@ from conftest import (
     random_reports,
     worked_example,
 )
-from reference import reference_run, reference_thresholds, with_idle_counts
+from reference import reference_log, reference_thresholds, with_idle_counts
 
 
 # -- observation fraction ------------------------------------------------------
@@ -806,9 +806,11 @@ def _coverage(view, out):
 
 def _engine_against_reference(cases):
     """Runs every ``(instance, reports, config)`` of ``cases`` under each
-    engine variant and asserts it equals ``reference.reference_run``: equal
-    outcomes, so equal draws, thresholds and event logs in every field, built
-    of the engine's tuple types, and the surplus check passes. Under
+    engine variant and asserts it equals ``reference.reference_log``'s
+    outcome: equal outcomes, so equal draws, thresholds and decisions in
+    every field, built of the engine's tuple types; the decisions are
+    exactly the reference's dense log's non-empty events at their positions,
+    ``events`` expands them to that log, and the surplus check passes. Under
     ``standard`` and ``pay_slot_value`` no pay step exceeds the threshold
     payment, the pre-known maximum. Returns
     the ``_coverage`` the runs show; a market counts once per variant."""
@@ -818,13 +820,16 @@ def _engine_against_reference(cases):
         for variant in VARIANTS:
             c = replace(config, variant=variant)
             got = run_mechanism(inst, reports, c)
-            assert got == reference_run(inst, reports, c), c
+            want, log = reference_log(inst, reports, c)
+            assert got == want, c
+            assert got.decisions == tuple((i, e) for i, e in enumerate(log) if e.trades or e.pay_steps), c
+            assert got.events == log, c
             assert check_surplus_invariant(got).ok, c
-            for event in got.events:
+            for _, event in got.decisions:
                 assert type(event) is ArrivalEvent
                 assert all(type(t) is Trade and type(t.slot) is SlotRef for t in event.trades)
             if variant != "skip_user_payment_updates":
-                paid = [x for e in got.events for _, x in e.pay_steps]
+                paid = [x for _, e in got.decisions for _, x in e.pay_steps]
                 assert not paid or max(paid) <= got.thresholds.payment, c
             seen += _coverage(view, got)
     return seen
@@ -888,10 +893,25 @@ def test_an_entity_the_view_does_not_hold_cannot_arrive():
                 MechanismState(view, thresholds, set()).process_arrival(entity)
 
 
+def test_a_run_checks_the_arrivals_it_does_not_serve():
+    """``run_mechanism`` serves only arrivals with supply, yet an idle
+    arrival the view does not hold is the ``KeyError`` serving it would
+    raise: the worked run's m2 and a2 arrive idle."""
+    inst, config = worked_example()
+    view = true_view(inst)
+    without_m2 = replace(view, users_by_mediator={m: us for m, us in view.users_by_mediator.items() if m != mediator_id(2)})
+    without_a2 = replace(view, blocks={a: b for a, b in view.blocks.items() if a != advertiser_id(2)})
+    for partial, entity in ((without_m2, mediator_id(2)), (without_a2, advertiser_id(2))):
+        with pytest.raises(KeyError) as err:
+            run_mechanism(inst, None, config, view=partial)
+        assert err.value.args == (entity,)
+    assert [i for i, _ in run_mechanism(inst, None, config, view=view).decisions] == [1]
+
+
 def test_arrival_event_keeps_the_dataclass_contract():
-    """The written-out ``__init__`` keeps what the generated one gave: the
-    event is frozen, takes keywords, works with ``dataclasses.replace``, and
-    its equality, hash and repr are those of the generated dataclass."""
+    """The event is a plain frozen dataclass with slots: it is frozen,
+    takes keywords, works with ``dataclasses.replace``, and its equality,
+    hash and repr are those of the generated dataclass."""
 
     @dataclasses.dataclass(frozen=True)
     class Generated:

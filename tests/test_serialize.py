@@ -758,6 +758,19 @@ def test_header_errors_cut_the_value_they_echo(field, message):
     assert str(err.value) == message.format(zeros="0" * 38)
 
 
+def test_fraction_errors_cut_the_texts_they_echo():
+    """``config.alpha: "1e4290"`` is legal text for a 4,291-digit integer; the
+    canonical-form error keeps its path and echoes the text and its canonical
+    spelling cut at 40 characters each, as ``_need`` echoes a value."""
+    with pytest.raises(ParseError) as err:
+        fraction_from_text("1e4290", "config.alpha")
+    assert str(err.value) == "config.alpha: '1e4290' is not in canonical form, write '1" + "0" * 38
+    for text in ("0" * 4200 + "1", "2" * 4200 + "/2", "1/" + "x" * 4000, ["1"] * 5000):
+        with pytest.raises(ParseError, match=r"^config\.alpha: ") as err:
+            fraction_from_text(text, "config.alpha")
+        assert len(str(err.value)) < 150, text
+
+
 # -- whole-part reads and the money writer ----------------------------------------------
 
 

@@ -13,6 +13,7 @@ from observeprice import (
     VARIANTS,
     MechanismConfig,
     ReportProfile,
+    SlotRef,
     UserRef,
     UtilityTrajectory,
     advertiser_id,
@@ -56,9 +57,15 @@ def _worked_run(variant="standard"):
     return instance, truthful_run(instance, replace(config, variant=variant))
 
 
+def _with_events(out, events):
+    """``out`` with its dense event log edited to ``events``: the events
+    that trade or pay become its decisions, each at its position."""
+    return replace(out, decisions=tuple((i, e) for i, e in enumerate(events) if e.trades or e.pay_steps))
+
+
 def _with_trades(out, index, trades):
     """``out`` with the trades of event ``index`` replaced."""
-    return replace(out, events=out.events[:index] + (replace(out.events[index], trades=trades),) + out.events[index + 1 :])
+    return _with_events(out, out.events[:index] + (replace(out.events[index], trades=trades),) + out.events[index + 1 :])
 
 
 # -- utilities --------------------------------------------------------------------
@@ -138,7 +145,7 @@ def test_budget_balance_catches_per_trade_subsidy():
     instance, out = _worked_run()
     event = out.events[1]
     bad_trades = tuple(t._replace(charge=1) for t in event.trades)
-    tampered = replace(out, events=out.events[:1] + (replace(event, trades=bad_trades),) + out.events[2:])
+    tampered = _with_events(out, out.events[:1] + (replace(event, trades=bad_trades),) + out.events[2:])
     assert not check_budget_balance(tampered).ok
 
 
@@ -150,7 +157,7 @@ def test_budget_balance_catches_pay_steps_beyond_receipts():
     # m0 has received 2 * 4 and owes its two users 4 each; one micro-unit more is a deficit.
     *earlier, (u, x) = event.pay_steps
     inflated = (*earlier, (u, x + 1))
-    tampered = replace(out, events=out.events[:1] + (replace(event, pay_steps=inflated),) + out.events[2:])
+    tampered = _with_events(out, out.events[:1] + (replace(event, pay_steps=inflated),) + out.events[2:])
     got = check_budget_balance(tampered)
     assert not got.ok
     assert got.failures[0] == "event 1: mediator m0 owes users 9 but has only received 8"
@@ -198,6 +205,51 @@ def test_surplus_invariant_flags_idle_pairs():
     assert traded >= 60, traded
 
 
+def test_surplus_invariant_fails_a_loop_that_skips_a_supplier(monkeypatch):
+    """The check finds the arrivals with supply from the arrival order and
+    the view, not from the decisions: a serving loop that never serves the
+    first arrival that trades records a consistent log of fewer trades,
+    which the legality and budget checks pass, and fails the surplus check
+    from that arrival's event on, on every run of the replay corpus that
+    trades (64 of 100)."""
+    real = MechanismState.__init__
+    traded = 0
+    for inst, config in replay_corpus():
+        out = truthful_run(inst, config)
+        if not out.decisions:
+            continue
+        traded += 1
+        i, first = out.decisions[0]
+
+        def init(self, *args, **kwargs):
+            real(self, *args, **kwargs)
+            self.suppliers.remove(first.arrival)
+
+        monkeypatch.setattr(MechanismState, "__init__", init)
+        skipped = truthful_run(inst, config)
+        monkeypatch.setattr(MechanismState, "__init__", real)
+        assert check_online_legality(skipped).ok and check_budget_balance(skipped).ok, config
+        got = check_surplus_invariant(skipped)
+        assert got.failures[0].startswith(f"event {i}: "), (config, got.failures)
+    assert traded >= 60, traded
+
+
+def test_online_legality_flags_a_decision_out_of_place():
+    """A decision sits at its arrival's position, and positions rise."""
+    instance, out = _worked_run()
+    ((i, event),) = out.decisions
+    assert (i, event.arrival) == (1, advertiser_id(0)) and check_online_legality(out).ok
+    got = check_online_legality(replace(out, decisions=((2, event),)))
+    assert got.failures == ("event 2: decision for a0, but m1 arrived there",)
+    got = check_online_legality(replace(out, decisions=((9, event),)))
+    assert got.failures == ("event 9: decision for a0, but no entity arrived there",)
+    quiet = replace(event, trades=(), pay_steps=())
+    got = check_online_legality(replace(out, decisions=((1, event), (1, quiet))))
+    assert got.failures == ("event 1: recorded after event 1; positions must rise",)
+    got = check_online_legality(replace(out, decisions=((3, replace(quiet, arrival=mediator_id(2))), (1, event))))
+    assert got.failures == ("event 1: recorded after event 3; positions must rise",)
+
+
 def test_online_legality_flags_a_repeated_user():
     instance, out = _worked_run()
     assert check_online_legality(out).ok
@@ -219,10 +271,7 @@ def test_online_legality_flags_unrelated_trades():
     instance, out = _worked_run()
     trade_event = out.events[1]
     foreign = out.events[2]  # m1's arrival, no trades of its own
-    tampered = replace(
-        out,
-        events=out.events[:2] + (replace(foreign, trades=trade_event.trades),) + out.events[3:],
-    )
+    tampered = _with_events(out, out.events[:2] + (replace(foreign, trades=trade_event.trades),) + out.events[3:])
     assert not check_online_legality(tampered).ok
 
 
@@ -232,7 +281,7 @@ def test_pay_monotone_flags_decreasing_targets():
     u, x = out.events[1].pay_steps[-1]
     later = out.events[2]  # quiet arrival with no pay steps of its own
     assert later.pay_steps == ()
-    tampered = replace(out, events=out.events[:2] + (replace(later, pay_steps=((u, x - 1),)),) + out.events[3:])
+    tampered = _with_events(out, out.events[:2] + (replace(later, pay_steps=((u, x - 1),)),) + out.events[3:])
     got = check_pay_targets_monotone(tampered)
     assert not got.ok
     assert got.failures[0] == f"event 2: pay target of {u} drops {x} -> {x - 1}"
@@ -525,7 +574,7 @@ def test_truthful_sweep_reports_each_players_first_drop(monkeypatch):
     events = list(out.events)
     events[2] = replace(events[2], pay_steps=((u0, 2),))  # u0: 3 -> 1
     events[4] = replace(events[4], pay_steps=((u0, 1), (u1, 3)))  # u0: 1 -> 0, u1: 1 -> 0
-    tampered = replace(out, events=tuple(events))
+    tampered = _with_events(out, events)
     monkeypatch.setattr(verify, "run_mechanism", lambda *args, **kwargs: tampered)
     result, _ = truthful_sweep([(instance, config)])
     expected = _ref_sweep_violations([(instance, config)], [tampered])
@@ -553,9 +602,9 @@ def test_an_event_with_only_a_pay_step_is_checked_and_folded(monkeypatch):
     assert not out.events[3].trades and not out.events[3].pay_steps
     events = list(out.events)
     events[3] = replace(events[3], pay_steps=((u0, 3), (u1, 6)))
-    tampered = replace(out, events=tuple(events))
+    tampered = _with_events(out, events)
     assert check_budget_balance(tampered).failures == ("event 3: mediator m0 owes users 9 but has only received 8",)
-    assert list(verify.utility_steps(tampered, instance))[3] == {u0: 2, u1: 3}
+    assert dict(verify.utility_steps(tampered, instance))[3] == {u0: 2, u1: 3}
     assert _swept(monkeypatch, instance, config, tampered) == [
         "budget_balance: event 3: mediator m0 owes users 9 but has only received 8",
         "pay_targets_monotone: event 3: pay target of m0:0 drops 4 -> 3",
@@ -574,7 +623,7 @@ def test_an_event_with_only_a_trade_is_checked_and_folded(monkeypatch):
     planted = first._replace(user=UserRef(mediator_id(0), 2), slot=first.slot._replace(advertiser=advertiser_id(1)), charge=7, payment=8)
     tampered = _with_trades(out, 4, (planted,))
     assert check_budget_balance(tampered).failures == ("event 4: trade charges 7 but pays 8",)
-    assert list(verify.utility_steps(tampered, instance))[4] == {
+    assert dict(verify.utility_steps(tampered, instance))[4] == {
         UserRef(mediator_id(0), 2): -5,
         mediator_id(0): 7,
         advertiser_id(1): -1,
@@ -734,7 +783,9 @@ def test_runs_keep_the_call_boundaries_perfbench_marks(monkeypatch):
     work: one ``verify.run_mechanism`` call per run of an incentive sweep
     (its seeds plus its deviation pairs), one ``analysis.truthful_run`` call
     per seed of each experiment, and one ``process_arrival`` call per
-    post-observation arrival of a run."""
+    post-observation arrival with supply (a user keyed below the cost
+    threshold or a slot keyed above the value threshold), so none under the
+    dummy pair."""
     inst = desk_instance(5)
     runs = _calls_through(monkeypatch, verify.run_mechanism)
     result = incentive_sweep([(inst, desk_config(inst, 0))], 4, 3, random.Random(5))
@@ -751,4 +802,17 @@ def test_runs_keep_the_call_boundaries_perfbench_marks(monkeypatch):
 
     arrivals = _calls_through(monkeypatch, MechanismState.process_arrival, method_of=MechanismState)
     outcome = truthful_run(matched, MechanismConfig(alpha=alpha, seed=2))
-    assert outcome.trades_of() and len(arrivals) == len(outcome.post_observation_order) == len(outcome.events)
+    view, th = outcome.view, outcome.thresholds
+
+    def has_supply(e):
+        if e.kind == "mediator":
+            return any(view.user_keys[u] < th.user_key for u in view.users_by_mediator[e])
+        cap = view.blocks[e].capacity
+        return cap > 0 and view.slot_key(SlotRef(e, cap - 1)) > th.slot_key
+
+    post = outcome.post_observation_order
+    assert outcome.trades_of() and len(arrivals) == sum(map(has_supply, post)) < len(post)
+    small = Fraction(1, 5)
+    dummy = truthful_run(matched_family(small, seed=0), MechanismConfig(alpha=small, seed=2))
+    assert dummy.thresholds.is_dummy and dummy.post_observation_order
+    assert len(arrivals) == sum(map(has_supply, post))
