@@ -217,7 +217,7 @@ def compute_diagnostic_sets(
 
     # Core length ceil((1 - 6/r alpha^(1/3)) tau), 0 once that is <= 0: the
     # threshold location rule of ``compute_thresholds`` with 6 for its 2.
-    core_len = max(0, ceil_minus_cbrt(tau_, Fraction(6 * tau_) / r, alpha))
+    core_len = max(0, ceil_minus_cbrt(tau_, Fraction(6 * tau_ * r.denominator, r.numerator), alpha))
     core_users = opt_users[:core_len]
     core_slots = opt_slots[:core_len]
 
@@ -419,9 +419,10 @@ def competitive_ratio_experiment(
     """Empirical GfT share of the offline optimum, per alpha grid point.
 
     Each point runs one matched instance for n_seeds mechanism seeds. The
-    ratio per run is exact (integer GfTs) before conversion to float. A point
-    whose optimum gain is zero raises ``ValueError``: instance validation
-    passes it when tau >= 1 but amounts tie, and its ratio is undefined.
+    ratio per run is the exact ratio of integer GfTs, rounded once to float
+    (int true division). A point whose optimum gain is zero raises
+    ``ValueError``: instance validation passes it when tau >= 1 but amounts
+    tie, and its ratio is undefined.
 
     Per point, the offline optimum is prepared once and ``r``, when None,
     derived once: every run shares its true view, with the view's sorted
@@ -447,11 +448,11 @@ def competitive_ratio_experiment(
             config = MechanismConfig(alpha=alpha, r=r_point, seed=base_seed + i)
             outcome = truthful_run(instance, config, view=view)
             r_used = outcome.r
-            ratios.append(float(Fraction(outcome.gft, opt)))
+            ratios.append(outcome.gft / opt)
             unobserved = entities.difference(outcome.arrival_order[: outcome.observation_count])
             reachable = canonical_within(view, unobserved).gain(view)
             if reachable > 0:
-                reachable_ratios.append(float(Fraction(outcome.gft, reachable)))
+                reachable_ratios.append(outcome.gft / reachable)
             elif outcome.gft == 0:
                 reachable_ratios.append(1.0)
             else:

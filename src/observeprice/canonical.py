@@ -82,8 +82,13 @@ def sorted_canonical_assignment(users: Sequence[UserRef], blocks: Sequence[SlotB
     a subset kept in order is sorted too, so a sub-market needs no re-sort."""
     users, blocks = tuple(users), tuple(blocks)
     ends = tuple(accumulate(b.capacity for b in blocks))
-    keys = view.user_keys
-    return CanonicalAssignment(_profitable_prefix(lambda i: keys[users[i]], len(users), blocks, ends), users, blocks, ends)
+    costs, ranks = view.user_costs, view.ranks
+
+    def user_key(i: int) -> tuple[Money, int, int]:
+        u = users[i]
+        return costs[u], ranks[u[0]], u[1]
+
+    return CanonicalAssignment(_profitable_prefix(user_key, len(users), blocks, ends), users, blocks, ends)
 
 
 def canonical_within(view: MarketView, entities: Optional[AbstractSet[EntityId]] = None) -> CanonicalAssignment:
@@ -104,7 +109,7 @@ def canonical_assignment(users: Iterable[UserRef], advertisers: Iterable[EntityI
     """Sort users by key and the advertisers' slot blocks, then pair the
     profitable prefix: for users that are not a whole mediator's, or come in
     no known order. A sub-market of whole entities is ``canonical_within``."""
-    users = sorted(users, key=view.user_keys.__getitem__)
+    users = sorted(users, key=view.user_key)
     return sorted_canonical_assignment(users, sorted(map(view.blocks.__getitem__, advertisers), reverse=True), view)
 
 

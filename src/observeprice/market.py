@@ -262,8 +262,8 @@ class ReportProfile:
     def check_covers(self, instance: Instance) -> None:
         """A ``RunInputError`` naming the first id missing from the profile, or else the first extra one."""
         for part, reported, ids in (
-            ("mediator_costs", self.mediator_costs, {m.id for m in instance.mediators}),
-            ("advertiser_slots", self.advertiser_slots, {a.id for a in instance.advertisers}),
+            ("mediator_costs", self.mediator_costs, instance._mediators.keys()),
+            ("advertiser_slots", self.advertiser_slots, instance._advertisers.keys()),
         ):
             if reported.keys() != ids:
                 missing, extra = sorted(ids - reported.keys()), sorted(reported.keys() - ids)
@@ -306,11 +306,16 @@ _value, _rank = itemgetter(0), itemgetter(1)
 
 @dataclass(frozen=True)
 class MarketView:
-    """Numeric amounts and tie keys for one reading of the market.
+    """Numeric amounts and tie-order ranks for one reading of the market.
 
     Built either from the ground truth or from a report profile; everything
     downstream (canonical assignment, the mechanism, diagnostics) works on a
     view and never cares which reading it is. No part grows with a capacity.
+
+    A user's key ``(cost, rank of its mediator, index)`` is not stored: the
+    view keeps the costs and the instance's rank map (``ranks``, shared with
+    the instance, not copied), and ``user_key`` builds a key where one is
+    read. An advertiser's rank rides in its ``SlotBlock``.
 
     A view is read-only once built: its two canonical orders are sorted once,
     on first use, and every sub-market of it filters them instead of
@@ -318,7 +323,7 @@ class MarketView:
     """
 
     user_costs: Mapping[UserRef, Money]
-    user_keys: Mapping[UserRef, TieKey]
+    ranks: Mapping[EntityId, int]  # every entity's place in the instance's tie order
     users_by_mediator: Mapping[EntityId, tuple[UserRef, ...]]
     blocks: Mapping[EntityId, SlotBlock]
 
@@ -329,9 +334,9 @@ class MarketView:
     @cached_property
     def sorted_users(self) -> tuple[UserRef, ...]:
         """Every user, by increasing key ``(cost, rank, index)``."""
-        keys = self.user_keys
-        by_rank = sorted((us for us in self.users_by_mediator.values() if us), key=lambda us: keys[us[0]].entity_rank)
-        users = list(chain.from_iterable(by_rank))
+        by_mediator = self.users_by_mediator
+        mediators = sorted(by_mediator, key=self.ranks.__getitem__)
+        users = list(chain.from_iterable(map(by_mediator.__getitem__, mediators)))
         users.sort(key=self.user_costs.__getitem__)
         return tuple(users)
 
@@ -361,6 +366,10 @@ class MarketView:
             raise KeyError(slot)
         return block.value
 
+    def user_key(self, user: UserRef) -> TieKey:
+        """The key ``(cost, mediator rank, index)`` of one user; ``KeyError(user)`` if the view holds no such user."""
+        return tuple.__new__(TieKey, (self.user_costs[user], self.ranks[user.mediator], user.user_index))
+
     def slot_key(self, slot: SlotRef) -> TieKey:
         return TieKey(self.slot_value(slot), self.blocks[slot.advertiser].rank, slot.slot_index)
 
@@ -370,21 +379,18 @@ def _build_view(
     mediator_costs: Mapping[EntityId, tuple[Money, ...]],
     advertiser_slots: Mapping[EntityId, tuple[int, Money]],
 ) -> MarketView:
-    # tuple.__new__ builds each ref and key without the Python-level
+    # tuple.__new__ builds each ref and block without the Python-level
     # NamedTuple constructor; the fields are the same.
     new = tuple.__new__
     rank = instance._rank
     user_costs: dict[UserRef, Money] = {}
-    user_keys: dict[UserRef, TieKey] = {}
     users_by_mediator: dict[EntityId, tuple[UserRef, ...]] = {}
     for m in instance.mediators:
         mid = m.id
-        r = rank[mid]
         refs = []
         for i, c in enumerate(mediator_costs[mid]):
             u = new(UserRef, (mid, i))
             user_costs[u] = c
-            user_keys[u] = new(TieKey, (c, r, i))
             refs.append(u)
         users_by_mediator[mid] = tuple(refs)
 
@@ -392,7 +398,7 @@ def _build_view(
     for a in instance.advertisers:
         cap, value = advertiser_slots[a.id]
         blocks[a.id] = new(SlotBlock, (value, rank[a.id], cap, a.id))
-    return MarketView(user_costs, user_keys, users_by_mediator, blocks)
+    return MarketView(user_costs, rank, users_by_mediator, blocks)
 
 
 def true_view(instance: Instance) -> MarketView:

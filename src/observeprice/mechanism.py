@@ -71,6 +71,7 @@ from .market import (
     UserRef,
     gain_from_trade,
     report_view,
+    true_view,
     validate_instance,
 )
 
@@ -98,14 +99,14 @@ def derive_r(alpha: Fraction) -> Fraction:
     toward zero.
     """
     alpha = Fraction(alpha)
-    if not 0 < alpha <= 1:
+    p, q = alpha.numerator, alpha.denominator
+    if not 0 < p <= q:  # 0 < alpha <= 1, q > 0
         raise ValueError("alpha must be in (0, 1]")
     # floor(4e6 * alpha^(1/6)) = floor((4**6 * 1e36 * p / q)^(1/6))
-    n = (4**6) * 10**36 * alpha.numerator // alpha.denominator
-    micro = _iroot6(n)
+    micro = _iroot6((4**6) * 10**36 * p // q)
     if micro <= 0:
         raise ValueError("alpha too small: derived r underflows the 1e-6 grid")
-    return min(Fraction(1, 2), Fraction(micro, 10**6))
+    return Fraction(1, 2) if 2 * micro >= 10**6 else Fraction(micro, 10**6)
 
 
 def at_most_cbrt(x: int | Fraction, coeff: int | Fraction, alpha: int | Fraction) -> bool:
@@ -237,7 +238,7 @@ class Thresholds:
         of the key order."""
         if self.user_key is None:
             return 0
-        return bisect_left(view.sorted_users, self.user_key, key=view.user_keys.__getitem__)
+        return bisect_left(view.sorted_users, self.user_key, key=view.user_key)
 
 
 def dummy_thresholds(observed_size: int = 0) -> Thresholds:
@@ -272,10 +273,10 @@ def compute_thresholds(view: MarketView, observed: AbstractSet[EntityId], r: Fra
     """
     cano = canonical_within(view, observed)
     s = cano.size
-    k = max(0, ceil_minus_cbrt(s, Fraction(2 * s) / r, alpha))
+    k = max(0, ceil_minus_cbrt(s, Fraction(2 * s * r.denominator, r.numerator), alpha))
     if k == 0:
         return dummy_thresholds(observed_size=s)
-    return Thresholds(view.user_keys[cano.user_at(k)], view.slot_key(cano.slot_at(k)), k, s)
+    return Thresholds(view.user_key(cano.user_at(k)), view.slot_key(cano.slot_at(k)), k, s)
 
 
 class Trade(NamedTuple):
@@ -547,7 +548,7 @@ def run_mechanism(
     ``view`` lets a caller that reruns one report profile build its view
     once: it must be exactly ``report_view(instance, reports)``, which the run
     builds itself when it is None. A run only reads the view, so ``reports``
-    may be None when a view is given.
+    may be None when a view is given; a truthful run passes ``true_view``.
     """
     if reports is None and view is None:
         raise ValueError("run_mechanism needs reports or their view")
@@ -605,8 +606,8 @@ def _check_arrivals(arrivals: tuple[EntityId, ...], view: MarketView, observed: 
 
 
 def truthful_run(instance: Instance, config: MechanismConfig, view: Optional[MarketView] = None) -> MechanismOutcome:
-    """A run on truthful reports. ``view``, if given, must be exactly
-    ``report_view(instance, ReportProfile.truthful(instance))``, which equals
-    ``true_view(instance)``; then no report profile is built."""
-    reports = ReportProfile.truthful(instance) if view is None else None
-    return run_mechanism(instance, reports, config, view=view)
+    """A run on truthful reports, on ``view`` if given (it must be exactly
+    ``true_view(instance)``), else on a ``true_view`` built here. Truthful
+    reports read as the true market, so no report profile is built and there
+    is nothing to check against the instance."""
+    return run_mechanism(instance, None, config, view=true_view(instance) if view is None else view)

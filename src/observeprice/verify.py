@@ -48,6 +48,7 @@ from .market import (
     ReportProfile,
     UserRef,
     report_view,
+    true_view,
 )
 from .mechanism import MechanismConfig, MechanismOutcome, run_mechanism
 
@@ -433,13 +434,11 @@ class DeviationVerdict:
         return self.deviant_utility > self.truthful_utility
 
 
-def _truthful_finals(
-    instance: Instance, truthful: ReportProfile, configs: Sequence[MechanismConfig]
-) -> list[dict[object, Money]]:
+def _truthful_finals(instance: Instance, configs: Sequence[MechanismConfig]) -> list[dict[object, Money]]:
     """Per config, every player's final utility in the truthful run; the
-    truthful view is built once and shared by the runs."""
-    view = report_view(instance, truthful)
-    return [_final_utilities(run_mechanism(instance, truthful, c, view=view), instance) for c in configs]
+    true view is built once and shared by the runs."""
+    view = true_view(instance)
+    return [_final_utilities(run_mechanism(instance, None, c, view=view), instance) for c in configs]
 
 
 def _twins(
@@ -469,7 +468,7 @@ def deviation_test(
     """Truthful vs misreporting twin runs, one pair per seed, exact compare."""
     truthful = ReportProfile.truthful(instance)
     configs = [replace(base_config, seed=seed) for seed in seeds]
-    finals = _truthful_finals(instance, truthful, configs)
+    finals = _truthful_finals(instance, configs)
     return [verdict for verdict, _ in _twins(instance, truthful, case, configs, finals)]
 
 
@@ -495,20 +494,21 @@ def truthful_sweep(
 ) -> tuple[SweepResult, list[MechanismOutcome]]:
     """Run truthfully and check IR for every player plus all run invariants.
 
-    Consecutive runs on the same ``Instance`` object share one view. Players
-    are counted once per viewed instance (users plus entities) for
-    ``trajectories``, and listed with ``all_players`` only for a run in which
-    some player's utility drops, to order its ``continuous_ir`` lines.
+    Consecutive runs on the same ``Instance`` object share one
+    ``true_view``: truthful reports read as the true market, so no report
+    profile is built. Players are counted once per viewed instance (users
+    plus entities) for ``trajectories``, and listed with ``all_players``
+    only for a run in which some player's utility drops, to order its
+    ``continuous_ir`` lines.
     """
     result = SweepResult()
     outcomes = []
-    viewed = None  # the instance that ``truthful`` and ``view`` belong to
+    viewed = None  # the instance that ``view`` belongs to
     for instance, config in runs:
         if instance is not viewed:
-            viewed, truthful = instance, ReportProfile.truthful(instance)
-            view = report_view(instance, truthful)
+            viewed, view = instance, true_view(instance)
             n_players = instance.n_entities + sum(len(m.user_costs) for m in instance.mediators)
-        outcome = run_mechanism(instance, truthful, config, view=view)
+        outcome = run_mechanism(instance, None, config, view=view)
         result.runs += 1
         result.trades += sum(len(e.trades) for _, e in outcome.decisions)
         for name, chk in RUN_CHECKS.items():
@@ -540,7 +540,7 @@ def incentive_sweep(
     for instance, base_config in items:
         truthful = ReportProfile.truthful(instance)
         configs = [replace(base_config, seed=rng.randrange(2**60)) for _ in range(seeds_per_case)]
-        truthful_finals = _truthful_finals(instance, truthful, configs)
+        truthful_finals = _truthful_finals(instance, configs)
         result.runs += len(configs)
 
         users = [p for p in all_players(instance) if isinstance(p, UserRef)]

@@ -210,11 +210,11 @@ def per_unit_slot_keys(view, advertisers):
     return keys
 
 
-def per_unit_pairs(sorted_users, sorted_slots, user_keys, slot_keys):
+def per_unit_pairs(sorted_users, sorted_slots, user_key, slot_keys):
     """Zip the two sorted orders, keeping pairs while the slot key exceeds the user key."""
     pairs = []
     for u, b in zip(sorted_users, sorted_slots):
-        if not slot_keys[b] > user_keys[u]:
+        if not slot_keys[b] > user_key(u):
             break
         pairs.append((u, b))
     return tuple(pairs)
@@ -224,6 +224,6 @@ def per_unit_canonical(users, advertisers, view):
     """Sort every user and every slot ref by key and zip the profitable
     prefix. Returns the pairs, the sorted users and the sorted slots."""
     slot_keys = per_unit_slot_keys(view, advertisers)
-    sorted_users = tuple(sorted(users, key=view.user_keys.__getitem__))
+    sorted_users = tuple(sorted(users, key=view.user_key))
     sorted_slots = tuple(sorted(slot_keys, key=slot_keys.__getitem__, reverse=True))
-    return per_unit_pairs(sorted_users, sorted_slots, view.user_keys, slot_keys), sorted_users, sorted_slots
+    return per_unit_pairs(sorted_users, sorted_slots, view.user_key, slot_keys), sorted_users, sorted_slots

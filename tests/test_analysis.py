@@ -224,7 +224,7 @@ def _reference_diagnostic_sets(instance, outcome, rng, view=None, cano=None):
     clearing_users = tuple(
         u
         for u in view.all_users
-        if u.mediator not in observed_m and thresholds.user_key is not None and view.user_keys[u] < thresholds.user_key
+        if u.mediator not in observed_m and thresholds.user_key is not None and view.user_key(u) < thresholds.user_key
     )
     clearing_slots = tuple(
         b
@@ -359,12 +359,12 @@ def test_diagnostics_match_the_reference_with_thresholds_on_entity_keys():
         slots = [SlotRef(b.advertiser, j) for b in cano.sorted_blocks if b.advertiser not in observed for j in range(b.capacity)]
         for _ in range(5):
             u, b = rng.choice(users), rng.choice(slots)
-            if not view.user_keys[u] < view.slot_key(b):
+            if not view.user_key(u) < view.slot_key(b):
                 continue
             at_keys = replace(
                 outcome,
                 alpha=rng.choice([ORGANIC_ALPHA, Fraction(1, 2000), Fraction(1, 40000)]),
-                thresholds=injected_thresholds(view.user_keys[u], view.slot_key(b)),
+                thresholds=injected_thresholds(view.user_key(u), view.slot_key(b)),
             )
             want = _reference_diagnostic_sets(inst, at_keys, random.Random(seed))
             assert compute_diagnostic_sets(inst, at_keys, random.Random(seed), optimum=optimum) == want
@@ -398,13 +398,13 @@ def test_diagnostics_match_the_reference_with_thresholds_inside_blocks():
             for _ in range(10):
                 pos, block, j = rng.choice(slots)
                 slot_key = view.slot_key(SlotRef(block.advertiser, j))
-                below = [u for u in users if view.user_keys[u] < slot_key]
+                below = [u for u in users if view.user_key(u) < slot_key]
                 if not below:
                     continue
                 at_keys = replace(
                     outcome,
                     alpha=rng.choice([alpha, Fraction(1, 2000), Fraction(1, 40000)]),
-                    thresholds=injected_thresholds(view.user_keys[rng.choice(below)], slot_key),
+                    thresholds=injected_thresholds(view.user_key(rng.choice(below)), slot_key),
                 )
                 want = _reference_diagnostic_sets(inst, at_keys, random.Random(seed))
                 assert compute_diagnostic_sets(inst, at_keys, random.Random(seed), optimum=optimum) == want
@@ -506,7 +506,7 @@ def _filtered_sub_market(view, sorted_users, sorted_slots, entities):
     prefix with one key per slot."""
     users = [u for u in sorted_users if u.mediator in entities]
     slots = [b for b in sorted_slots if b.advertiser in entities]
-    return per_unit_pairs(users, slots, view.user_keys, per_unit_slot_keys(view, view.blocks)), len(users), len(slots)
+    return per_unit_pairs(users, slots, view.user_key, per_unit_slot_keys(view, view.blocks)), len(users), len(slots)
 
 
 def _overlapping_instance(seed):

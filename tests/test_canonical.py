@@ -124,7 +124,7 @@ def test_equal_cost_and_value_does_not_trade():
     canon, view = _canon(inst)
     u = view.all_users[0]
     s = view.all_slots[0]
-    expected = 1 if view.user_keys[u] < view.slot_key(s) else 0
+    expected = 1 if view.user_key(u) < view.slot_key(s) else 0
     assert canon.size == expected
     assert optimal_gain(inst) == 0  # either way the margin is zero
 
@@ -196,7 +196,7 @@ def test_block_rule_matches_the_per_unit_rule_on_random_sub_markets():
         alpha, r = rng.choice(((Fraction(1, 10**6), Fraction(1, 2)), (Fraction(1, 1000), Fraction(1, 3))))
         th = compute_thresholds(view, {*meds, *ads}, r, alpha)
         k = max(0, ceil_minus_cbrt(len(pairs), Fraction(2 * len(pairs)) / r, alpha))
-        want = (None, None) if k == 0 else (view.user_keys[pairs[k - 1][0]], view.slot_key(pairs[k - 1][1]))
+        want = (None, None) if k == 0 else (view.user_key(pairs[k - 1][0]), view.slot_key(pairs[k - 1][1]))
         assert (th.user_key, th.slot_key, th.observed_size) == (*want, len(pairs)), trial
         truth = true_view(inst)
         assert tau(inst) == len(per_unit_canonical(truth.all_users, truth.blocks, truth)[0])

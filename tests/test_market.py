@@ -93,7 +93,7 @@ def test_view_keys_are_pairwise_distinct():
             seed=seed,
         )
         view = true_view(inst)
-        keys = [view.user_keys[u] for u in view.all_users]
+        keys = [view.user_key(u) for u in view.all_users]
         keys += [view.slot_key(s) for s in view.all_slots]
         assert len(set(keys)) == len(keys)
 
@@ -129,8 +129,8 @@ def test_tie_order_fixes_rank_independent_of_reports():
     v1 = report_view(inst, truthful)
     v2 = report_view(inst, deviant)
     for u in v1.all_users:
-        assert v1.user_keys[u].entity_rank == v2.user_keys[u].entity_rank
-        assert v1.user_keys[u].within_index == v2.user_keys[u].within_index
+        assert v1.user_key(u).entity_rank == v2.user_key(u).entity_rank
+        assert v1.user_key(u).within_index == v2.user_key(u).within_index
 
 
 def test_mediator_spec_rejects_negative_cost():
@@ -281,12 +281,15 @@ def test_view_build_equals_the_constructor_reference():
         slots_by_advertiser = {a: tuple(b for b in slots if b.advertiser == a) for a in view.blocks}
         slot_keys = {b: view.slot_key(b) for b in slots}
         slot_values = {b: view.slot_value(b) for b in slots}
-        got = (view.user_costs, slot_values, view.user_keys, slot_keys, view.users_by_mediator, slots_by_advertiser)
+        # the per-user keys, built from the costs and the mediators' ranks
+        user_keys = {u: view.user_key(u) for u in view.user_costs}
+        got = (view.user_costs, slot_values, user_keys, slot_keys, view.users_by_mediator, slots_by_advertiser)
         assert got == ref
         assert [list(a) for a in got] == [list(b) for b in ref]  # the same insertion order
-        users = [*view.user_costs, *view.user_keys, *(u for us in view.users_by_mediator.values() for u in us)]
+        assert view.ranks == {e: inst.rank(e) for e in inst.tie_order}
+        users = [*view.user_costs, *(u for us in view.users_by_mediator.values() for u in us)]
         assert all(type(u) is UserRef for u in users) and all(type(b) is SlotRef for b in slots)
-        assert all(type(k) is TieKey for k in (*view.user_keys.values(), *slot_keys.values()))
+        assert all(type(k) is TieKey for k in (*user_keys.values(), *slot_keys.values()))
         assert all(type(b) is SlotBlock for b in view.blocks.values())
 
 
@@ -313,7 +316,7 @@ def test_view_orders_equal_a_fresh_sort():
     seen = set()
     for inst, reports in cases:
         view = report_view(inst, reports)
-        assert view.sorted_users == tuple(sorted(view.all_users, key=view.user_keys.__getitem__))
+        assert view.sorted_users == tuple(sorted(view.all_users, key=view.user_key))
         assert view.sorted_blocks == tuple(sorted(view.blocks.values(), reverse=True))
         assert view.sorted_users is view.sorted_users and view.sorted_blocks is view.sorted_blocks
         costs = [view.user_costs[u] for u in view.all_users]

@@ -59,6 +59,8 @@ from conftest import (
     desk_instance,
     organic_instance,
     random_reports,
+    replay_corpus,
+    sandwich_corpus,
     worked_example,
 )
 from reference import reference_log, reference_thresholds, with_idle_counts
@@ -71,6 +73,9 @@ def test_derive_r_frozen_values():
     assert derive_r(Fraction(1)) == Fraction(1, 2)
     assert derive_r(Fraction(1, 2**24)) == Fraction(1, 4)
     assert derive_r(Fraction(1, 2**18)) == Fraction(1, 2)
+    # One grid step either side of the 1/2 cap: 4e6 * alpha^(1/6) is exactly 499,999 or 500,001.
+    assert derive_r(Fraction(499_999**6, 4_000_000**6)) == Fraction(499_999, 10**6)
+    assert derive_r(Fraction(500_001**6, 4_000_000**6)) == Fraction(1, 2)
 
 
 def test_derive_r_floors_to_micro_grid():
@@ -279,7 +284,7 @@ def test_synthetic_threshold_keys_tie_semantics():
     user_key, slot_key = threshold_keys_from_amounts(4, 6, inst)
     th = injected_thresholds(user_key, slot_key)
     view = true_view(inst)
-    assert view.user_keys[UserRef(mediator_id(0), 0)] < th.user_key
+    assert view.user_key(UserRef(mediator_id(0), 0)) < th.user_key
     assert th.first_assignable(view.blocks[advertiser_id(0)]) == 1  # its one slot is not assignable
 
 
@@ -541,6 +546,9 @@ def test_reports_must_cover_instance():
     extra = truthful.with_advertiser_slots(advertiser_id(5), 1, 9)
     with pytest.raises(RunInputError, match=r"^reports\.advertiser_slots: a5 is not in the instance$"):
         run_mechanism(inst, extra, MechanismConfig(alpha=Fraction(1)))
+    swapped = ReportProfile({mediator_id(0): (1,), mediator_id(7): (2,)}, truthful.advertiser_slots)
+    with pytest.raises(RunInputError, match=r"^reports\.mediator_costs: no report for m1$"):
+        run_mechanism(inst, swapped, MechanismConfig(alpha=Fraction(1)))
 
 
 # -- engine properties -------------------------------------------------------------
@@ -590,8 +598,8 @@ def test_serving_loop_counters_targets_and_steps(market):
     supply, traded, folded = {}, {}, {}
     for entity in arrivals:
         if entity.kind == "mediator":
-            users = [u for u in view.users_by_mediator[entity] if thresholds.user_key is not None and view.user_keys[u] < thresholds.user_key]
-            supply[entity] = sorted(users, key=view.user_keys.__getitem__)
+            users = [u for u in view.users_by_mediator[entity] if thresholds.user_key is not None and view.user_key(u) < thresholds.user_key]
+            supply[entity] = sorted(users, key=view.user_key)
         else:
             slots = (SlotRef(entity, j) for j in range(view.blocks[entity].capacity))
             supply[entity] = [b for b in slots if thresholds.slot_key is not None and view.slot_key(b) > thresholds.slot_key]
@@ -788,7 +796,7 @@ def _coverage(view, out):
         view.blocks[a][:2] == key[:2] and 0 < key.within_index + 1 < view.blocks[a].capacity for a in traded
     )
     pairs = [[(t.user.mediator, t.slot.advertiser) for t in e.trades] for e in events]
-    below = [u for u in view.all_users if not th.is_dummy and view.user_keys[u] < th.user_key]
+    below = [u for u in view.all_users if not th.is_dummy and view.user_key(u) < th.user_key]
     mediators_at = {}
     for u in below:
         mediators_at.setdefault(view.user_costs[u], set()).add(u.mediator)
@@ -880,6 +888,58 @@ def test_thresholds_keep_the_sorting_rule():
                 assert compute_thresholds(view, observed, r, alpha) == want, (config, r, alpha)
                 kinds.add((want.is_dummy, want.observed_size == 0))
     assert kinds == {(True, True), (True, False), (False, False)}
+
+
+def _acceptance_markets():
+    """Each distinct instance of the criterion-7 and criterion-8 corpora
+    (desk markets at injected and computed thresholds, organic markets,
+    matched_family at 1/20 and 1/80), with the configs the gate runs it
+    under."""
+    markets = {}
+    for inst, config in replay_corpus() + sandwich_corpus():
+        markets.setdefault(inst, []).append(config)
+    return markets.items()
+
+
+def test_views_build_each_user_key_from_its_cost_and_mediator_rank():
+    """On the truthful and a random misreport profile of every acceptance
+    instance, a view's ``user_key`` is (reported cost, the mediator's rank,
+    index) for every user, ``sorted_users`` is a fresh sort by it, and the
+    truthful profile's view equals ``true_view``."""
+    rng = random.Random(23)
+    seen = Counter()
+    for inst, _ in _acceptance_markets():
+        truthful = ReportProfile.truthful(inst)
+        truth = true_view(inst)
+        assert truth == report_view(inst, truthful)
+        misreport = random_reports(inst, rng, unit=2 * MICRO)
+        for reports, view in ((truthful, truth), (misreport, report_view(inst, misreport))):
+            users = [UserRef(m, i) for m, costs in reports.mediator_costs.items() for i in range(len(costs))]
+            assert sorted(users) == sorted(view.all_users)
+            for u in users:
+                assert view.user_key(u) == TieKey(reports.mediator_costs[u.mediator][u.user_index], inst.rank(u.mediator), u.user_index)
+            assert view.sorted_users == tuple(sorted(users, key=view.user_key))
+            costs = [view.user_costs[u] for u in users]
+            seen.update(users=len(users), cost_ties=len(set(costs)) < len(costs))
+    assert seen["users"] > 10_000 and seen["cost_ties"] >= 100, seen
+
+
+def test_a_truthful_run_equals_the_run_on_the_truthful_profile():
+    """``truthful_run``, which runs on ``true_view`` and builds no report
+    profile, equals ``run_mechanism`` on ``ReportProfile.truthful`` for every
+    run of the criterion-7 and criterion-8 corpora under each engine
+    variant. The runs trade under injected and computed thresholds."""
+    seen = Counter()
+    for inst, configs in _acceptance_markets():
+        truthful = ReportProfile.truthful(inst)
+        for config in configs:
+            for variant in VARIANTS:
+                c = replace(config, variant=variant)
+                got = truthful_run(inst, c)
+                assert got == run_mechanism(inst, truthful, c), c
+                th = got.thresholds
+                seen["injected" if th.injected else "computed" if not th.is_dummy else "dummy"] += len(got.trades_of())
+    assert min(seen["injected"], seen["computed"]) >= 1000, seen
 
 
 def test_an_entity_the_view_does_not_hold_cannot_arrive():

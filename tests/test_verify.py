@@ -702,7 +702,8 @@ def test_sweeps_with_shared_views_match_per_run_rebuilds(monkeypatch, variant):
 
     def rebuild_per_run(instance, reports, config, view=None):
         given.append(view is not None)
-        return run_mechanism(instance, reports, config)
+        # A truthful run passes no reports: its view is the true view.
+        return run_mechanism(instance, reports, config, view=None if reports is not None else true_view(instance))
 
     monkeypatch.setattr(verify, "run_mechanism", rebuild_per_run)
     assert _all_sweeps(variant) == shared
@@ -806,7 +807,7 @@ def test_runs_keep_the_call_boundaries_perfbench_marks(monkeypatch):
 
     def has_supply(e):
         if e.kind == "mediator":
-            return any(view.user_keys[u] < th.user_key for u in view.users_by_mediator[e])
+            return any(view.user_key(u) < th.user_key for u in view.users_by_mediator[e])
         cap = view.blocks[e].capacity
         return cap > 0 and view.slot_key(SlotRef(e, cap - 1)) > th.slot_key
 
