@@ -3,12 +3,13 @@ Replayable run reports
 ======================
 
 Every run serializes to a self-contained JSON report: the instance, the
-reports the mechanism saw, the full configuration, and the outcome. Anyone
-can re-run the report and compare outcomes byte for byte. A report is one
-line of compact JSON; `python -m json.tool report.json` prints it indented.
-The outcome records only what the run decided: the arrival order, how many
-arrivals were observed, the thresholds, the event log and the gain from
-trade. Charges, receipts and final pay targets are folds of the event log.
+reports that departed from it (none, in a truthful run), the full
+configuration, and the outcome. Anyone can re-run the report and compare
+outcomes byte for byte. A report is one line of compact JSON;
+`python -m json.tool report.json` prints it indented. The outcome records
+only what the run decided: the arrival order, how many arrivals were
+observed, the thresholds, one event per arrival that traded and the gain
+from trade. Charges, receipts and final pay targets are folds of the events.
 """
 
 import json

@@ -117,6 +117,13 @@ def generate_instance(config: GeneratorConfig) -> Instance:
     )
 
 
+# The most entities a matched family may have (2/alpha of them). It is about
+# 40 times the top rung of the scale ladder (alpha = 1/1280, 2,560 entities),
+# and a family near it builds in under a second; the build grows linearly, so
+# a far larger one would run for hours before anything refused it.
+MAX_FAMILY_ENTITIES = 100_000
+
+
 def matched_family(
     alpha: Fraction, seed: int = 0, group_size: int = 5, sigma: float = 3.0
 ) -> Instance:
@@ -126,7 +133,9 @@ def matched_family(
     every advertiser group_size slots, and every user cost sits below every
     slot value so the offline optimum trades everything. Costs are uniform,
     values heavy-tailed, which concentrates most of the optimal gain in the
-    best few trades; larger sigma concentrates it harder.
+    best few trades; larger sigma concentrates it harder. A family of more
+    than ``MAX_FAMILY_ENTITIES`` entities is a ``ValueError``, raised before
+    anything is built.
     """
     alpha = Fraction(alpha)
     if not 0 < alpha <= 1:
@@ -134,6 +143,11 @@ def matched_family(
     per_side = 1 / alpha  # tau = per_side * group_size, so alpha * tau = group_size exactly
     if per_side.denominator != 1:
         raise ValueError(f"1/alpha = {per_side} must be an integer for the matched family")
+    if 2 * per_side > MAX_FAMILY_ENTITIES:
+        raise ValueError(
+            f"alpha = {alpha} gives a matched family of {2 * per_side} entities,"
+            f" more than MAX_FAMILY_ENTITIES = {MAX_FAMILY_ENTITIES}"
+        )
     cost_high = 10**6  # one currency unit
     config = GeneratorConfig(
         n_mediators=int(per_side),

@@ -25,15 +25,25 @@ id, capacity and amount text of the mediators, the advertisers, the
 reported costs or the reported slots, and the texts are checked on joined
 text and parsed together. A part is walked element by element only when
 that read fails; the walk names the first fault with its field path, and
-one that finds none returns the part. Replay parses each amount text of
-the instance and the reports it re-runs once (truthful reports find all of
-theirs among the instance's), and reads the reports' ids from the
-instance's id map.
+one that finds none returns the part.
 
-An outcome document (schema 5) holds only what the run decided, nothing
-the report's config holds and nothing that folds from the arrival prefix
-or the events (the observed split, the executed pairs and the ledgers), or
-that the checks recount from the run's market (the idle users and slots).
+A run report (schema 6) writes nothing its instance or its arrival order
+already says. Its ``misreports`` part lists only the entities whose report
+departs from the instance's truth, in the shapes and the text-keyed order of
+a reports document; the reader refuses an entry equal to the truth, so the
+writer's form is the only one read. Replay parses each amount text of the
+instance and the departures once, reads the departures' ids from the
+instance's id map, and re-runs a report with no departures as a truthful
+run, with no report profile built. Any other report runs on the truthful
+profile with its departures put over it.
+
+An outcome document holds only what the run decided, nothing the report's
+config holds and nothing that folds from the arrival prefix or the events
+(the observed split, the executed pairs and the ledgers), or that the checks
+recount from the run's market (the idle users and slots). Its events are
+the run's decisions, one per arrival that traded, in arrival order: an
+arrival's id fixes its place in ``arrival_order``, and an arrival that
+traded nothing changed nothing.
 """
 
 from __future__ import annotations
@@ -55,9 +65,9 @@ from .market import (
     RunInputError,
     TieKey,
 )
-from .mechanism import VARIANTS, MechanismConfig, MechanismOutcome, run_mechanism
+from .mechanism import VARIANTS, MechanismConfig, MechanismOutcome, run_mechanism, truthful_run
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
 class ParseError(Exception):
@@ -432,24 +442,44 @@ def _by_text(texts: _Texts, mapping: dict) -> list[tuple[str, Any]]:
     return sorted([(texts[key], value) for key, value in mapping.items()])
 
 
-def _reports_doc(reports: ReportProfile, texts: _Texts) -> dict:
+def _reports_parts_doc(
+    mediator_costs: dict[EntityId, tuple[Money, ...]], advertiser_slots: dict[EntityId, tuple[int, Money]], texts: _Texts
+) -> dict:
+    """The two parts of a reports document, each keyed by id text in text order."""
     text = texts.__getitem__
     return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "reports",
-        "mediator_costs": {m: list(map(text, costs)) for m, costs in _by_text(texts, reports.mediator_costs)},
-        "advertiser_slots": {
-            a: {"capacity": cap, "value": text(v)} for a, (cap, v) in _by_text(texts, reports.advertiser_slots)
-        },
+        "mediator_costs": {m: list(map(text, costs)) for m, costs in _by_text(texts, mediator_costs)},
+        "advertiser_slots": {a: {"capacity": cap, "value": text(v)} for a, (cap, v) in _by_text(texts, advertiser_slots)},
     }
 
 
 def reports_to_doc(reports: ReportProfile) -> dict:
-    return _reports_doc(reports, _Texts())
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "reports",
+        **_reports_parts_doc(reports.mediator_costs, reports.advertiser_slots, _Texts()),
+    }
 
 
 def reports_from_doc(doc: dict, path: str = "reports") -> ReportProfile:
-    return _read_reports(doc, {}, path)
+    _header(doc, "reports", path)
+    try:
+        return ReportProfile(*_read_report_parts(doc, {}, None, path))
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def _read_report_parts(
+    doc: dict, amounts: dict[str, Money], known: dict[str, EntityId] | None, path: str
+) -> tuple[dict[EntityId, tuple[Money, ...]], dict[EntityId, tuple[int, Money]]]:
+    """The reported costs and slots ``doc`` holds, their amounts read through
+    ``amounts`` (text -> amount) and, given ``known``, their ids looked up there."""
+    costs = _need(doc, "mediator_costs", path, dict)
+    slots = _need(doc, "advertiser_slots", path, dict)
+    return (
+        _part(_costs_whole, _costs_walk, costs, amounts, known, f"{path}.mediator_costs"),
+        _part(_slots_whole, _slots_walk, slots, amounts, known, f"{path}.advertiser_slots"),
+    )
 
 
 def _report_id(key: str, path: str, known: dict[str, EntityId] | None) -> EntityId:
@@ -463,22 +493,6 @@ def _report_id(key: str, path: str, known: dict[str, EntityId] | None) -> Entity
         _entity_from_text(key, path)
         raise ParseError(f"{path}: unknown entity id {key!r}")
     return ident
-
-
-def _read_reports(
-    doc: dict, amounts: dict[str, Money], path: str, known: dict[str, EntityId] | None = None
-) -> ReportProfile:
-    """The reports ``doc`` holds, their amounts read through ``amounts``
-    (text -> amount) and, given ``known``, their ids looked up there."""
-    _header(doc, "reports", path)
-    costs = _need(doc, "mediator_costs", path, dict)
-    mediator_costs = _part(_costs_whole, _costs_walk, costs, amounts, known, f"{path}.mediator_costs")
-    slots = _need(doc, "advertiser_slots", path, dict)
-    advertiser_slots = _part(_slots_whole, _slots_walk, slots, amounts, known, f"{path}.advertiser_slots")
-    try:
-        return ReportProfile(mediator_costs, advertiser_slots)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _costs_whole(part: dict, amounts: dict, known: dict | None) -> dict[EntityId, tuple[Money, ...]]:
@@ -588,25 +602,25 @@ def config_from_doc(doc: dict, path: str = "config") -> MechanismConfig:
 
 
 def _outcome_doc(outcome: MechanismOutcome, texts: _Texts) -> dict:
-    """The outcome's document. Its events are written one per
-    post-observation arrival: an idle one straight from the arrival's id,
-    without building ``outcome.events``, and each decision in its place."""
+    """The outcome's document. Its events are the run's decisions, one per
+    arrival that traded, in arrival order, without building
+    ``outcome.events``."""
     text = texts.__getitem__
     t = outcome.thresholds
-    order = list(map(text, outcome.arrival_order))
-    events = [{"arrival": e, "trades": [], "pay_steps": []} for e in order[outcome.observation_count :]]
-    for i, e in outcome.decisions:
-        events[i] = {
+    events = [
+        {
             "arrival": text(e.arrival),
             "trades": [
-                {"user": text(t.user), "slot": text(t.slot), "charge": text(t.charge), "payment": text(t.payment)}
-                for t in e.trades
+                {"user": text(x.user), "slot": text(x.slot), "charge": text(x.charge), "payment": text(x.payment)}
+                for x in e.trades
             ],
-            "pay_steps": [[text(u), text(x)] for u, x in e.pay_steps],
+            "pay_steps": [[text(u), text(amount)] for u, amount in e.pay_steps],
         }
+        for _, e in outcome.decisions
+    ]
     return {
         "r": fraction_to_text(outcome.r),
-        "arrival_order": order,
+        "arrival_order": list(map(text, outcome.arrival_order)),
         "observation_count": outcome.observation_count,
         "thresholds": {
             "user_key": None if t.user_key is None else _key_to_doc(t.user_key, texts),
@@ -626,6 +640,48 @@ def outcome_to_doc(outcome: MechanismOutcome) -> dict:
 # -- run report ----------------------------------------------------------------
 
 
+def _misreports_doc(instance: Instance, reports: ReportProfile, texts: _Texts) -> dict:
+    """The reports' departures from the instance's truth: the reports parts
+    of only the entities whose report differs from their own, compared as
+    the reader reads them (tuples)."""
+    reports.check_covers(instance)
+    mediator, advertiser = instance.mediator, instance.advertiser
+    return _reports_parts_doc(
+        {m: costs for m, costs in reports.mediator_costs.items() if tuple(costs) != mediator(m).user_costs},
+        {
+            a: slots
+            for a, slots in reports.advertiser_slots.items()
+            if tuple(slots) != (advertiser(a).capacity, advertiser(a).value)
+        },
+        texts,
+    )
+
+
+def _read_misreports(
+    doc: dict, amounts: dict[str, Money], known: dict[str, EntityId], instance: Instance, path: str
+) -> ReportProfile | None:
+    """``instance``'s truthful reports with the departures ``doc`` lists put
+    over them, or None when it lists none; its amounts are read through
+    ``amounts`` and its ids looked up in ``known``. An entry equal to the
+    truth is refused, as the writer never writes one."""
+    costs, slots = _read_report_parts(doc, amounts, known, path)
+    if not (costs or slots):
+        return None
+    truthful = ReportProfile.truthful(instance)
+    try:
+        reports = ReportProfile({**truthful.mediator_costs, **costs}, {**truthful.advertiser_slots, **slots})
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    for part, departures, truth in (
+        ("mediator_costs", costs, truthful.mediator_costs),
+        ("advertiser_slots", slots, truthful.advertiser_slots),
+    ):
+        for entity, report in departures.items():
+            if report == truth[entity]:
+                raise ParseError(f"{path}.{part}.{entity}: equals the instance's report, so it is no departure")
+    return reports
+
+
 def run_report_to_doc(
     instance: Instance,
     reports: ReportProfile,
@@ -637,7 +693,7 @@ def run_report_to_doc(
         "schema_version": SCHEMA_VERSION,
         "kind": "run_report",
         "instance": _instance_doc(instance, texts),
-        "reports": _reports_doc(reports, texts),
+        "misreports": _misreports_doc(instance, reports, texts),
         "config": config_to_doc(config),
         "outcome": _outcome_doc(outcome, texts),
     }
@@ -650,7 +706,7 @@ def run_report_to_text(instance, reports, config, outcome) -> str:
 def run_report_from_text(text: str) -> dict:
     doc = _loads(text)
     _header(doc, "run_report", "run_report")
-    for key in ("instance", "reports", "config", "outcome"):
+    for key in ("instance", "misreports", "config", "outcome"):
         _need(doc, key, "run_report")
     return doc
 
@@ -707,10 +763,10 @@ def replay_run_report(doc: dict) -> tuple[bool, str]:
     """
     amounts, known = {}, {}
     instance = _read_instance(doc["instance"], amounts, known, "instance")
-    reports = _read_reports(doc["reports"], amounts, "reports", known)
+    reports = _read_misreports(doc["misreports"], amounts, known, instance, "misreports")
     config = config_from_doc(doc["config"])
     try:
-        outcome = run_mechanism(instance, reports, config)
+        outcome = truthful_run(instance, config) if reports is None else run_mechanism(instance, reports, config)
     except RunInputError as exc:
         raise ParseError(str(exc)) from exc
     # Each id was read from the text ``str`` writes for it, so the fresh

@@ -12,6 +12,9 @@ holds. Its outcome keeps, as the engine's does, only the events that traded
 or paid, each at its arrival's position. From the package it takes only the
 types an outcome is made of, and ``derive_r``; its outcome has no view,
 which takes no part in equality.
+
+``as_schema_5`` rebuilds, from plain JSON, the document the schema-5 writer
+wrote for a schema-6 one: the full reports part and the dense event log.
 """
 
 import random
@@ -78,6 +81,55 @@ def with_idle_counts(outcome_doc, instance, reports, config):
     for event, (users, slots) in zip(outcome_doc["events"], reference_idle(instance, reports, config), strict=True):
         event["unassigned_assignable_users"], event["unassigned_assignable_slots"] = users, slots
     return outcome_doc
+
+
+def full_reports(run_report):
+    """The ``reports`` part schema 5 wrote in place of a schema-6 run
+    report's ``misreports``: every entity's report, its departure where
+    ``misreports`` lists one and the instance's truth elsewhere, keyed in
+    text order."""
+    instance, departures = run_report["instance"], run_report["misreports"]
+    costs = {m["id"]: m["user_costs"] for m in instance["mediators"]} | departures["mediator_costs"]
+    slots = {a["id"]: {"capacity": a["capacity"], "value": a["value"]} for a in instance["advertisers"]}
+    slots |= departures["advertiser_slots"]
+    return {
+        "schema_version": 5,
+        "kind": "reports",
+        "mediator_costs": dict(sorted(costs.items())),
+        "advertiser_slots": dict(sorted(slots.items())),
+    }
+
+
+def dense_events(outcome_doc):
+    """A schema-6 outcome document's events as schema 5 wrote them: one per
+    post-observation arrival, in arrival order, an arrival that traded
+    nothing with no trades and no pay steps."""
+    recorded = {event["arrival"]: event for event in outcome_doc["events"]}
+    events = [
+        recorded.get(arrival, {"arrival": arrival, "trades": [], "pay_steps": []})
+        for arrival in outcome_doc["arrival_order"][outcome_doc["observation_count"]:]
+    ]
+    assert [event for event in events if event["trades"]] == outcome_doc["events"], "events out of arrival order"
+    return events
+
+
+def as_schema_5(doc):
+    """The document the schema-5 writer wrote for the schema-6 document
+    ``doc`` (an instance, reports, a run report, or a run report's outcome):
+    every ``schema_version`` at 5, a run report's full ``reports`` part in
+    place of its ``misreports``, and an outcome's dense events."""
+    if "events" in doc:
+        return {**doc, "events": dense_events(doc)}
+    if doc["kind"] != "run_report":
+        return {**doc, "schema_version": 5}
+    return {
+        "schema_version": 5,
+        "kind": "run_report",
+        "instance": {**doc["instance"], "schema_version": 5},
+        "reports": full_reports(doc),
+        "config": doc["config"],
+        "outcome": as_schema_5(doc["outcome"]),
+    }
 
 
 def _reference(instance, reports, config):

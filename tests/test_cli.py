@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from observeprice import verify
+from observeprice import generate, verify
 from observeprice.cli import main
 from observeprice.verify import SweepResult
 from observeprice.serialize import (
@@ -181,13 +181,17 @@ def _repeat_key(key, copy):
         ("instance", _long_int(["advertisers", 0, "capacity"]), "top level: an integer has too many digits to read"),
         ("report", _set(["config", "variant"], "nope"), "config.variant: 'nope' is not one of standard, pay_slot_value"),
         ("report", _set(["config", "forced_observation_count"], True), "config.forced_observation_count: expected an integer or null"),
-        ("report", _rename(["reports", "mediator_costs"], "m0", "m9"), "reports.mediator_costs: unknown entity id 'm9'"),
-        ("report", _rename(["reports", "advertiser_slots"], "a0", "a01"), "reports.advertiser_slots: bad entity id 'a01'"),
+        # A misreports fault is named at misreports.<part>; these rows match
+        # the error's text from its part name on.
+        ("report", _set(["misreports", "mediator_costs", "m9"], ["1"]), "reports.mediator_costs: unknown entity id 'm9'"),
+        ("report", _set(["misreports", "advertiser_slots", "a01"], {"capacity": 1, "value": "1"}),
+         "reports.advertiser_slots: bad entity id 'a01'"),
         ("instance", _set(["mediators", 0, "id"], "m1" + "0" * 5000),
          "instance.mediators[0].id: m1000000000000000000... (5002 characters) is too long for an entity id"),
         ("report", _set(["schema_version"], 1), "run_report.schema_version: got 1"),
-        ("report", lambda doc: doc["reports"]["mediator_costs"].clear(), "reports.mediator_costs: no report for m0"),
-        ("report", _set(["reports", "mediator_costs", "m0", 0], "007"), "reports.mediator_costs[m0][0]: '007' is not in canonical form, write '7'"),
+        ("report", lambda doc: doc["misreports"]["mediator_costs"].update(m0=doc["instance"]["mediators"][0]["user_costs"]),
+         "misreports.mediator_costs.m0: equals the instance's report, so it is no departure"),
+        ("report", _set(["misreports", "mediator_costs", "m0"], ["007"]), "reports.mediator_costs[m0][0]: '007' is not in canonical form, write '7'"),
         ("report", _set(["instance", "mediators", 0, "user_costs", 0], ["1"]), "instance.mediators[0].user_costs[0]: ['1'] is not"),
         ("instance", _set(["mediators", 0, "user_costs", 0], "1.5\n"), "instance.mediators[0].user_costs[0]: '1.5\\n' is not"),
         ("instance", _set(["advertisers", 0, "capacity"], 10**12), "capacity 1000000000000 > alpha*tau"),
@@ -266,15 +270,15 @@ def test_replay_of_a_schema_2_report_exits_one(tmp_path, capsys):
     report = tmp_path / "report.json"
     assert main(["run", "--instance", str(inst), "--alpha", "1", "--seed", "3", "-o", str(report)]) == 0
     doc = json.loads(report.read_text())
-    doc["schema_version"] = doc["instance"]["schema_version"] = doc["reports"]["schema_version"] = 2
+    doc["schema_version"] = doc["instance"]["schema_version"] = 2
     report.write_text(json.dumps(doc, indent=2) + "\n")
     with pytest.raises(ParseError) as err:
         run_report_from_text(report.read_text())
-    assert str(err.value) == "run_report.schema_version: got 2, this reader understands 5"
+    assert str(err.value) == "run_report.schema_version: got 2, this reader understands 6"
     capsys.readouterr()
     assert main(["replay", str(report)]) == 1
     out, err = capsys.readouterr()
-    assert (out, err) == ("", "error: run_report.schema_version: got 2, this reader understands 5\n")
+    assert (out, err) == ("", "error: run_report.schema_version: got 2, this reader understands 6\n")
 
 
 @pytest.mark.parametrize(
@@ -490,6 +494,21 @@ def test_experiment_ratio_csv_to_stdout(capsys):
     assert header[0] == "alpha"
     assert "mean_ratio" in header
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("kind", ["ratio", "events"])
+def test_experiments_refuse_a_family_too_large_to_build(capsys, monkeypatch, kind):
+    """alpha = 1/10^9 asks for a matched family of 2 * 10^9 entities: exit 1
+    with the alpha named, before any instance is generated."""
+    def refuse(config):
+        raise AssertionError("an instance was generated")
+
+    monkeypatch.setattr(generate, "generate_instance", refuse)
+    assert main(["experiment", kind, "--alphas", "1/1000000000", "--seeds", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: alpha = 1/1000000000 gives a matched family of 2000000000 entities,"
+        " more than MAX_FAMILY_ENTITIES = 100000\n"
+    )
 
 
 def test_missing_instance_file_is_reported(tmp_path, capsys):

@@ -12,6 +12,7 @@ from observeprice import (
     matched_family,
     validate_instance,
 )
+from observeprice import generate
 from observeprice.generate import DistSpec, constant, lognormal, uniform
 
 
@@ -92,6 +93,25 @@ def test_matched_family_is_deterministic_and_scales():
     small = matched_family(Fraction(1, 5), seed=0)
     big = matched_family(Fraction(1, 80), seed=0)
     assert len(big.mediators) == 16 * len(small.mediators)
+
+
+def test_matched_family_checks_its_size_before_building(monkeypatch):
+    """A family above MAX_FAMILY_ENTITIES is refused before anything is
+    generated; the scale ladder's top rung, alpha = 1/1280 (2,560
+    entities), still reaches the generator."""
+    def refuse(config):
+        raise AssertionError("an instance was generated")
+
+    monkeypatch.setattr(generate, "generate_instance", refuse)
+    with pytest.raises(ValueError, match=r"^alpha = 1/1000000000 gives a matched family of 2000000000 entities"):
+        matched_family(Fraction(1, 10**9))
+    with pytest.raises(ValueError, match=r"more than MAX_FAMILY_ENTITIES"):
+        matched_family(Fraction(1, generate.MAX_FAMILY_ENTITIES // 2 + 1))
+    built = []
+    monkeypatch.setattr(generate, "generate_instance", built.append)
+    matched_family(Fraction(1, 1280))
+    matched_family(Fraction(1, generate.MAX_FAMILY_ENTITIES // 2))
+    assert [config.n_mediators + config.n_advertisers for config in built] == [2560, generate.MAX_FAMILY_ENTITIES]
 
 
 def test_matched_family_sigma_widens_values():

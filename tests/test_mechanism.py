@@ -30,8 +30,11 @@ from observeprice import (
     injected_thresholds,
     matched_family,
     mediator_id,
+    replay_run_report,
     report_view,
     run_mechanism,
+    run_report_from_text,
+    run_report_to_text,
     sample_observation_count,
     threshold_keys_from_amounts,
     true_view,
@@ -63,7 +66,7 @@ from conftest import (
     sandwich_corpus,
     worked_example,
 )
-from reference import reference_log, reference_thresholds, with_idle_counts
+from reference import as_schema_5, reference_log, reference_thresholds, with_idle_counts
 
 
 # -- observation fraction ------------------------------------------------------
@@ -658,18 +661,26 @@ def test_misreport_runs_keep_their_bytes():
     """sha256 over the compact outcome documents of every market of
     ``_block_serving_markets`` (random and inflated reports, injected and
     computed thresholds) under each engine variant: a differential pin of
-    the serving loop on misreported reports. With the idle counts the
-    reference recounts put back, the documents rebuild the schema-4 bytes
-    pinned before schema 5 dropped them."""
-    digest, schema_4 = hashlib.sha256(), hashlib.sha256()
+    the serving loop on misreported reports. With the idle events put back,
+    the documents rebuild the schema-5 bytes pinned before schema 6 dropped
+    them, and with the idle counts the reference recounts put back too, the
+    schema-4 bytes pinned before schema 5 dropped those. Each run's report,
+    which lists only its departures from the instance, replays byte for byte."""
+    digest, schema_5, schema_4 = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for inst, reports, config, _ in _block_serving_markets():
         for variant in VARIANTS:
             c = replace(config, variant=variant)
-            doc = outcome_to_doc(run_mechanism(inst, reports, c))
+            outcome = run_mechanism(inst, reports, c)
+            report = run_report_from_text(run_report_to_text(inst, reports, c, outcome))
+            assert replay_run_report(report) == (True, "replay matches recorded outcome exactly")
+            doc = outcome_to_doc(outcome)
             digest.update(json.dumps(doc, separators=(",", ":")).encode())
+            doc = as_schema_5(doc)
+            schema_5.update(json.dumps(doc, separators=(",", ":")).encode())
             schema_4.update(json.dumps(with_idle_counts(doc, inst, reports, c), separators=(",", ":")).encode())
     assert schema_4.hexdigest() == "38f1a083b2c464b09e8ac5abdc9d0a47820e92c855a547eee0e1b168c3243529"
-    assert digest.hexdigest() == "8693b828ac2b1089c4fa1bd1ab0c0edc8b8d93ddeba01539c084482bf51aa876"
+    assert schema_5.hexdigest() == "8693b828ac2b1089c4fa1bd1ab0c0edc8b8d93ddeba01539c084482bf51aa876"
+    assert digest.hexdigest() == "25720057765d079f84396e0f5965dd180e00d8b2bf8a88179477f34bc3be51e3"
 
 
 def test_a_claim_of_10_12_slots_runs_as_a_claim_of_10_3():

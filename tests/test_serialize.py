@@ -33,6 +33,7 @@ from observeprice import (
 )
 from observeprice import serialize
 from observeprice.serialize import (
+    SCHEMA_VERSION,
     config_from_doc,
     config_to_doc,
     fraction_from_text,
@@ -45,7 +46,7 @@ from observeprice.serialize import (
     run_report_to_doc,
 )
 from conftest import build_instance, desk_config, desk_instance, organic_instance, replay_corpus, ORGANIC_ALPHA
-from reference import with_idle_counts
+from reference import as_schema_5, full_reports, with_idle_counts
 
 
 # -- scalar codecs ------------------------------------------------------------
@@ -290,7 +291,7 @@ def test_run_report_requires_all_sections():
     reports = ReportProfile.truthful(inst)
     outcome = run_mechanism(inst, reports, cfg)
     doc = json.loads(run_report_to_text(inst, reports, cfg, outcome))
-    del doc["reports"]
+    del doc["misreports"]
     with pytest.raises(ParseError):
         run_report_from_text(json.dumps(doc))
 
@@ -307,16 +308,36 @@ def test_non_truthful_reports_replay_round_trip():
     assert ok, message
 
 
+def test_truthful_reports_given_as_lists_are_no_departure():
+    """The writer compares reports as the reader reads them (tuples), so it
+    writes truthful reports given as lists as no departure, and the report
+    replays."""
+    inst = desk_instance(3)
+    cfg = desk_config(inst, seed=1)
+    reports = ReportProfile(
+        {m.id: list(m.user_costs) for m in inst.mediators}, {a.id: [a.capacity, a.value] for a in inst.advertisers}
+    )
+    doc = run_report_to_doc(inst, reports, cfg, run_mechanism(inst, reports, cfg))
+    assert doc["misreports"] == {"mediator_costs": {}, "advertiser_slots": {}}
+    assert replay_run_report(run_report_from_text(json.dumps(doc))) == (True, "replay matches recorded outcome exactly")
+
+
 def _compact(doc):
     return json.dumps(doc, separators=(",", ":"))
+
+
+def _current(part):
+    """A part of a rebuilt older document, as the current reader reads it."""
+    return {**part, "schema_version": SCHEMA_VERSION}
 
 
 def _reference_verdicts(doc):
     """Reference verdicts: whether the recorded outcome's compact text equals
     a fresh run's, and whether its ``indent=2`` text does (the comparison
-    replay made at schema 2)."""
+    replay made at schema 2). The fresh run reads the full reports part
+    that schema 5 wrote."""
     fresh = outcome_to_doc(run_mechanism(
-        instance_from_doc(doc["instance"]), reports_from_doc(doc["reports"]), config_from_doc(doc["config"])
+        instance_from_doc(doc["instance"]), reports_from_doc(_current(full_reports(doc))), config_from_doc(doc["config"])
     ))
     return _compact(doc["outcome"]) == _compact(fresh), json.dumps(doc["outcome"], indent=2) == json.dumps(fresh, indent=2)
 
@@ -382,14 +403,14 @@ def test_replay_verdicts_equal_the_indented_comparison_on_the_replay_corpus():
 TAMPERED_AT = {
     "gft+1": ('outcome.gft: recorded "14.506203" vs fresh "14.506202"', 'outcome.gft: recorded "5.844012" vs fresh "5.844011"'),
     "pay-step-amount": (
-        'outcome.events[3].pay_steps[0][1]: recorded "5.676161" vs fresh "5.67616"',
-        'outcome.events[15].pay_steps[0][1]: recorded "0.030452" vs fresh "0.030451"',
+        'outcome.events[0].pay_steps[0][1]: recorded "5.676161" vs fresh "5.67616"',
+        'outcome.events[0].pay_steps[0][1]: recorded "0.030452" vs fresh "0.030451"',
     ),
     "size-as-bool": ("outcome.thresholds.observed_size: recorded false vs fresh 0", "outcome.thresholds.observed_size: recorded true vs fresh 40"),
     "count-as-float": ("outcome.observation_count: recorded 1.0 vs fresh 1", "outcome.observation_count: recorded 83.0 vs fresh 83"),
     "swapped-keys": ('outcome: recorded key "observation_count" vs fresh key "arrival_order"',) * 2,
     "extra-key": ('outcome.note: recorded "edited" vs fresh nothing',) * 2,
-    "dropped-event": ("outcome.events[4]: recorded nothing vs fresh an object", "outcome.events[76]: recorded nothing vs fresh an object"),
+    "dropped-event": ("outcome.events[0]: recorded nothing vs fresh an object", "outcome.events[2]: recorded nothing vs fresh an object"),
     "outcome-as-list": ("outcome: recorded a list vs fresh an object",) * 2,
 }
 
@@ -414,12 +435,42 @@ def test_replay_verdicts_equal_the_indented_comparison_on_tampered_reports(tampe
         assert replay_run_report(doc) == (False, f"replay diverges at {where}")
 
 
+def _add_idle_event(events, post):
+    """Record, in its place, the first post-observation arrival that traded nothing."""
+    traded = [post.index(event["arrival"]) for event in events]
+    idle = next(i for i in range(len(post)) if i not in traded)
+    events.insert(sum(i < idle for i in traded), {"arrival": post[idle], "trades": [], "pay_steps": []})
+
+
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        (lambda events, post: events.pop(1), 'outcome.events[1].arrival: recorded "a22" vs fresh "m69"'),
+        (_add_idle_event, 'outcome.events[0].arrival: recorded "a35" vs fresh "a13"'),
+        (lambda events, post: events.insert(0, events.pop()), 'outcome.events[0].arrival: recorded "a22" vs fresh "a13"'),
+    ],
+    ids=["dropped", "added", "moved"],
+)
+def test_replay_names_an_event_dropped_added_or_moved(edit, where):
+    """The events are the run's decisions in arrival order, with no position
+    field: one dropped, one added for an arrival that traded nothing, or one
+    moved out of arrival order is named at the first event that differs."""
+    inst = organic_instance(1)
+    cfg = MechanismConfig(alpha=ORGANIC_ALPHA, seed=8)
+    doc = run_report_from_text(run_report_to_text(inst, ReportProfile.truthful(inst), cfg, truthful_run(inst, cfg)))
+    outcome = doc["outcome"]
+    assert [e["arrival"] for e in outcome["events"]] == ["a13", "m69", "a22"]
+    edit(outcome["events"], outcome["arrival_order"][outcome["observation_count"]:])
+    assert _reference_verdicts(doc)[0] is False
+    assert replay_run_report(doc) == (False, f"replay diverges at {where}")
+
+
 @pytest.mark.parametrize(
     "edit, where",
     [
         (lambda o: o["events"][0].pop("trades"), 'outcome.events[0]: recorded key "pay_steps" vs fresh key "trades"'),
-        (lambda o: o["events"][3]["pay_steps"].append(["m2:1", "7"]), "outcome.events[3].pay_steps[3]: recorded a list vs fresh nothing"),
-        (lambda o: o["events"][3]["pay_steps"][0].pop(), 'outcome.events[3].pay_steps[0][1]: recorded nothing vs fresh "5.67616"'),
+        (lambda o: o["events"][0]["pay_steps"].append(["m2:1", "7"]), "outcome.events[0].pay_steps[3]: recorded a list vs fresh nothing"),
+        (lambda o: o["events"][0]["pay_steps"][0].pop(), 'outcome.events[0].pay_steps[0][1]: recorded nothing vs fresh "5.67616"'),
         (lambda o: o.update(gft=None), 'outcome.gft: recorded null vs fresh "14.506202"'),
     ],
     ids=["missing-key", "longer-list", "shorter-pair", "null-amount"],
@@ -490,13 +541,23 @@ def _outcome_as_schema_3(outcome, config):
     }
 
 
+def _as_schema_5(text):
+    """The text the schema-5 writer wrote for the schema-6 document ``text``
+    holds, as ``reference.as_schema_5`` rebuilds it."""
+    return json.dumps(as_schema_5(json.loads(text)), separators=(",", ":")) + "\n"
+
+
 def _as_schema_4(text):
     """The text the schema-4 writer wrote for the schema-5 document ``text``
     holds: every ``schema_version`` at 4 and, in a run report, each event's
     idle counts put back as the reference recounts them."""
     doc = json.loads(text)
     if doc["kind"] == "run_report":
-        run = instance_from_doc(doc["instance"]), reports_from_doc(doc["reports"]), config_from_doc(doc["config"])
+        run = (
+            instance_from_doc(_current(doc["instance"])),
+            reports_from_doc(_current(doc["reports"])),
+            config_from_doc(doc["config"]),
+        )
         with_idle_counts(doc["outcome"], *run)
     for part in (doc, doc.get("instance"), doc.get("reports")):
         if part is not None:
@@ -531,13 +592,30 @@ def _corpus_texts():
         yield from (instance_to_text(inst), reports_to_text(reports), run_report_to_text(inst, reports, cfg, outcome))
 
 
+def test_schema_6_texts_rebuild_the_schema_5_bytes():
+    """Schema 6 drops from a run report the reports that equal the
+    instance's truth and the events of the arrivals that traded nothing:
+    putting back the full reports part and the idle events, both from the
+    document itself, reproduces the sha256 pinned over the schema-5 writer's
+    bytes. On a run report with misreports, the rebuilt part is the one the
+    reports writer writes."""
+    digest = hashlib.sha256()
+    for text in _corpus_texts():
+        digest.update(_as_schema_5(text).encode())
+    assert digest.hexdigest() == "fca2207ca7d4ce97f0da98293900621ff6778eca86b283d77a6824ccad7e1bff"
+    inst, reports, cfg = _FUZZ_RUNS["organic report"]
+    doc = run_report_to_doc(inst, reports, cfg, run_mechanism(inst, reports, cfg))
+    assert list(doc["misreports"]["advertiser_slots"]) == ["a0"] and not doc["misreports"]["mediator_costs"]
+    assert _current(full_reports(doc)) == reports_to_doc(reports)
+
+
 def test_schema_5_texts_rebuild_the_schema_4_bytes():
     """Schema 5 drops from each event only the idle counts, which the
     surplus check recounts from the run's market: putting back the
     reference's recount reproduces the sha256 pinned over the schema-4
     writer's bytes."""
     digest = hashlib.sha256()
-    for text in _corpus_texts():
+    for text in map(_as_schema_5, _corpus_texts()):
         digest.update(_as_schema_4(text).encode())
     assert digest.hexdigest() == "865bf5982dfb49fd1216c7ee4f611a28ffa8c002344ff41d6bc8686fa8dcdee2"
 
@@ -547,20 +625,20 @@ def test_schema_4_texts_rebuild_the_schema_3_bytes():
     arrival prefix and the event log already hold: re-adding it reproduces
     the sha256 pinned over the schema-3 writer's bytes."""
     digest = hashlib.sha256()
-    for text in map(_as_schema_4, _corpus_texts()):
+    for text in map(_as_schema_4, map(_as_schema_5, _corpus_texts())):
         digest.update(_as_schema_3(text).encode())
     assert digest.hexdigest() == "38745fbf607bfae931cba4fea3e77752704d11c084155b165ffbe28a689de974"
 
 
 def test_schema_3_texts_hold_the_schema_2_documents():
-    """Each schema-3 text, rebuilt from the schema-4 text rebuilt from the
-    schema-5 writer's, reads as the same document the schema-2 writer wrote,
+    """Each schema-3 text, rebuilt through schemas 5 and 4 from the schema-6
+    writer's, reads as the same document the schema-2 writer wrote,
     apart from ``schema_version``:
     re-spelling every text in the schema-2 form reproduces the sha256 pinned
     over the schema-2 writer's bytes, and reading both spellings gives equal
     documents."""
     digest = hashlib.sha256()
-    for text in map(_as_schema_3, map(_as_schema_4, _corpus_texts())):
+    for text in map(_as_schema_3, map(_as_schema_4, map(_as_schema_5, _corpus_texts()))):
         old = _as_schema_2(text)
         digest.update(old.encode())
         assert _without_versions(json.loads(old)) == _without_versions(json.loads(text))
@@ -574,7 +652,7 @@ def test_writer_keeps_its_bytes_on_the_replay_corpus():
     for text in _corpus_texts():
         assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"
         digest.update(text.encode())
-    assert digest.hexdigest() == "fca2207ca7d4ce97f0da98293900621ff6778eca86b283d77a6824ccad7e1bff"
+    assert digest.hexdigest() == "12c1a07740ea05ab94709f8707041ed61c7679a63cc86e7abc23e82f1e256c0a"
 
 
 def _small_instance():
@@ -626,17 +704,34 @@ def test_list_readers_name_the_bad_element(read, bad, message):
 # -- reader fuzz ---------------------------------------------------------------------
 
 
-def _fuzz_documents():
-    """Valid documents to mutate: an instance, a reports profile, and two run
-    reports (a desk run priced by injected thresholds, an organic run by
-    computed ones, with one advertiser claiming three slots more)."""
+def _fuzz_runs():
+    """The runs of the two fuzz-seed run reports: a desk run priced by
+    injected thresholds, in which m1 reports a lower third cost, a0 a higher
+    value and a2 one slot more, and an organic run priced by computed
+    thresholds, in which a0 claims three slots more."""
     desk = desk_instance(7)
-    desk_run = (desk, ReportProfile.truthful(desk), desk_config(desk, seed=3))
+    misreports = (
+        ReportProfile.truthful(desk)
+        .with_user_cost(UserRef(EntityId("mediator", 1), 2), 5 * 10**6)
+        .with_advertiser_slots(EntityId("advertiser", 0), 3, 8 * 10**6)
+        .with_advertiser_slots(EntityId("advertiser", 2), 2, desk.advertisers[2].value)
+    )
     organic = organic_instance(0)
     claim = ReportProfile.truthful(organic).with_advertiser_slots(organic.advertisers[0].id, 4, 2 * 10**6)
-    organic_run = (organic, claim, MechanismConfig(alpha=ORGANIC_ALPHA, seed=1))
-    docs = {"instance": json.loads(instance_to_text(desk)), "reports": reports_to_doc(claim)}
-    for name, (inst, reports, config) in (("desk report", desk_run), ("organic report", organic_run)):
+    return {
+        "desk report": (desk, misreports, desk_config(desk, seed=3)),
+        "organic report": (organic, claim, MechanismConfig(alpha=ORGANIC_ALPHA, seed=1)),
+    }
+
+
+_FUZZ_RUNS = _fuzz_runs()
+
+
+def _fuzz_documents():
+    """Valid documents to mutate: an instance, a reports profile, and the
+    run reports of ``_FUZZ_RUNS``."""
+    docs = {"instance": json.loads(instance_to_text(desk_instance(7))), "reports": reports_to_doc(_FUZZ_RUNS["organic report"][1])}
+    for name, (inst, reports, config) in _FUZZ_RUNS.items():
         docs[name] = run_report_to_doc(inst, reports, config, run_mechanism(inst, reports, config))
     return docs
 
@@ -658,7 +753,7 @@ def _places(node, part, out):
 def _claim_capacities(doc):
     """Set every reported capacity the document still holds to 10^12, or, in
     an instance, every true capacity."""
-    part = doc.get("reports", doc)
+    part = doc.get("misreports", doc)
     if isinstance(part, dict):
         specs = part.get("advertisers") if isinstance(part.get("advertisers"), list) else []
         slots = part.get("advertiser_slots") if isinstance(part.get("advertiser_slots"), dict) else {}
@@ -724,8 +819,6 @@ def _replay_edited(edit):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda d: d["reports"]["mediator_costs"].pop("m1"), "reports.mediator_costs: no report for m1"),
-        (lambda d: d["reports"]["advertiser_slots"].pop("a2"), "reports.advertiser_slots: no report for a2"),
         (lambda d: d["instance"]["advertisers"][0].update(capacity=10**12), "instance: a0: capacity 1000000000000 > alpha*tau = 3"),
         (lambda d: d["config"].update(forced_observation_count=10), "config.forced_observation_count: 10 is outside 0..6"),
         (lambda d: d["config"].update(forced_arrival_order=["m0"]), "config.forced_arrival_order: not a permutation of the instance's entities"),
@@ -733,7 +826,7 @@ def _replay_edited(edit):
         (lambda d: d["config"]["threshold_override"]["user_key"].update(amount="8"),
          "config.threshold_override: threshold user key must order below the slot key"),
     ],
-    ids=["missing-mediator", "missing-advertiser", "failed-assumption", "forced-count", "forced-order", "r", "override-order"],
+    ids=["failed-assumption", "forced-count", "forced-order", "r", "override-order"],
 )
 def test_replay_names_the_part_of_the_report_a_run_refuses(edit, message):
     with pytest.raises(ParseError) as err:
@@ -742,9 +835,31 @@ def test_replay_names_the_part_of_the_report_a_run_refuses(edit, message):
 
 
 @pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["misreports"]["mediator_costs"].update(m0=d["instance"]["mediators"][0]["user_costs"]),
+         "misreports.mediator_costs.m0: equals the instance's report, so it is no departure"),
+        (lambda d: d["misreports"]["advertiser_slots"].update(a0={k: d["instance"]["advertisers"][0][k] for k in ("capacity", "value")}),
+         "misreports.advertiser_slots.a0: equals the instance's report, so it is no departure"),
+        (lambda d: d["misreports"]["mediator_costs"].update(m9=["1"]), "misreports.mediator_costs: unknown entity id 'm9'"),
+        (lambda d: d["misreports"]["advertiser_slots"].update(a01={"capacity": 1, "value": "1"}),
+         "misreports.advertiser_slots: bad entity id 'a01'"),
+    ],
+    ids=["truthful-mediator", "truthful-advertiser", "unknown-id", "misspelled-id"],
+)
+def test_misreports_reader_names_the_entry_at_fault(edit, message):
+    """A run report lists only departures from the instance: an entry equal
+    to the instance's report is refused at its own path, as are ids the
+    instance does not hold or that are not spelled as ``str`` writes them."""
+    with pytest.raises(ParseError) as err:
+        _replay_edited(edit)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
     "field, message",
     [
-        ("schema_version", "instance.schema_version: got '1{zeros}, this reader understands 5"),
+        ("schema_version", "instance.schema_version: got '1{zeros}, this reader understands 6"),
         ("kind", "instance.kind: expected 'instance', got '1{zeros}"),
     ],
 )
@@ -867,7 +982,7 @@ def _rename_key(*path):
     return edit
 
 
-# Where a bad value goes in the desk run report (the instance and reports
+# Where a bad value goes in the desk run report (the instance and misreports
 # parts) and in the standalone instance and reports documents.
 _BAD_PLACES = {
     "user cost": ("desk report", _set_at("instance", "mediators", 1, "user_costs", 0)),
@@ -875,11 +990,11 @@ _BAD_PLACES = {
     "advertiser id": ("instance", _set_at("advertisers", 1, "id")),
     "capacity": ("instance", _set_at("advertisers", 1, "capacity")),
     "value": ("desk report", _set_at("instance", "advertisers", 2, "value")),
-    "reported cost": ("desk report", _set_at("reports", "mediator_costs", "m1", 2)),
+    "reported cost": ("desk report", _set_at("misreports", "mediator_costs", "m1", 2)),
     "reported mediator": ("reports", _rename_key("mediator_costs", "m1")),
-    "reported advertiser": ("desk report", _rename_key("reports", "advertiser_slots", "a2")),
+    "reported advertiser": ("desk report", _rename_key("misreports", "advertiser_slots", "a2")),
     "reported capacity": ("reports", _set_at("advertiser_slots", "a1", "capacity")),
-    "reported value": ("desk report", _set_at("reports", "advertiser_slots", "a0", "value")),
+    "reported value": ("desk report", _set_at("misreports", "advertiser_slots", "a0", "value")),
 }
 _BAD_MONEY = ("-0", "-0.5", "-1", "007.5", "00", "7.50", "0.0", "1.", ".5", "", "1.0000001", "+1", " 1", "1\n", "\u0663",
               "1_0", "1e6", "0x1", "1.2.3", "1.-5", "9" * 5000, True, 1, None, ["1"])
@@ -894,7 +1009,8 @@ _BAD_VALUES = {
     "mediator id": (_BAD_IDS, ("m0",)),
     "advertiser id": (_BAD_IDS[:6] + ("m0", "a0"), ()),
     "reported mediator": (_BAD_IDS[:11], ("m0",)),
-    "reported advertiser": (_BAD_IDS[:11], ("a1",)),
+    # a2's departure renamed to an advertiser's id is another departure
+    "reported advertiser": (_BAD_IDS[:6] + _BAD_IDS[8:11], ("a0", "a1")),
     "capacity": (_BAD_CAPACITIES + (0,), (10**30,)),
     "reported capacity": (_BAD_CAPACITIES, (0, 10**30)),
 }
