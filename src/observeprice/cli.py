@@ -20,8 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import analysis, generate, serialize, verify
-from .mechanism import VARIANTS, MechanismConfig, run_mechanism
-from .market import ReportProfile
+from .mechanism import VARIANTS, MechanismConfig, run_mechanism, truthful_run
 
 
 def _default_seed() -> int:
@@ -132,12 +131,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     instance = serialize.instance_from_text(_read(args.instance))
+    config = MechanismConfig(alpha=args.alpha, r=args.r, seed=args.seed, variant=args.variant)
     if args.reports is None:
-        reports = ReportProfile.truthful(instance)
+        reports, outcome = None, truthful_run(instance, config)
     else:  # the run checks that they cover the instance
         reports = serialize.reports_from_text(_read(args.reports))
-    config = MechanismConfig(alpha=args.alpha, r=args.r, seed=args.seed, variant=args.variant)
-    outcome = run_mechanism(instance, reports, config)
+        outcome = run_mechanism(instance, reports, config)
     _write(args.output, serialize.run_report_to_text(instance, reports, config, outcome))
     return 0
 

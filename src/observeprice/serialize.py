@@ -640,10 +640,12 @@ def outcome_to_doc(outcome: MechanismOutcome) -> dict:
 # -- run report ----------------------------------------------------------------
 
 
-def _misreports_doc(instance: Instance, reports: ReportProfile, texts: _Texts) -> dict:
+def _misreports_doc(instance: Instance, reports: ReportProfile | None, texts: _Texts) -> dict:
     """The reports' departures from the instance's truth: the reports parts
     of only the entities whose report differs from their own, compared as
-    the reader reads them (tuples)."""
+    the reader reads them (tuples). None is the truthful run: no departure."""
+    if reports is None:
+        return {"mediator_costs": {}, "advertiser_slots": {}}
     reports.check_covers(instance)
     mediator, advertiser = instance.mediator, instance.advertiser
     return _reports_parts_doc(
@@ -684,10 +686,11 @@ def _read_misreports(
 
 def run_report_to_doc(
     instance: Instance,
-    reports: ReportProfile,
+    reports: ReportProfile | None,
     config: MechanismConfig,
     outcome: MechanismOutcome,
 ) -> dict:
+    """A run's report; ``reports`` None is a truthful run, which departs from nothing."""
     texts = _Texts()
     return {
         "schema_version": SCHEMA_VERSION,

@@ -13,10 +13,13 @@ or paid, each at its arrival's position. From the package it takes only the
 types an outcome is made of, and ``derive_r``; its outcome has no view,
 which takes no part in equality.
 
-``as_schema_5`` rebuilds, from plain JSON, the document the schema-5 writer
-wrote for a schema-6 one: the full reports part and the dense event log.
+``behaviour_digest`` is the behaviour pin: a sha256 over what runs decided,
+built from their outcomes' types and from no writer, so a change to the
+report format leaves it where it is.
 """
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -74,62 +77,31 @@ def reference_idle(instance, reports, config):
     return _reference(instance, reports, config)[2]
 
 
-def with_idle_counts(outcome_doc, instance, reports, config):
-    """``outcome_doc`` as schema 4 wrote it: each event ends with its idle
-    counts, ``unassigned_assignable_users`` and ``unassigned_assignable_slots``,
-    recounted by ``reference_idle``."""
-    for event, (users, slots) in zip(outcome_doc["events"], reference_idle(instance, reports, config), strict=True):
-        event["unassigned_assignable_users"], event["unassigned_assignable_slots"] = users, slots
-    return outcome_doc
-
-
-def full_reports(run_report):
-    """The ``reports`` part schema 5 wrote in place of a schema-6 run
-    report's ``misreports``: every entity's report, its departure where
-    ``misreports`` lists one and the instance's truth elsewhere, keyed in
-    text order."""
-    instance, departures = run_report["instance"], run_report["misreports"]
-    costs = {m["id"]: m["user_costs"] for m in instance["mediators"]} | departures["mediator_costs"]
-    slots = {a["id"]: {"capacity": a["capacity"], "value": a["value"]} for a in instance["advertisers"]}
-    slots |= departures["advertiser_slots"]
-    return {
-        "schema_version": 5,
-        "kind": "reports",
-        "mediator_costs": dict(sorted(costs.items())),
-        "advertiser_slots": dict(sorted(slots.items())),
-    }
-
-
-def dense_events(outcome_doc):
-    """A schema-6 outcome document's events as schema 5 wrote them: one per
-    post-observation arrival, in arrival order, an arrival that traded
-    nothing with no trades and no pay steps."""
-    recorded = {event["arrival"]: event for event in outcome_doc["events"]}
-    events = [
-        recorded.get(arrival, {"arrival": arrival, "trades": [], "pay_steps": []})
-        for arrival in outcome_doc["arrival_order"][outcome_doc["observation_count"]:]
-    ]
-    assert [event for event in events if event["trades"]] == outcome_doc["events"], "events out of arrival order"
-    return events
-
-
-def as_schema_5(doc):
-    """The document the schema-5 writer wrote for the schema-6 document
-    ``doc`` (an instance, reports, a run report, or a run report's outcome):
-    every ``schema_version`` at 5, a run report's full ``reports`` part in
-    place of its ``misreports``, and an outcome's dense events."""
-    if "events" in doc:
-        return {**doc, "events": dense_events(doc)}
-    if doc["kind"] != "run_report":
-        return {**doc, "schema_version": 5}
-    return {
-        "schema_version": 5,
-        "kind": "run_report",
-        "instance": {**doc["instance"], "schema_version": 5},
-        "reports": full_reports(doc),
-        "config": doc["config"],
-        "outcome": as_schema_5(doc["outcome"]),
-    }
+def behaviour_digest(outcomes):
+    """sha256 over what each run of ``outcomes`` decided, one canonical JSON
+    row per run, built from the outcome's types and no writer: the arrival
+    order and the observation count; the thresholds' keys (amount, rank,
+    within-index, or None), location, observed size and whether they were
+    injected; each decision's position, its trades (user, slot, charge,
+    payment) and its pay steps; and the gain from trade. It reads
+    ``decisions`` only, and leaves out each decision's ``arrival``, which
+    repeats the entity at its position."""
+    digest = hashlib.sha256()
+    for o in outcomes:
+        t = o.thresholds
+        keys = [None if k is None else [k.amount, k.entity_rank, k.within_index] for k in (t.user_key, t.slot_key)]
+        row = [
+            [str(e) for e in o.arrival_order],
+            o.observation_count,
+            [*keys, t.location, t.observed_size, t.injected],
+            [
+                [i, [[str(x.user), str(x.slot), x.charge, x.payment] for x in e.trades], [[str(u), a] for u, a in e.pay_steps]]
+                for i, e in o.decisions
+            ],
+            o.gft,
+        ]
+        digest.update(json.dumps(row, separators=(",", ":")).encode() + b"\n")
+    return digest.hexdigest()
 
 
 def _reference(instance, reports, config):

@@ -17,7 +17,7 @@ from observeprice.serialize import (
     money_to_text,
     run_report_from_text,
 )
-from conftest import ORGANIC_ALPHA, organic_instance, zero_user_instance
+from conftest import organic_instance, zero_user_instance
 
 
 def _generate(tmp_path, name="inst.json", seed="0", alpha="1"):
@@ -120,15 +120,6 @@ def _set(path, value):
         for key in path[:-1]:
             doc = doc[key]
         doc[path[-1]] = value
-    return edit
-
-
-def _rename(path, old, new):
-    """An edit that renames key ``old`` of the object at ``path`` to ``new``."""
-    def edit(doc):
-        for key in path:
-            doc = doc[key]
-        doc[new] = doc.pop(old)
     return edit
 
 

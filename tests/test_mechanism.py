@@ -66,7 +66,7 @@ from conftest import (
     sandwich_corpus,
     worked_example,
 )
-from reference import as_schema_5, reference_log, reference_thresholds, with_idle_counts
+from reference import behaviour_digest, reference_log, reference_thresholds
 
 
 # -- observation fraction ------------------------------------------------------
@@ -661,26 +661,61 @@ def test_misreport_runs_keep_their_bytes():
     """sha256 over the compact outcome documents of every market of
     ``_block_serving_markets`` (random and inflated reports, injected and
     computed thresholds) under each engine variant: a differential pin of
-    the serving loop on misreported reports. With the idle events put back,
-    the documents rebuild the schema-5 bytes pinned before schema 6 dropped
-    them, and with the idle counts the reference recounts put back too, the
-    schema-4 bytes pinned before schema 5 dropped those. Each run's report,
-    which lists only its departures from the instance, replays byte for byte."""
-    digest, schema_5, schema_4 = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    the writer on misreported reports. Each run's report, which lists only
+    its departures from the instance, replays byte for byte."""
+    digest = hashlib.sha256()
     for inst, reports, config, _ in _block_serving_markets():
         for variant in VARIANTS:
             c = replace(config, variant=variant)
             outcome = run_mechanism(inst, reports, c)
             report = run_report_from_text(run_report_to_text(inst, reports, c, outcome))
             assert replay_run_report(report) == (True, "replay matches recorded outcome exactly")
-            doc = outcome_to_doc(outcome)
-            digest.update(json.dumps(doc, separators=(",", ":")).encode())
-            doc = as_schema_5(doc)
-            schema_5.update(json.dumps(doc, separators=(",", ":")).encode())
-            schema_4.update(json.dumps(with_idle_counts(doc, inst, reports, c), separators=(",", ":")).encode())
-    assert schema_4.hexdigest() == "38f1a083b2c464b09e8ac5abdc9d0a47820e92c855a547eee0e1b168c3243529"
-    assert schema_5.hexdigest() == "8693b828ac2b1089c4fa1bd1ab0c0edc8b8d93ddeba01539c084482bf51aa876"
+            digest.update(json.dumps(outcome_to_doc(outcome), separators=(",", ":")).encode())
     assert digest.hexdigest() == "25720057765d079f84396e0f5965dd180e00d8b2bf8a88179477f34bc3be51e3"
+
+
+def test_behaviour_pin_on_the_replay_corpus():
+    """sha256 over what each of the criterion-7 corpus's 100 runs decided
+    (``reference.behaviour_digest``), which no report format enters."""
+    digest = behaviour_digest(truthful_run(inst, cfg) for inst, cfg in replay_corpus())
+    assert digest == "de7dc1a578ee00ad523aac117c522a8f6c27db08128c864ab0ed075e72dd9eda"
+
+
+def test_behaviour_pin_on_the_misreport_runs():
+    """sha256 over what each market of ``_block_serving_markets`` (random and
+    inflated reports, injected and computed thresholds) decided under each
+    engine variant."""
+    digest = behaviour_digest(
+        run_mechanism(inst, reports, replace(config, variant=variant))
+        for inst, reports, config, _ in _block_serving_markets()
+        for variant in VARIANTS
+    )
+    assert digest == "f3db79d2f3f1a92f92845dc63e7071ad83e1ef365a07028ecf25b176093bebe0"
+
+
+def test_behaviour_digest_moves_with_every_decided_field():
+    """One trading run, edited one decided field at a time: every edit moves
+    the behaviour digest."""
+    out = truthful_run(organic_instance(1), MechanismConfig(alpha=ORGANIC_ALPHA, seed=8))
+    t, (i, event), later = out.thresholds, out.decisions[0], out.decisions[1:]
+    trade, (user, amount) = event.trades[0], event.pay_steps[0]
+
+    def first_event(**fields):
+        return replace(out, decisions=((i, replace(event, **fields)), *later))
+
+    edits = {
+        "arrivals swapped": replace(out, arrival_order=(out.arrival_order[1], out.arrival_order[0], *out.arrival_order[2:])),
+        "count + 1": replace(out, observation_count=out.observation_count + 1),
+        "count - 1": replace(out, observation_count=out.observation_count - 1),
+        "threshold key": replace(out, thresholds=replace(t, user_key=t.user_key._replace(amount=t.user_key.amount - 1))),
+        "decision moved": replace(out, decisions=((i + 1, event), *later)),
+        "charge": first_event(trades=(trade._replace(charge=trade.charge + 1), *event.trades[1:])),
+        "pay step": first_event(pay_steps=((user, amount + 1), *event.pay_steps[1:])),
+        "trade dropped": first_event(trades=event.trades[1:]),
+        "gft": replace(out, gft=out.gft + 1),
+    }
+    pinned = behaviour_digest([out])
+    assert [name for name, edited in edits.items() if behaviour_digest([edited]) == pinned] == []
 
 
 def test_a_claim_of_10_12_slots_runs_as_a_claim_of_10_3():

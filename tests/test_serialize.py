@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -33,7 +34,6 @@ from observeprice import (
 )
 from observeprice import serialize
 from observeprice.serialize import (
-    SCHEMA_VERSION,
     config_from_doc,
     config_to_doc,
     fraction_from_text,
@@ -46,7 +46,6 @@ from observeprice.serialize import (
     run_report_to_doc,
 )
 from conftest import build_instance, desk_config, desk_instance, organic_instance, replay_corpus, ORGANIC_ALPHA
-from reference import as_schema_5, full_reports, with_idle_counts
 
 
 # -- scalar codecs ------------------------------------------------------------
@@ -240,7 +239,7 @@ def test_replay_formats_no_id_the_report_spells():
     cfg = MechanismConfig(alpha=Fraction(1, 160), seed=3)
     outcome = truthful_run(inst, cfg)
     assert outcome.trades_of()
-    doc = run_report_from_text(run_report_to_text(inst, ReportProfile.truthful(inst), cfg, outcome))
+    doc = run_report_from_text(run_report_to_text(inst, None, cfg, outcome))
 
     def refuse(entity):
         raise AssertionError(f"replay formatted an id again: {entity!r}")
@@ -252,10 +251,9 @@ def test_replay_formats_no_id_the_report_spells():
 def test_replay_detects_tampered_outcome():
     inst = desk_instance(9)
     cfg = desk_config(inst, seed=5)
-    reports = ReportProfile.truthful(inst)
-    outcome = run_mechanism(inst, reports, cfg)
+    outcome = truthful_run(inst, cfg)
     assert outcome.trades_of(), "need a trading run to tamper with"
-    doc = run_report_from_text(run_report_to_text(inst, reports, cfg, outcome))
+    doc = run_report_from_text(run_report_to_text(inst, None, cfg, outcome))
     doc["outcome"]["gft"] = money_to_text(money_from_text(doc["outcome"]["gft"]) + 1)
     ok, message = replay_run_report(doc)
     assert not ok
@@ -266,9 +264,7 @@ def test_replay_detects_config_drift():
     """A report whose config seed was edited replays to a different outcome."""
     inst = organic_instance(3)
     cfg = MechanismConfig(alpha=ORGANIC_ALPHA, seed=11)
-    reports = ReportProfile.truthful(inst)
-    outcome = run_mechanism(inst, reports, cfg)
-    doc = run_report_from_text(run_report_to_text(inst, reports, cfg, outcome))
+    doc = run_report_from_text(run_report_to_text(inst, None, cfg, truthful_run(inst, cfg)))
     doc["config"]["seed"] = 12
     ok, _ = replay_run_report(doc)
     assert not ok
@@ -326,18 +322,28 @@ def _compact(doc):
     return json.dumps(doc, separators=(",", ":"))
 
 
-def _current(part):
-    """A part of a rebuilt older document, as the current reader reads it."""
-    return {**part, "schema_version": SCHEMA_VERSION}
+def _full_reports(run_report):
+    """A run report's reports as a reports document: every entity's report,
+    its departure where ``misreports`` lists one and the instance's truth
+    elsewhere, read from the plain JSON and not by the run report reader."""
+    instance, departures = run_report["instance"], run_report["misreports"]
+    costs = {m["id"]: m["user_costs"] for m in instance["mediators"]} | departures["mediator_costs"]
+    slots = {a["id"]: {"capacity": a["capacity"], "value": a["value"]} for a in instance["advertisers"]}
+    return {
+        "schema_version": run_report["schema_version"],
+        "kind": "reports",
+        "mediator_costs": costs,
+        "advertiser_slots": slots | departures["advertiser_slots"],
+    }
 
 
 def _reference_verdicts(doc):
     """Reference verdicts: whether the recorded outcome's compact text equals
     a fresh run's, and whether its ``indent=2`` text does (the comparison
-    replay made at schema 2). The fresh run reads the full reports part
-    that schema 5 wrote."""
+    replay made at schema 2). The fresh run reads its reports from
+    ``_full_reports``."""
     fresh = outcome_to_doc(run_mechanism(
-        instance_from_doc(doc["instance"]), reports_from_doc(_current(full_reports(doc))), config_from_doc(doc["config"])
+        instance_from_doc(doc["instance"]), reports_from_doc(_full_reports(doc)), config_from_doc(doc["config"])
     ))
     return _compact(doc["outcome"]) == _compact(fresh), json.dumps(doc["outcome"], indent=2) == json.dumps(fresh, indent=2)
 
@@ -386,14 +392,17 @@ TAMPERS = {
 }
 
 
-def _corpus_reports():
+def _corpus_texts():
+    """The instance, reports and run-report texts of each run of the
+    criterion-7 corpus, the run report written as a truthful run's, with no
+    reports."""
     for inst, cfg in replay_corpus():
-        reports = ReportProfile.truthful(inst)
-        yield run_report_to_text(inst, reports, cfg, run_mechanism(inst, reports, cfg))
+        report = run_report_to_text(inst, None, cfg, truthful_run(inst, cfg))
+        yield instance_to_text(inst), reports_to_text(ReportProfile.truthful(inst)), report
 
 
 def test_replay_verdicts_equal_the_indented_comparison_on_the_replay_corpus():
-    for text in _corpus_reports():
+    for _, _, text in _corpus_texts():
         doc = run_report_from_text(text)
         assert replay_run_report(doc) == (True, "replay matches recorded outcome exactly")
         assert _reference_verdicts(doc) == (True, True)
@@ -423,8 +432,7 @@ def test_replay_verdicts_equal_the_indented_comparison_on_tampered_reports(tampe
     texts = []
     for inst, cfg in ((desk_instance(9), desk_config(desk_instance(9), seed=5)),
                       (organic_instance(1), MechanismConfig(alpha=ORGANIC_ALPHA, seed=8))):
-        reports = ReportProfile.truthful(inst)
-        texts.append(run_report_to_text(inst, reports, cfg, run_mechanism(inst, reports, cfg)))
+        texts.append(run_report_to_text(inst, None, cfg, truthful_run(inst, cfg)))
     for text, where in zip(texts, TAMPERED_AT[tamper]):
         doc = run_report_from_text(text)
         if TAMPERS[tamper] is None:
@@ -457,7 +465,7 @@ def test_replay_names_an_event_dropped_added_or_moved(edit, where):
     moved out of arrival order is named at the first event that differs."""
     inst = organic_instance(1)
     cfg = MechanismConfig(alpha=ORGANIC_ALPHA, seed=8)
-    doc = run_report_from_text(run_report_to_text(inst, ReportProfile.truthful(inst), cfg, truthful_run(inst, cfg)))
+    doc = run_report_from_text(run_report_to_text(inst, None, cfg, truthful_run(inst, cfg)))
     outcome = doc["outcome"]
     assert [e["arrival"] for e in outcome["events"]] == ["a13", "m69", "a22"]
     edit(outcome["events"], outcome["arrival_order"][outcome["observation_count"]:])
@@ -480,176 +488,17 @@ def test_replay_names_the_first_differing_path(edit, where):
     and named at its path with both values."""
     inst = desk_instance(9)
     cfg = desk_config(inst, seed=5)
-    reports = ReportProfile.truthful(inst)
-    doc = run_report_from_text(run_report_to_text(inst, reports, cfg, run_mechanism(inst, reports, cfg)))
+    doc = run_report_from_text(run_report_to_text(inst, None, cfg, truthful_run(inst, cfg)))
     edit(doc["outcome"])
     assert _reference_verdicts(doc)[0] is False
     assert replay_run_report(doc) == (False, f"replay diverges at {where}")
-
-
-def _as_schema_2(text):
-    """The text the schema-2 writer wrote for the schema-3 document ``text``
-    holds: ``json.dumps(doc, indent=2)`` with every ``schema_version`` at 2."""
-    doc = json.loads(text)
-    for part in (doc, doc.get("instance"), doc.get("reports")):
-        if part is not None:
-            part["schema_version"] = 2
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _user_order(ref):
-    """``UserRef`` order from a ref text: mediator index, then user index."""
-    mediator, index = ref.split(":")
-    return int(mediator[1:]), int(index)
-
-
-def _outcome_as_schema_3(outcome, config):
-    """The schema-3 outcome document, in its key order, rebuilt from a
-    schema-4 one: alpha, seed, variant and the injected and forced flags from
-    the config, the observed split from the arrival prefix, and the executed
-    pairs, charges, receipts and final targets folded from the events."""
-    observed = outcome["arrival_order"][: outcome["observation_count"]]
-    injected = config["threshold_override"] is not None
-    pairs, charges, receipts, targets = [], {}, {}, {}
-    for event in outcome["events"]:
-        for t in event["trades"]:
-            pairs.append([t["user"], t["slot"]])
-            advertiser, mediator = t["slot"].split(":")[0], t["user"].split(":")[0]
-            charges[advertiser] = charges.get(advertiser, 0) + money_from_text(t["charge"])
-            receipts[mediator] = receipts.get(mediator, 0) + money_from_text(t["payment"])
-            targets.setdefault(t["user"], 0)
-        targets.update((user, money_from_text(x)) for user, x in event["pay_steps"])
-    return {
-        "alpha": config["alpha"],
-        "r": outcome["r"],
-        "seed": config["seed"],
-        "variant": config["variant"],
-        "injected_thresholds": injected,
-        "forced_arrival": config["forced_arrival_order"] is not None,
-        "forced_observation": config["forced_observation_count"] is not None,
-        "arrival_order": outcome["arrival_order"],
-        "observation_count": outcome["observation_count"],
-        "observed_mediators": [e for e in observed if e.startswith("m")],
-        "observed_advertisers": [e for e in observed if e.startswith("a")],
-        "thresholds": {"dummy": outcome["thresholds"]["user_key"] is None, **outcome["thresholds"], "injected": injected},
-        "events": outcome["events"],
-        "assignment": pairs,
-        "charges": {a: money_to_text(x) for a, x in sorted(charges.items())},
-        "receipts": {m: money_to_text(x) for m, x in sorted(receipts.items())},
-        "final_targets": {u: money_to_text(targets[u]) for u in sorted(targets, key=_user_order)},
-        "gft": outcome["gft"],
-    }
-
-
-def _as_schema_5(text):
-    """The text the schema-5 writer wrote for the schema-6 document ``text``
-    holds, as ``reference.as_schema_5`` rebuilds it."""
-    return json.dumps(as_schema_5(json.loads(text)), separators=(",", ":")) + "\n"
-
-
-def _as_schema_4(text):
-    """The text the schema-4 writer wrote for the schema-5 document ``text``
-    holds: every ``schema_version`` at 4 and, in a run report, each event's
-    idle counts put back as the reference recounts them."""
-    doc = json.loads(text)
-    if doc["kind"] == "run_report":
-        run = (
-            instance_from_doc(_current(doc["instance"])),
-            reports_from_doc(_current(doc["reports"])),
-            config_from_doc(doc["config"]),
-        )
-        with_idle_counts(doc["outcome"], *run)
-    for part in (doc, doc.get("instance"), doc.get("reports")):
-        if part is not None:
-            part["schema_version"] = 4
-    return json.dumps(doc, separators=(",", ":")) + "\n"
-
-
-def _as_schema_3(text):
-    """The text the schema-3 writer wrote for the schema-4 document ``text``
-    holds: every ``schema_version`` at 3 and a run report's outcome rebuilt."""
-    doc = json.loads(text)
-    for part in (doc, doc.get("instance"), doc.get("reports")):
-        if part is not None:
-            part["schema_version"] = 3
-    if doc["kind"] == "run_report":
-        doc["outcome"] = _outcome_as_schema_3(doc["outcome"], doc["config"])
-    return json.dumps(doc, separators=(",", ":")) + "\n"
-
-
-def _without_versions(doc):
-    for part in (doc, doc.get("instance"), doc.get("reports")):
-        if part is not None:
-            del part["schema_version"]
-    return doc
-
-
-def _corpus_texts():
-    """Every instance, reports and run-report text of the criterion-7 corpus."""
-    for inst, cfg in replay_corpus():
-        reports = ReportProfile.truthful(inst)
-        outcome = run_mechanism(inst, reports, cfg)
-        yield from (instance_to_text(inst), reports_to_text(reports), run_report_to_text(inst, reports, cfg, outcome))
-
-
-def test_schema_6_texts_rebuild_the_schema_5_bytes():
-    """Schema 6 drops from a run report the reports that equal the
-    instance's truth and the events of the arrivals that traded nothing:
-    putting back the full reports part and the idle events, both from the
-    document itself, reproduces the sha256 pinned over the schema-5 writer's
-    bytes. On a run report with misreports, the rebuilt part is the one the
-    reports writer writes."""
-    digest = hashlib.sha256()
-    for text in _corpus_texts():
-        digest.update(_as_schema_5(text).encode())
-    assert digest.hexdigest() == "fca2207ca7d4ce97f0da98293900621ff6778eca86b283d77a6824ccad7e1bff"
-    inst, reports, cfg = _FUZZ_RUNS["organic report"]
-    doc = run_report_to_doc(inst, reports, cfg, run_mechanism(inst, reports, cfg))
-    assert list(doc["misreports"]["advertiser_slots"]) == ["a0"] and not doc["misreports"]["mediator_costs"]
-    assert _current(full_reports(doc)) == reports_to_doc(reports)
-
-
-def test_schema_5_texts_rebuild_the_schema_4_bytes():
-    """Schema 5 drops from each event only the idle counts, which the
-    surplus check recounts from the run's market: putting back the
-    reference's recount reproduces the sha256 pinned over the schema-4
-    writer's bytes."""
-    digest = hashlib.sha256()
-    for text in map(_as_schema_5, _corpus_texts()):
-        digest.update(_as_schema_4(text).encode())
-    assert digest.hexdigest() == "865bf5982dfb49fd1216c7ee4f611a28ffa8c002344ff41d6bc8686fa8dcdee2"
-
-
-def test_schema_4_texts_rebuild_the_schema_3_bytes():
-    """Schema 4 drops from an outcome only what the report's config, the
-    arrival prefix and the event log already hold: re-adding it reproduces
-    the sha256 pinned over the schema-3 writer's bytes."""
-    digest = hashlib.sha256()
-    for text in map(_as_schema_4, map(_as_schema_5, _corpus_texts())):
-        digest.update(_as_schema_3(text).encode())
-    assert digest.hexdigest() == "38745fbf607bfae931cba4fea3e77752704d11c084155b165ffbe28a689de974"
-
-
-def test_schema_3_texts_hold_the_schema_2_documents():
-    """Each schema-3 text, rebuilt through schemas 5 and 4 from the schema-6
-    writer's, reads as the same document the schema-2 writer wrote,
-    apart from ``schema_version``:
-    re-spelling every text in the schema-2 form reproduces the sha256 pinned
-    over the schema-2 writer's bytes, and reading both spellings gives equal
-    documents."""
-    digest = hashlib.sha256()
-    for text in map(_as_schema_3, map(_as_schema_4, map(_as_schema_5, _corpus_texts()))):
-        old = _as_schema_2(text)
-        digest.update(old.encode())
-        assert _without_versions(json.loads(old)) == _without_versions(json.loads(text))
-    assert digest.hexdigest() == "27c7a81dfccf02bb2056538243e12557359ba0f615530f1b456d018b1f13043a"
 
 
 def test_writer_keeps_its_bytes_on_the_replay_corpus():
     """sha256 over every instance, reports and run-report text of the
     criterion-7 corpus, each one line of compact JSON."""
     digest = hashlib.sha256()
-    for text in _corpus_texts():
+    for text in itertools.chain.from_iterable(_corpus_texts()):
         assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"
         digest.update(text.encode())
     assert digest.hexdigest() == "12c1a07740ea05ab94709f8707041ed61c7679a63cc86e7abc23e82f1e256c0a"
