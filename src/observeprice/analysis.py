@@ -12,10 +12,10 @@ Everything that depends only on the instance (the true view with its
 sorted users and blocks, the optimum, ``ell``, per-entity optimum counts) is
 prepared once in an ``OfflineOptimum``; a diagnostic pass then reads only
 what its run observed and which prefix of each sorted order its thresholds
-cleared, found by bisecting the sorted users and the sorted blocks, and
-decides every cube-root bound in integers. Every sub-market optimum, the
-observed one and the one left reachable, filters the view's orders
-(``canonical_within``).
+cleared, the cut the engine serves from (``Thresholds.users_below`` and
+``Thresholds.assignable_slots``), and decides every cube-root bound in
+integers. Every sub-market optimum, the observed one and the one left
+reachable, filters the view's orders (``canonical_within``).
 
 Experiments report raw and zero-clamped analytic bounds side by side; at
 desk scales the bounds are often vacuous and the point of the lab is the
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -225,28 +225,17 @@ def compute_diagnostic_sets(
     observed = set(outcome.arrival_order[: outcome.observation_count])
     observed_m = observed.intersection(optimum.opt_users_per_mediator)
     observed_a = observed.intersection(optimum.opt_slots_per_advertiser)
-    # The keys a threshold clears form a prefix of each sorted order: users
-    # below the cost threshold, found by bisecting their keys, and slots
-    # above the value threshold: the blocks above its (value, rank) clear
-    # whole, found by bisecting the blocks, and the next at most from an
-    # index on.
+    # The keys a threshold clears form a prefix of each sorted order, cut as
+    # the engine cuts it: the users below the cost threshold, and the slots
+    # of each block above the value threshold, its last ones, block by block
+    # (``cano.sorted_users`` and ``sorted_blocks`` are the view's).
     thresholds = outcome.thresholds
-    blocks, ends = cano.sorted_blocks, cano.slot_ends
-    n_users = thresholds.users_below(view)  # cano.sorted_users is view.sorted_users
-    n_blocks = n_slots = 0
-    if not thresholds.is_dummy:
-        # A block is above (value, rank, inf) exactly when its (value, rank) is.
-        n_blocks = bisect_left(blocks, True, key=(*thresholds.slot_key[:2], math.inf).__gt__)
-        n_slots = ends[n_blocks - 1] if n_blocks else 0
-        if n_blocks < len(blocks):
-            part = blocks[n_blocks].capacity - thresholds.first_assignable(blocks[n_blocks])
-            n_slots, n_blocks = n_slots + part, n_blocks + (part > 0)
+    n_users = thresholds.users_below(view)
+    cleared = thresholds.assignable_slots(view)
+    n_slots = sum(cleared.values())
     cleared_users = [u for u in cano.sorted_users[:n_users] if u.mediator not in observed_m]
-    # Each cleared block gives the prefix its slots from end - n_slots on.
     slots_of = {
-        b.advertiser: range(max(0, end - n_slots), b.capacity)
-        for b, end in zip(blocks[:n_blocks], ends)
-        if b.advertiser not in observed_a
+        a: range(view.blocks[a].capacity - n, view.blocks[a].capacity) for a, n in cleared.items() if a not in observed_a
     }
     # The clearing lists run in view order: by the entity's place in the
     # instance, then by index. Users sort as (place, index, ref) triples, so
@@ -284,7 +273,7 @@ def compute_diagnostic_sets(
     core_users_subset = all(u.mediator in observed_m for u in cano.sorted_users[n_users:core_len])
     core_slots_subset = all(b.advertiser in observed_a for b in core_slots[n_slots:])
     clearing_within = all(u.mediator in observed_m for u in cano.sorted_users[tau_:n_users]) and (
-        n_slots <= tau_ or all(b.advertiser in observed_a for b in blocks[bisect_right(ends, tau_) : n_blocks])
+        n_slots <= tau_ or all(a in observed_a for a in list(cleared)[bisect_right(cano.slot_ends, tau_) :])
     )
     # Cleared users run in key order, so the last is the dearest; slots are checked per block.
     ell_sandwich = (not cleared_users or view.user_costs[cleared_users[-1]] <= ell) and all(

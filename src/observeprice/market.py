@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Money = int
@@ -201,9 +201,6 @@ class Instance:
         return tau(self)
 
 
-_kind = attrgetter("kind")
-
-
 class RunInputError(ValueError):
     """An input a run refuses; the message leads with the part at fault:
     ``instance``, ``reports.<part>`` or ``config.<field>``."""
@@ -229,18 +226,6 @@ class ReportProfile:
     advertiser_slots: Mapping[EntityId, tuple[int, Money]]  # capacity, per-slot value
 
     def __post_init__(self) -> None:
-        # C-level passes check each map whole; the entities are walked one by
-        # one, to name the first at fault, only when they find a fault.
-        try:
-            if (
-                set(map(_kind, self.mediator_costs)) <= {"mediator"}
-                and set(map(_kind, self.advertiser_slots)) <= {"advertiser"}
-                and min(chain.from_iterable(self.mediator_costs.values()), default=0) >= 0
-                and min(chain.from_iterable(self.advertiser_slots.values()), default=0) >= 0
-            ):
-                return
-        except (AttributeError, TypeError):  # a key or an amount of another type: the walk meets it
-            pass
         for m, costs in self.mediator_costs.items():
             if m.kind != "mediator":
                 raise ValueError(f"{m} is not a mediator")

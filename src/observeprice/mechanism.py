@@ -32,12 +32,12 @@ sorted per arrival.
 
 Only an arrival with supply, a mediator with a queue or an advertiser with
 a slot keyed above the value threshold, can trade; under the dummy pair none
-can. A run finds these suppliers once, checks all arrivals as a whole with
-set operations (none observed, none repeated, each in the view), and serves
-only the suppliers, in arrival order, picked by a C-level filter. Its
-outcome records one decision, a (position, event) pair, per arrival that
-traded. So past the draw, a run's Python-level work is per supplier and per
-trade, not per arrival.
+can. A run finds these suppliers once, checks with one set operation that
+the view holds every arrival (the order is a checked permutation, so none
+repeats and none was observed), and serves only the suppliers, in arrival
+order, picked by a C-level filter. Its outcome records one decision, a
+(position, event) pair, per arrival that traded. So past the draw, a run's
+Python-level work is per supplier and per trade, not per arrival.
 
 All money flows are exact integers. The threshold location involves a cube
 root, so location and sign decisions are made with a float fast path that is
@@ -221,15 +221,20 @@ class Thresholds:
     def assignable_slots(self, view: MarketView) -> dict[EntityId, int]:
         """Each advertiser of ``view`` with an assignable slot, mapped to how
         many it has (its slots from ``first_assignable`` on): the view's
-        blocks walked down to the value threshold, none under the dummy pair."""
+        blocks walked down to the value threshold, none under the dummy pair.
+        A block above the threshold's ``(value, rank)`` clears whole; the walk
+        stops at the first block that is not, which clears from
+        ``first_assignable`` on if it is the threshold's own, else not at all."""
         found: dict[EntityId, int] = {}
         if self.slot_key is not None:
             for block in view.sorted_blocks:
-                if block[:2] < self.slot_key[:2]:  # nor has any block after it an assignable slot
+                if block[:2] <= self.slot_key[:2]:
+                    n = block.capacity - self.first_assignable(block)
+                    if n > 0:
+                        found[block.advertiser] = n
                     break
-                n = block.capacity - self.first_assignable(block)
-                if n > 0:
-                    found[block.advertiser] = n
+                if block.capacity:
+                    found[block.advertiser] = block.capacity
         return found
 
     def users_below(self, view: MarketView) -> int:
@@ -571,7 +576,7 @@ def run_mechanism(
 
     state = MechanismState(view, thresholds, observed, variant=config.variant)
     post = arrival[t:]
-    _check_arrivals(post, view, observed)
+    _check_arrivals(post, view)
     serve = state.process_arrival
     decisions = []
     for i in compress(range(len(post)), map(state.suppliers.__contains__, post)):
@@ -591,18 +596,12 @@ def run_mechanism(
     )
 
 
-def _check_arrivals(arrivals: tuple[EntityId, ...], view: MarketView, observed: AbstractSet[EntityId]) -> None:
-    """The checks ``process_arrival`` makes, over all post-observation
-    arrivals at once: none was observed, none repeats, and the view holds
-    each. On a fault, the arrivals are served in order under the dummy pair,
-    so the first one at fault raises what ``process_arrival`` raises for it."""
-    arrived = set(arrivals)
-    unknown = arrived.difference(view.users_by_mediator).difference(view.blocks)
-    if len(arrived) == len(arrivals) and observed.isdisjoint(arrived) and not unknown:
-        return
-    state = MechanismState(view, dummy_thresholds(), observed)
-    for entity in arrivals:
-        state.process_arrival(entity)
+def _check_arrivals(arrivals: tuple[EntityId, ...], view: MarketView) -> None:
+    """``KeyError(entity)``, as ``process_arrival`` raises it, for the first
+    arrival that ``view`` lacks; only a caller's view can lack one."""
+    unknown = set(arrivals).difference(view.users_by_mediator).difference(view.blocks)
+    if unknown:
+        raise KeyError(next(e for e in arrivals if e in unknown))
 
 
 def truthful_run(instance: Instance, config: MechanismConfig, view: Optional[MarketView] = None) -> MechanismOutcome:

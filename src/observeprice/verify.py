@@ -39,7 +39,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from itertools import compress
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .market import (
     EntityId,
@@ -322,35 +322,29 @@ RUN_CHECKS: dict[str, Callable[[MechanismOutcome], CheckResult]] = {
 
 @dataclass(frozen=True)
 class DeviationCase:
-    """One misreport: who deviates and what they claim instead."""
+    """One misreport: who deviates and what they claim instead. The
+    player's kind says what ``report`` is: a user's cost, a mediator's cost
+    vector, or an advertiser's ``(capacity, value)``."""
 
     player: object  # UserRef or EntityId
     label: str
-    # exactly one of the three is set, matching the player's role
-    user_cost: Optional[Money] = None
-    mediator_costs: Optional[tuple[Money, ...]] = None
-    advertiser_slots: Optional[tuple[int, Money]] = None
+    report: object  # Money, tuple[Money, ...] or tuple[int, Money]
 
     def apply(self, reports: ReportProfile) -> ReportProfile:
         if isinstance(self.player, UserRef):
-            return reports.with_user_cost(self.player, self.user_cost)
+            return reports.with_user_cost(self.player, self.report)
         if self.player.kind == "mediator":
-            return reports.with_mediator_costs(self.player, self.mediator_costs)
-        cap, value = self.advertiser_slots
-        return reports.with_advertiser_slots(self.player, cap, value)
+            return reports.with_mediator_costs(self.player, self.report)
+        return reports.with_advertiser_slots(self.player, *self.report)
 
 
-def _dedupe(cases: list[DeviationCase], truth_payload) -> list[DeviationCase]:
-    seen = {truth_payload}
+def _dedupe(cases: list[DeviationCase], truth) -> list[DeviationCase]:
+    seen = {truth}
     out = []
     for c in cases:
-        payload = c.user_cost
-        if payload is None:  # an empty cost vector is a payload too
-            payload = c.advertiser_slots if c.mediator_costs is None else c.mediator_costs
-        if payload in seen:
-            continue
-        seen.add(payload)
-        out.append(c)
+        if c.report not in seen:
+            seen.add(c.report)
+            out.append(c)
     return out
 
 
@@ -369,7 +363,7 @@ def generate_misreports(player, instance: Instance, rng: random.Random, k: int) 
         c = instance.mediator(player.mediator).user_costs[player.user_index]
         pool = [0, c + 1, max(0, c - 1), 2 * c, c // 2, big, c + 7, max(0, c - 7)]
         for x in pool:
-            cases.append(DeviationCase(player, f"user cost {c}->{x}", user_cost=x))
+            cases.append(DeviationCase(player, f"user cost {c}->{x}", x))
         cases = _dedupe(cases, c)
     elif player.kind == "mediator":
         costs = instance.mediator(player).user_costs
@@ -397,7 +391,7 @@ def generate_misreports(player, instance: Instance, rng: random.Random, k: int) 
         pool.append(("all costs zero", tuple(0 for _ in costs)))
         jitter = tuple(max(0, c + rng.choice((-1, 1)) * rng.randrange(1, 4)) for c in costs)
         pool.append(("jitter each cost", jitter))
-        cases = [DeviationCase(player, label, mediator_costs=v) for label, v in pool]
+        cases = [DeviationCase(player, label, v) for label, v in pool]
         cases = _dedupe(cases, costs)
     else:
         spec = instance.advertiser(player)
@@ -416,7 +410,7 @@ def generate_misreports(player, instance: Instance, rng: random.Random, k: int) 
             (u + 1, v + 1),
             (2 * u, 2 * v),
         ]
-        cases = [DeviationCase(player, f"report cap/value {uu}/{vv}", advertiser_slots=(uu, vv)) for uu, vv in pool]
+        cases = [DeviationCase(player, f"report cap/value {uu}/{vv}", (uu, vv)) for uu, vv in pool]
         cases = _dedupe(cases, (u, v))
     rng.shuffle(cases)
     return cases[:k]

@@ -187,7 +187,7 @@ def test_criterion_06_negative_controls():
         mediator_id(2), inst.advertisers[1].id, inst.advertisers[2].id,
     )
     base = replace(worked_cfg, forced_arrival_order=order, variant="pay_slot_value")
-    case = DeviationCase(mediator_id(1), "append fake cheap user", mediator_costs=(5, 0))
+    case = DeviationCase(mediator_id(1), "append fake cheap user", (5, 0))
     verdicts = deviation_test(inst, case, base, seeds=[0])
     assert all(v.profitable for v in verdicts), "fabrication must profit under pay_slot_value"
     honest = deviation_test(inst, case, replace(base, variant="standard"), seeds=[0])

@@ -1011,7 +1011,17 @@ def test_a_run_checks_the_arrivals_it_does_not_serve():
         with pytest.raises(KeyError) as err:
             run_mechanism(inst, None, config, view=partial)
         assert err.value.args == (entity,)
-    assert [i for i, _ in run_mechanism(inst, None, config, view=view).decisions] == [1]
+    run = run_mechanism(inst, None, config, view=view)
+    assert [i for i, _ in run.decisions] == [1]
+    # A view that lacks both names the one that arrives first, in either order.
+    order, both = list(run.arrival_order), (mediator_id(2), advertiser_id(2))
+    for _ in range(2):
+        forced = replace(config, forced_arrival_order=tuple(order), forced_observation_count=run.observation_count)
+        with pytest.raises(KeyError) as err:
+            run_mechanism(inst, None, forced, view=replace(without_m2, blocks=without_a2.blocks))
+        assert err.value.args == (min(both, key=order.index),)
+        i, j = map(order.index, both)
+        order[i], order[j] = order[j], order[i]
 
 
 def test_arrival_event_keeps_the_dataclass_contract():

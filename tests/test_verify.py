@@ -324,7 +324,7 @@ def test_mediator_misreports_include_length_changes():
     inst = desk_instance(3)
     mediator = next(m.id for m in inst.mediators if len(m.user_costs) >= 2)
     cases = generate_misreports(mediator, inst, random.Random(4), 100)
-    lengths = {len(c.mediator_costs) for c in cases}
+    lengths = {len(c.report) for c in cases}
     true_len = len(inst.mediator(mediator).user_costs)
     assert any(n < true_len for n in lengths)
     assert any(n > true_len for n in lengths)
@@ -336,7 +336,7 @@ def test_mediator_with_no_users_gets_misreports_and_sweeps():
     the incentive sweep runs on it for every rng seed."""
     inst = zero_user_instance()
     cases = generate_misreports(mediator_id(1), inst, random.Random(0), 100)
-    assert sorted(c.mediator_costs for c in cases) == [(0,), (0, 0), (10**12,)]
+    assert sorted(c.report for c in cases) == [(0,), (0, 0), (10**12,)]
     for seed in range(20):
         result = incentive_sweep(
             [(inst, MechanismConfig(alpha=Fraction(1)))], misreports_per_role=5, seeds_per_case=4, rng=random.Random(seed)
@@ -348,7 +348,7 @@ def test_mediator_with_no_users_gets_misreports_and_sweeps():
 def test_deviation_case_apply_targets_one_player():
     inst = desk_instance(2)
     truth = ReportProfile.truthful(inst)
-    case = DeviationCase(inst.advertisers[0].id, "cap bump", advertiser_slots=(9, 5))
+    case = DeviationCase(inst.advertisers[0].id, "cap bump", (9, 5))
     got = case.apply(truth)
     assert got.advertiser_slots[inst.advertisers[0].id] == (9, 5)
     assert got.mediator_costs == truth.mediator_costs
@@ -357,13 +357,13 @@ def test_deviation_case_apply_targets_one_player():
 def test_deviation_test_reports_exact_utilities():
     instance, config = worked_example()
     user = UserRef(mediator_id(0), 0)
-    same = DeviationCase(user, "cost 1->2", user_cost=2)
+    same = DeviationCase(user, "cost 1->2", 2)
     verdicts = deviation_test(instance, same, config, seeds=[0, 1])
     for v in verdicts:
         assert v.truthful_utility == 3
         assert v.deviant_utility == 3  # still assigned, payment set by others
         assert not v.profitable
-    hiding = DeviationCase(user, "cost 1->big", user_cost=10**12)
+    hiding = DeviationCase(user, "cost 1->big", 10**12)
     for v in deviation_test(instance, hiding, config, seeds=[0]):
         assert v.deviant_utility == 0
         assert not v.profitable
@@ -419,7 +419,7 @@ def test_pay_slot_value_variant_rewards_fabrication():
     instance, config = worked_example()
     config = _fabrication_prone_config(config)
     broken = replace(config, variant="pay_slot_value")
-    fabricate = DeviationCase(mediator_id(1), "append fake", mediator_costs=(5, 0))
+    fabricate = DeviationCase(mediator_id(1), "append fake", (5, 0))
     verdicts = deviation_test(instance, fabricate, broken, seeds=[0])
     assert verdicts[0].truthful_utility == 0
     assert verdicts[0].deviant_utility == 1  # paid the slot value 6, delivers at cost 5
@@ -690,7 +690,7 @@ def _all_sweeps(variant):
     inc = incentive_sweep(items, misreports_per_role=3, seeds_per_case=3, rng=random.Random(5))
     runs = [(inst, replace(config, seed=seed)) for inst, config in items for seed in range(3)]
     tru, _ = truthful_sweep(runs)
-    fabricate = DeviationCase(mediator_id(1), "append fake", mediator_costs=(5, 0))
+    fabricate = DeviationCase(mediator_id(1), "append fake", (5, 0))
     dev = deviation_test(items[-1][0], fabricate, items[-1][1], seeds=[0, 1, 2])
     return inc, tru, dev
 
