@@ -14,8 +14,10 @@ prepared once in an ``OfflineOptimum``; a diagnostic pass then reads only
 what its run observed and which prefix of each sorted order its thresholds
 cleared, the cut the engine serves from (``Thresholds.users_below`` and
 ``Thresholds.assignable_slots``), and decides every cube-root bound in
-integers. Every sub-market optimum, the observed one and the one left
-reachable, filters the view's orders (``canonical_within``).
+integers, on the numerators and denominators of the run's ``alpha`` and
+``r``: a pass builds and compares no ``Fraction``. Every sub-market
+optimum, the observed one and the one left reachable, filters the view's
+orders (``canonical_within``).
 
 Experiments report raw and zero-clamped analytic bounds side by side; at
 desk scales the bounds are often vacuous and the point of the lab is the
@@ -39,7 +41,7 @@ from .mechanism import (
     MechanismConfig,
     MechanismOutcome,
     at_most_cbrt,
-    ceil_minus_cbrt,
+    ceil_minus_cbrt_ratio,
     derive_r,
     truthful_run,
 )
@@ -217,7 +219,7 @@ def compute_diagnostic_sets(
 
     # Core length ceil((1 - 6/r alpha^(1/3)) tau), 0 once that is <= 0: the
     # threshold location rule of ``compute_thresholds`` with 6 for its 2.
-    core_len = max(0, ceil_minus_cbrt(tau_, Fraction(6 * tau_ * r.denominator, r.numerator), alpha))
+    core_len = max(0, ceil_minus_cbrt_ratio(tau_, 6 * tau_ * r.denominator, r.numerator, alpha))
     core_users = opt_users[:core_len]
     core_slots = opt_slots[:core_len]
 

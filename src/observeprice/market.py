@@ -419,20 +419,27 @@ class ValidationReport:
     violations: tuple[str, ...]
 
 
+def as_fraction(x: Fraction | int | str) -> Fraction:
+    """``x`` itself when it is a ``Fraction``, else ``Fraction(x)``: the one
+    conversion of an ``alpha`` or ``r`` given as an int or a string, shared
+    by validation and the mechanism, so a ``Fraction`` is read, never rebuilt."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def validate_instance(instance: Instance, alpha: Fraction) -> ValidationReport:
     """Check the mechanism's standing assumptions against the ground truth.
 
     tau is the size of the offline-optimal (canonical) assignment. Required:
     tau >= 1, 1/tau <= alpha <= 1, and no single entity brings more than
     alpha*tau users or slots. With alpha = p/q the bounds are compared as
-    integers.
+    integers; a valid instance builds and compares no ``Fraction``.
     """
     t = instance.tau
     violations: list[str] = []
     if t == 0:
         violations.append("tau=0: no trade has positive gain, mechanism assumptions reject the instance")
         return ValidationReport(False, 0, tuple(violations))
-    alpha = Fraction(alpha)
+    alpha = as_fraction(alpha)
     p, q = alpha.numerator, alpha.denominator
     if not q <= p * t <= q * t:  # 1/tau <= alpha <= 1
         violations.append(f"alpha={alpha} outside [1/tau, 1] = [1/{t}, 1]")

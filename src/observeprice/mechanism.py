@@ -39,10 +39,14 @@ order, picked by a C-level filter. Its outcome records one decision, a
 (position, event) pair, per arrival that traded. So past the draw, a run's
 Python-level work is per supplier and per trade, not per arrival.
 
-All money flows are exact integers. The threshold location involves a cube
-root, so location and sign decisions are made with a float fast path that is
-always verified (and, if needed, corrected) by exact integer comparisons;
-a rounding error can never flip them.
+All money flows are exact integers. ``alpha`` and ``r`` are ``Fraction``s
+at the API, and a run reads their numerators and denominators and builds
+and compares none: the range checks, the observation draw and the threshold
+location are integer decisions, and a value given as an int or a string is
+converted once, by ``market.as_fraction``. The threshold location involves
+a cube root, so location and sign decisions are made with a float fast path
+that is always verified (and, if needed, corrected) by exact integer
+comparisons; a rounding error can never flip them.
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ from .market import (
     SlotRef,
     TieKey,
     UserRef,
+    as_fraction,
     gain_from_trade,
     report_view,
     true_view,
@@ -76,6 +81,7 @@ from .market import (
 )
 
 VARIANTS = ("standard", "pay_slot_value", "skip_user_payment_updates")
+_HALF = Fraction(1, 2)  # derive_r's rate for every alpha >= 1/8**6, built once
 
 
 def _iroot6(n: int) -> int:
@@ -98,15 +104,17 @@ def derive_r(alpha: Fraction) -> Fraction:
     Computed with integer arithmetic so the grid rounding is exact and always
     toward zero.
     """
-    alpha = Fraction(alpha)
+    alpha = as_fraction(alpha)
     p, q = alpha.numerator, alpha.denominator
     if not 0 < p <= q:  # 0 < alpha <= 1, q > 0
         raise ValueError("alpha must be in (0, 1]")
+    if 8**6 * p >= q:  # 4 * alpha^(1/6) >= 1/2, so the grid point is 1/2 itself
+        return _HALF
     # floor(4e6 * alpha^(1/6)) = floor((4**6 * 1e36 * p / q)^(1/6))
     micro = _iroot6((4**6) * 10**36 * p // q)
     if micro <= 0:
         raise ValueError("alpha too small: derived r underflows the 1e-6 grid")
-    return Fraction(1, 2) if 2 * micro >= 10**6 else Fraction(micro, 10**6)
+    return Fraction(micro, 10**6)
 
 
 def at_most_cbrt(x: int | Fraction, coeff: int | Fraction, alpha: int | Fraction) -> bool:
@@ -121,17 +129,29 @@ def at_most_cbrt(x: int | Fraction, coeff: int | Fraction, alpha: int | Fraction
     return xn**3 * coeff.denominator**3 * alpha.denominator <= coeff.numerator**3 * alpha.numerator * x.denominator**3
 
 
-def ceil_minus_cbrt(total: int, coeff: Fraction, alpha: Fraction) -> int:
-    """Exact ceil(total - coeff * alpha^(1/3)) for total >= 0, coeff >= 0.
+def ceil_minus_cbrt(total: int, coeff: int | Fraction, alpha: int | Fraction) -> int:
+    """Exact ceil(total - coeff * alpha^(1/3)) for total >= 0, coeff >= 0."""
+    return ceil_minus_cbrt_ratio(total, coeff.numerator, coeff.denominator, alpha)
+
+
+def ceil_minus_cbrt_ratio(total: int, num: int, den: int, alpha: int | Fraction) -> int:
+    """``ceil_minus_cbrt`` for coeff = num/den, den > 0, not necessarily in
+    lowest terms, so a caller passes integer parts and builds no ``Fraction``.
 
     Float estimate first; the candidate m is then pinned by exact decisions
-    of total - m <= coeff * alpha^(1/3), so the result is correct even when
-    the expression sits next to an integer.
+    of total - m <= coeff * alpha^(1/3), each x^3 * den^3 * q <= num^3 * p
+    for alpha = p/q and x > 0, so the result is correct even when the
+    expression sits next to an integer. A common factor of num and den
+    scales both sides alike, and num / den rounds as the reduced ratio does.
     """
-    m = math.ceil(total - float(coeff) * float(alpha) ** (1.0 / 3.0))
-    while not at_most_cbrt(total - m, coeff, alpha):
+    if den <= 0:
+        raise ValueError("the coefficient's denominator must be > 0")
+    p, q = alpha.numerator, alpha.denominator
+    m = math.ceil(total - num / den * (p / q) ** (1.0 / 3.0))
+    lhs, rhs = den**3 * q, num**3 * p
+    while total - m > 0 and (total - m) ** 3 * lhs > rhs:
         m += 1
-    while at_most_cbrt(total - m + 1, coeff, alpha):
+    while total - m + 1 <= 0 or (total - m + 1) ** 3 * lhs <= rhs:
         m -= 1
     return m
 
@@ -146,10 +166,10 @@ def sample_observation_count(n_entities: int, r: Fraction, rng: random.Random) -
     leaves the generator in the same state, and each entity independently
     lands in the observed prefix with probability r.
     """
-    r = Fraction(r)
-    if not 0 <= r <= 1:
-        raise ValueError("r must be in [0, 1]")
+    r = as_fraction(r)
     num, den = r.numerator, r.denominator
+    if not 0 <= num <= den:
+        raise ValueError("r must be in [0, 1]")
     getrandbits, k = rng.getrandbits, den.bit_length()
     count = 0
     for _ in range(n_entities):
@@ -278,7 +298,7 @@ def compute_thresholds(view: MarketView, observed: AbstractSet[EntityId], r: Fra
     """
     cano = canonical_within(view, observed)
     s = cano.size
-    k = max(0, ceil_minus_cbrt(s, Fraction(2 * s * r.denominator, r.numerator), alpha))
+    k = max(0, ceil_minus_cbrt_ratio(s, 2 * s * r.denominator, r.numerator, alpha))
     if k == 0:
         return dummy_thresholds(observed_size=s)
     return Thresholds(view.user_key(cano.user_at(k)), view.slot_key(cano.slot_at(k)), k, s)
@@ -315,6 +335,10 @@ class ArrivalEvent:
 
 @dataclass(frozen=True)
 class MechanismConfig:
+    """One run's settings. ``alpha`` and ``r`` are ``Fraction``s (an int or a
+    string is converted once, by ``as_fraction``); a run reads their
+    numerators and denominators and builds none."""
+
     alpha: Fraction
     r: Optional[Fraction] = None  # default: derive_r(alpha)
     seed: int = 0
@@ -327,10 +351,18 @@ class MechanismConfig:
     variant: str = "standard"
 
     def resolved_r(self) -> Fraction:
-        r = derive_r(self.alpha) if self.r is None else Fraction(self.r)
-        if not 0 < r <= Fraction(1, 2):
-            raise RunInputError("config.r: must be in (0, 1/2]")
-        return r
+        return _resolved_r(self.alpha, self.r)
+
+
+def _resolved_r(alpha: Fraction, r: Optional[Fraction]) -> Fraction:
+    """``derive_r(alpha)``, in (0, 1/2] by construction, when ``r`` is None;
+    else ``r``, once 0 < 2 * num <= den."""
+    if r is None:
+        return derive_r(alpha)
+    r = as_fraction(r)
+    if not 0 < 2 * r.numerator <= r.denominator:
+        raise RunInputError("config.r: must be in (0, 1/2]")
+    return r
 
 
 @dataclass
@@ -557,11 +589,11 @@ def run_mechanism(
     """
     if reports is None and view is None:
         raise ValueError("run_mechanism needs reports or their view")
-    alpha = Fraction(config.alpha)
+    alpha = as_fraction(config.alpha)
     check = validate_instance(instance, alpha)  # alpha outside [1/tau, 1] fails, so derive_r accepts the rest
     if not check.ok:
         raise RunInputError("instance: " + "; ".join(check.violations))
-    r = config.resolved_r()
+    r = _resolved_r(alpha, config.r)
     arrival, t = draw_arrivals(instance, config, r)
     observed = set(arrival[:t])
     if view is None:

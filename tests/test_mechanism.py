@@ -24,12 +24,14 @@ from observeprice import (
     advertiser_id,
     ceil_minus_cbrt,
     check_surplus_invariant,
+    compute_diagnostic_sets,
     compute_thresholds,
     derive_r,
     dummy_thresholds,
     injected_thresholds,
     matched_family,
     mediator_id,
+    offline_optimum,
     replay_run_report,
     report_view,
     run_mechanism,
@@ -49,6 +51,7 @@ from observeprice.mechanism import (
     Trade,
     _iroot6,
     at_most_cbrt,
+    ceil_minus_cbrt_ratio,
     draw_arrivals,
     shuffle,
 )
@@ -170,6 +173,11 @@ def test_sample_observation_count_extremes():
     rng = random.Random(0)
     assert sample_observation_count(10, Fraction(0), rng) == 0
     assert sample_observation_count(10, Fraction(1), rng) == 10
+    assert sample_observation_count(10, 0, rng) == 0
+    assert sample_observation_count(10, 1, rng) == 10
+    for r in (Fraction(-1, 2), Fraction(3, 2)):
+        with pytest.raises(ValueError, match=r"^r must be in \[0, 1\]$"):
+            sample_observation_count(10, r, rng)
 
 
 # -- threshold arithmetic --------------------------------------------------------
@@ -184,6 +192,16 @@ def test_at_most_cbrt_exact_boundary():
 def test_ceil_minus_cbrt_frozen():
     assert ceil_minus_cbrt(2, Fraction(8), Fraction(1, 1000)) == 2  # ceil(1.2)
     assert ceil_minus_cbrt(10, Fraction(4), Fraction(1, 8)) == 8  # exact integer
+    # At exact cubes the expression lands on integers and on their
+    # neighbours; a coefficient scaled by k decides as the reduced one.
+    for alpha, root in ((Fraction(1, 8), Fraction(1, 2)), (Fraction(1, 27), Fraction(1, 3)), (Fraction(1, 1000), Fraction(1, 10))):
+        for coeff in (Fraction(2), Fraction(3, 2), Fraction(7, 3), Fraction(10), Fraction(30)):
+            for total in range(12):
+                want = math.ceil(total - coeff * root)
+                assert ceil_minus_cbrt(total, coeff, alpha) == want, (alpha, coeff, total)
+                for k in (2, 3, 6):
+                    got = ceil_minus_cbrt_ratio(total, k * coeff.numerator, k * coeff.denominator, alpha)
+                    assert got == want, (alpha, coeff, total, k)
 
 
 def test_ceil_minus_cbrt_is_minimal_ceiling():
@@ -512,9 +530,74 @@ def test_config_validates_r_and_variant():
         MechanismConfig(alpha=Fraction(1, 2), r=Fraction(2, 3)).resolved_r()
     with pytest.raises(ValueError):
         MechanismConfig(alpha=Fraction(1, 2), r=Fraction(0)).resolved_r()
+    assert MechanismConfig(alpha=Fraction(1, 2), r=Fraction(1, 2)).resolved_r() == Fraction(1, 2)
+    for r in (Fraction(500_001, 10**6), Fraction(0), Fraction(-1, 2)):
+        with pytest.raises(RunInputError, match=r"^config\.r: must be in \(0, 1/2\]$"):
+            MechanismConfig(alpha=Fraction(1, 2), r=r).resolved_r()
     inst = build_instance([[1], [2]], [(1, 9), (1, 9)], seed=0)
+    # An int alpha runs as its Fraction, and the outcome holds Fractions.
+    for seed in range(5):
+        out = truthful_run(inst, MechanismConfig(alpha=1, seed=seed))
+        assert out == truthful_run(inst, MechanismConfig(alpha=Fraction(1), seed=seed))
+        assert type(out.alpha) is Fraction and type(out.r) is Fraction
+        assert (out.alpha, out.r) == (Fraction(1), Fraction(1, 2))
     with pytest.raises(ValueError, match="unknown engine variant 'banana'"):
         truthful_run(inst, MechanismConfig(alpha=Fraction(1), variant="banana"))
+
+
+def _fraction_work(call):
+    """``call()``'s result, with how many ``Fraction``s it built and how many
+    ``Fraction`` comparisons it made, counted on the class itself."""
+    counts = Counter()
+
+    def counted(kind, fn):
+        def wrapper(*args, **kwargs):
+            counts[kind] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fraction, "__new__", staticmethod(counted("built", Fraction.__new__)))
+        coprime = Fraction.__dict__.get("_from_coprime_ints")  # arithmetic's constructor from Python 3.12 on
+        if coprime is not None:
+            mp.setattr(Fraction, "_from_coprime_ints", classmethod(counted("built", coprime.__func__)))
+        for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+            mp.setattr(Fraction, name, counted("compared", getattr(Fraction, name)))
+        result = call()
+    return result, counts
+
+
+def test_runs_and_diagnostic_passes_build_and_compare_no_fraction():
+    """A run and a diagnostic pass read the numerators and denominators of
+    ``alpha`` and ``r``: they build no ``Fraction`` and compare none."""
+    _, counts = _fraction_work(lambda: 0 < Fraction(1, 3) <= Fraction(1, 2))
+    assert counts == {"built": 2, "compared": 2}  # the counter sees both
+
+    desk, organic = desk_instance(0), organic_instance(1)
+    family = matched_family(Fraction(1, 80), seed=0)
+    optimum = offline_optimum(family)
+    desk_reports = ReportProfile.truthful(desk)
+    desk_run = desk_config(desk, 1)
+    organic_run = MechanismConfig(alpha=ORGANIC_ALPHA, seed=8)
+    family_run = MechanismConfig(alpha=Fraction(1, 80), seed=2)
+    outcomes = {}
+    for name, call in {
+        "desk, injected thresholds": lambda: run_mechanism(desk, desk_reports, desk_run),
+        "organic, r derived": lambda: truthful_run(organic, organic_run),
+        "matched family 1/80, computed thresholds": lambda: truthful_run(family, family_run, view=optimum.view),
+    }.items():
+        outcomes[name], counts = _fraction_work(call)
+        assert counts == {}, name
+    desk_out, organic_out, family_out = outcomes.values()
+    assert desk_out.thresholds.injected and desk_out.r is desk_run.r
+    assert organic_out.r == Fraction(1, 2) and organic_out.alpha is ORGANIC_ALPHA
+    assert not organic_out.thresholds.is_dummy and organic_out.decisions
+    assert not family_out.thresholds.injected and family_out.thresholds.location
+
+    diag, counts = _fraction_work(lambda: compute_diagnostic_sets(family, family_out, random.Random(0), optimum=optimum))
+    assert counts == {}
+    assert diag.tau == optimum.cano.size and diag.clearing_users
 
 
 def test_run_rejects_invalid_instance_alpha_pair():
